@@ -1,0 +1,52 @@
+"""Golden CLI corpus: stdout, stderr and exit code of fixed invocations.
+
+Every subcommand runs in text and JSON format through ``main(argv)``, and
+its output must match ``golden/cli_corpus.json`` byte for byte.  The
+pfaff cases read the corpus's form file, written to a temporary directory;
+the ``{form}`` placeholder in an argv stands for its path.
+
+A refactoring must leave the corpus unchanged.  After an intended output
+change, re-record with ``PYTHONPATH=src python tests/test_golden_cli.py``
+and review the diff of the data file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import pathlib
+import tempfile
+
+import pytest
+
+from pnsheaf.cli import main
+
+CORPUS_PATH = pathlib.Path(__file__).parent / "golden" / "cli_corpus.json"
+CORPUS = json.loads(CORPUS_PATH.read_text(encoding="utf-8"))
+
+
+def _run(argv: list[str], form_dir: pathlib.Path) -> tuple[int, str, str]:
+    form = form_dir / "pencil.form"
+    form.write_text(CORPUS["form_file"], encoding="utf-8")
+    argv = [str(form) if arg == "{form}" else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("case", CORPUS["cases"], ids=[c["id"] for c in CORPUS["cases"]])
+def test_cli_output_matches_golden(case, tmp_path):
+    assert _run(case["argv"], tmp_path) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def _record() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in CORPUS["cases"]:
+            case["exit"], case["stdout"], case["stderr"] = _run(case["argv"], pathlib.Path(tmp))
+    CORPUS_PATH.write_text(json.dumps(CORPUS, indent=1) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    _record()
