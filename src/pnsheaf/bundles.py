@@ -397,73 +397,31 @@ def _graded_power(dec: Decomposition, k: int, single) -> Decomposition:
     """wedge^k or sym^k of a decomposition via the binomial expansion.
 
     wedge^k(A + B) = sum_{i+j=k} wedge^i A (x) wedge^j B, and likewise for
-    sym; blocks of m identical summands recurse the same way.
+    sym; a summand of multiplicity m counts as m copies.  The expansion runs
+    from the last summand to the first, without recursion, so a large
+    multiplicity cannot exhaust the stack.
     """
     n = dec.ambient
     if k == 0:
         return _unit(n)
-    if dec.is_zero():
-        return _zero(n)
-    items = list(dec.terms)
-
-    block_cache: dict = {}
-
-    def block(idx: int, m: int, j: int) -> Decomposition:
-        """Power of degree j of m copies of items[idx][0]."""
-        if j == 0:
-            return _unit(n)
-        if m == 0:
-            return _zero(n)
-        key = (idx, m, j)
-        hit = block_cache.get(key)
-        if hit is not None:
-            return hit
-        summand = items[idx][0]
-        acc: dict = {}
-        for a in range(j + 1):
-            first = single(summand, a)
-            if first.is_zero():
-                continue
-            rest = block(idx, m - 1, j - a)
-            if rest.is_zero():
-                continue
-            piece = tensor_decompositions(first, rest)
-            for b, mult in piece.terms:
-                key2 = (b.lam, b.twist)
-                acc[key2] = acc.get(key2, 0) + mult
-        out = _freeze(n, acc)
-        block_cache[key] = out
-        return out
-
-    tail_cache: dict = {}
-
-    def go(idx: int, j: int) -> Decomposition:
-        if j == 0:
-            return _unit(n)
-        if idx == len(items):
-            return _zero(n)
-        key = (idx, j)
-        hit = tail_cache.get(key)
-        if hit is not None:
-            return hit
-        _, m = items[idx]
-        acc: dict = {}
-        for a in range(j + 1):
-            first = block(idx, m, a)
-            if first.is_zero():
-                continue
-            rest = go(idx + 1, j - a)
-            if rest.is_zero():
-                continue
-            piece = tensor_decompositions(first, rest)
-            for b, mult in piece.terms:
-                key2 = (b.lam, b.twist)
-                acc[key2] = acc.get(key2, 0) + mult
-        out = _freeze(n, acc)
-        tail_cache[key] = out
-        return out
-
-    return go(0, k)
+    items = [b for b, m in dec.terms for _ in range(m)]
+    # tail[j] is the degree-j power of the summands after the current one
+    tail = [_unit(n)] + [_zero(n)] * k
+    for summand in reversed(items):
+        firsts = [single(summand, a) for a in range(k + 1)]
+        powers = []
+        for j in range(k + 1):
+            acc: dict = {}
+            for a in range(j + 1):
+                if firsts[a].is_zero() or tail[j - a].is_zero():
+                    continue
+                piece = tensor_decompositions(firsts[a], tail[j - a])
+                for b, mult in piece.terms:
+                    key = (b.lam, b.twist)
+                    acc[key] = acc.get(key, 0) + mult
+            powers.append(_freeze(n, acc))
+        tail = powers
+    return tail[k]
 
 
 # ---------------------------------------------------------------------------

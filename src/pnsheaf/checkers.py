@@ -8,7 +8,7 @@ conditions could not be verified, never that the conclusion is false.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .bundles import (
     BundleExpr,
@@ -197,13 +197,4 @@ def check_split_vanishing(n: int, k: int, degrees) -> TheoremReport:
     """The bare vanishing statement behind the split checker; identical
     computation, reported under its own name with no ampleness conditions
     beyond the ones that power it."""
-    report = check_split_distribution(n, k, degrees)
-    return TheoremReport(
-        "prop-4-5",
-        report.inputs,
-        report.conditions,
-        report.groups,
-        report.verdict,
-        (),
-        report.certificate,
-    )
+    return replace(check_split_distribution(n, k, degrees), theorem="prop-4-5", notes=())

@@ -121,31 +121,30 @@ def _ch_sym_q(m: int, n: int) -> ChowClass:
     return chow_unit(n).scale(binom(n + m, n)) - _ch_line(-1, n).scale(binom(n + m - 1, n))
 
 
-def _det_ring(mat: list[list[ChowClass]], n: int) -> ChowClass:
-    """Determinant over the truncated ring, expanding along rows with a
-    bitmask DP over column subsets."""
-    size = len(mat)
-    if size == 0:
-        return chow_unit(n)
-    memo = {0: chow_unit(n)}
+def _det(mat: list[list], zero, one):
+    """Determinant over any commutative ring, expanding along rows with a
+    bitmask DP over column subsets; zero and one are the ring's constants."""
+    memo = {0: one}
 
-    def minor(cols: int, row: int) -> ChowClass:
+    def minor(cols: int, row: int):
         if cols in memo:
             return memo[cols]
-        total = chow_zero(n)
+        total = zero
         sign = -1 if (row - 1) % 2 else 1  # expansion along the last row
         c = cols
         while c:
             j = (c & -c).bit_length() - 1
             sub = cols & ~(1 << j)
             entry = mat[row - 1][j]
-            if any(entry.coeffs):
-                total = total + (entry * minor(sub, row - 1)).scale(sign)
+            if entry != zero:
+                term = entry * minor(sub, row - 1)
+                total = total + term if sign > 0 else total - term
             sign = -sign
             c &= c - 1
         memo[cols] = total
         return total
 
+    size = len(mat)
     return minor((1 << size) - 1, size)
 
 
@@ -154,7 +153,7 @@ def _ch_schur_q(lam: tuple[int, ...], n: int) -> ChowClass:
     """Jacobi-Trudi: ch S_lam(Q) = det[ ch Sym^(lam_i - i + j) Q ]."""
     size = len(lam)
     mat = [[_ch_sym_q(lam[i] - (i + 1) + (j + 1), n) for j in range(size)] for i in range(size)]
-    return _det_ring(mat, n)
+    return _det(mat, chow_zero(n), chow_unit(n))
 
 
 def chern_character(e: BundleExpr) -> ChowClass:
@@ -283,34 +282,9 @@ def porteous_class(E: BundleExpr, G: BundleExpr) -> PorteousResult:
         return PorteousResult(n, codim, chow_zero(n), 0, False)
     size = codim
     mat = [[c(1 + j - i) for j in range(size)] for i in range(size)]
-    det = _det_scalar(mat)
+    det = _det(mat, Fraction(0), Fraction(1))
     if det.denominator != 1:
         raise ConsistencyError(f"degeneracy class came out non-integral: {det}")
     cls = hyperplane_power(n, codim, det)
     return PorteousResult(n, codim, cls, int(det), True)
 
-
-def _det_scalar(mat: list[list[Fraction]]) -> Fraction:
-    size = len(mat)
-    if size == 0:
-        return Fraction(1)
-    memo = {0: Fraction(1)}
-
-    def minor(cols: int, row: int) -> Fraction:
-        if cols in memo:
-            return memo[cols]
-        total = Fraction(0)
-        sign = -1 if (row - 1) % 2 else 1  # expansion along the last row
-        c = cols
-        while c:
-            j = (c & -c).bit_length() - 1
-            sub = cols & ~(1 << j)
-            entry = mat[row - 1][j]
-            if entry:
-                total += sign * entry * minor(sub, row - 1)
-            sign = -sign
-            c &= c - 1
-        memo[cols] = total
-        return total
-
-    return minor((1 << size) - 1, size)

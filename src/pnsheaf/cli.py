@@ -21,7 +21,8 @@ trailing "on P^n" or through --n.
 
 Exit codes: 0 success; 1 a verdict failed (certificate false, checker
 hypotheses-fail, or a form not determined by its singular scheme); 2 bad
-input; 3 computation refused (unsupported plethysm or scale guard).
+input; 3 computation refused (unsupported plethysm or scale guard); 4 an
+internal cross-check failed, which is a bug, not a verdict.
 """
 
 from __future__ import annotations
@@ -775,6 +776,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UnsupportedPlethysm, ScaleExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ConsistencyError as exc:
+        print(f"error: internal cross-check failed: {exc}", file=sys.stderr)
+        return 4
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

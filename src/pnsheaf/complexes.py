@@ -87,14 +87,20 @@ def _en_term(E: BundleExpr, G: BundleExpr, i: int, g: int, twisted: bool) -> Bun
     return tensor(wedge(i, E), sym(i - g, dual(G)), LineBundle(n, det_g_dual.twist))
 
 
-def en_resolution(E: BundleExpr, G: BundleExpr, twisted: bool = False) -> ENResolutionReport:
-    """The e - g + 1 bundle terms resolving the maximal-minor ideal sheaf."""
+def _map_ranks(E: BundleExpr, G: BundleExpr) -> tuple[int, int]:
+    """Ranks e, g of a map E -> G, checked for a common ambient and e >= g."""
     e = rank(E)
     g = rank(G)
     if E.ambient != G.ambient:
         raise InputError("E and G live on different ambients")
     if e < g:
         raise InputError(f"need rank(E) >= rank(G); got {e} < {g}")
+    return e, g
+
+
+def en_resolution(E: BundleExpr, G: BundleExpr, twisted: bool = False) -> ENResolutionReport:
+    """The e - g + 1 bundle terms resolving the maximal-minor ideal sheaf."""
+    e, g = _map_ranks(E, G)
     if g < 1:
         raise InputError("G must have positive rank")
     terms = tuple(_en_term(E, G, i, g, twisted) for i in range(g, e + 1))
@@ -135,16 +141,11 @@ def vanishing_certificate(E: BundleExpr, G: BundleExpr) -> ENCertificate:
     explicit, unchecked assumption carried in the report.
     """
     n = E.ambient
-    e = rank(E)
-    g = rank(G)
-    if E.ambient != G.ambient:
-        raise InputError("E and G live on different ambients")
-    if e < g:
-        raise InputError(f"need rank(E) >= rank(G); got {e} < {g}")
+    e, g = _map_ranks(E, G)
     required = []
     failed = []
     for i in range(1, e - g + 1):
-        expr = tensor(wedge(g, dual(E)), wedge(g + i, E), sym(i, dual(G)))
+        expr = _en_term(E, G, g + i, g, True)
         table = cohomology_table(expr)
         ok = table.h(i) == 0
         if not ok:

@@ -26,6 +26,7 @@ from .bundles import (
     Tangent,
     Tensor,
     Wedge,
+    direct_sum,
 )
 from .errors import ParseError
 
@@ -75,24 +76,11 @@ class _Parser:
         return tok
 
     def expr(self) -> BundleExpr:
-        children = []
-        mults = []
-
-        def push(term):
-            if isinstance(term, DirectSum):
-                children.extend(term.children)
-                mults.extend(term.multiplicities)
-            else:
-                children.append(term)
-                mults.append(1)
-
-        push(self.term())
+        terms = [self.term()]
         while self.peek()[0] in ("PLUS", "OPLUS"):
             self.pos += 1
-            push(self.term())
-        if len(children) == 1 and mults[0] == 1:
-            return children[0]
-        return DirectSum(self.n, tuple(children), tuple(mults))
+            terms.append(self.term())
+        return direct_sum(*terms)
 
     def term(self) -> BundleExpr:
         out = self.factor()

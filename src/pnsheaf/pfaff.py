@@ -175,12 +175,19 @@ def random_pencil_form(n: int, d: int, seed: int) -> TwistedOneForm:
             return pencil_form(p, q)
         except InputError:
             continue  # e.g. proportional pair collapsed to zero coefficients
-        except EulerViolation:  # pragma: no cover - pencil forms always satisfy Euler
-            continue
 
 
 # ---------------------------------------------------------------------------
 # singular scheme and section spaces
+
+
+def _slot_polys(vec, nvars: int, monos) -> tuple[Poly, ...]:
+    """Split a flat vector, slot-major over monos, into one Poly per slot."""
+    width = len(monos)
+    return tuple(
+        Poly(nvars, {m: c for m, c in zip(monos, vec[slot * width:(slot + 1) * width]) if c})
+        for slot in range(nvars)
+    )
 
 
 def singular_scheme(w: TwistedOneForm) -> SingularScheme:
@@ -240,18 +247,8 @@ def vanishing_section_space(n: int, r: int, z) -> SectionSpace:
                 if touched:
                     rows.append(row)
     kernel = kernel_basis(rows, ncols)
-    basis_forms = []
-    for vec in kernel:
-        coeffs = []
-        for slot in range(nvars):
-            terms = {}
-            for m in monos:
-                c = vec[col(slot, m)]
-                if c:
-                    terms[m] = c
-            coeffs.append(Poly(nvars, terms))
-        basis_forms.append(TwistedOneForm(n, r, tuple(coeffs)))
-    return SectionSpace(n, r, len(kernel), tuple(basis_forms))
+    basis_forms = tuple(TwistedOneForm(n, r, _slot_polys(vec, nvars, monos)) for vec in kernel)
+    return SectionSpace(n, r, len(kernel), basis_forms)
 
 
 def form_coefficient_vector(w: TwistedOneForm) -> list[Fraction]:
@@ -296,18 +293,8 @@ def annihilator_distribution(w: TwistedOneForm, bound: int) -> list[AnnihilatorS
                     row[slot * len(monos) + index[m]] += c
         rows = list(target.values())
         kernel = kernel_basis(rows, ncols)
-        gens = []
-        for vec in kernel:
-            field = []
-            for slot in range(nvars):
-                terms = {}
-                for m in monos:
-                    c = vec[slot * len(monos) + index[m]]
-                    if c:
-                        terms[m] = c
-                field.append(Poly(nvars, terms))
-            gens.append(tuple(field))
-        slices.append(AnnihilatorSlice(t, len(kernel), tuple(gens)))
+        gens = tuple(_slot_polys(vec, nvars, monos) for vec in kernel)
+        slices.append(AnnihilatorSlice(t, len(kernel), gens))
     return slices
 
 
@@ -370,7 +357,10 @@ def parse_form_file(text: str) -> TwistedOneForm:
         label = label.strip()
         if not label.startswith("A_"):
             raise InputError(f"bad coefficient label {label!r}")
-        idx = int(label[2:])
+        try:
+            idx = int(label[2:])
+        except ValueError as exc:
+            raise InputError(f"bad coefficient label {label!r}") from exc
         if not 0 <= idx <= n:
             raise InputError(f"coefficient index {idx} out of range for P^{n}")
         if idx in coeffs:

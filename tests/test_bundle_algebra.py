@@ -9,6 +9,7 @@ import pytest
 
 from pnsheaf import (
     Decomposition,
+    DirectSum,
     InputError,
     IrreducibleBundle,
     UnsupportedPlethysm,
@@ -115,6 +116,28 @@ def test_split_powers_match_brute_force():
             key = ((0,) * n, sum(combo))
             want_sym[key] = want_sym.get(key, 0) + 1
         assert got_sym == want_sym
+
+
+def test_powers_of_sums_with_repeated_summands():
+    seed = 61003
+    print(f"repeated summand powers seed {seed}")
+    rng = random.Random(seed)
+    for n in range(2, 6):
+        for _ in range(3):
+            a, b, c = rng.randint(2, 3), rng.randint(2, 3), rng.randint(1, 3)
+            d = rng.randint(-3, 3)
+            e = DirectSum(n, (tangent(n), omega(1, n), o(d, n)), (a, b, c))
+            r = (a + b) * n + c
+            assert rank(e) == r
+            for k in range(4):
+                assert rank(wedge(k, e)) == binom(r, k), (n, a, b, c, d, k)
+                assert rank(sym(k, e)) == binom(r + k - 1, k), (n, a, b, c, d, k)
+
+
+def test_power_of_a_large_multiplicity():
+    e = DirectSum(2, (o(1, 2), o(2, 2)), (600, 600))
+    assert rank(wedge(2, e)) == binom(1200, 2)
+    assert rank(sym(2, e)) == binom(1201, 2)
 
 
 def test_split_tensor_elementary_expansion():

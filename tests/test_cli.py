@@ -137,6 +137,23 @@ def test_refused_computation_is_three(tmp_path, capsys):
     assert "degree 9" in err
 
 
+def test_bad_form_label_is_two(tmp_path, capsys):
+    path = tmp_path / "bad.form"
+    path.write_text("P^2 twist 2\nA_x: x0\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["pfaff", "singular", "--file", str(path)])
+    assert (code, out, err) == (2, "", "error: bad coefficient label 'A_x'\n")
+
+
+def test_failed_cross_check_is_four(monkeypatch, capsys):
+    monkeypatch.setattr("pnsheaf.cli.hrr_chi", lambda e: -1)
+    code, out, err = _run(capsys, ["chi", "T on P^2"])
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: internal cross-check failed: "
+        "Riemann-Roch chi -1 != alternating sum 8\n"
+    )
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out, _ = capsys.readouterr()
