@@ -25,6 +25,7 @@ from .bundles import (
 from .cohomology import cohomology_table
 from .complexes import ENCertificate, vanishing_certificate
 from .errors import InputError
+from .grammar import render_expression
 
 HOLD = "hypotheses-hold"
 FAIL = "hypotheses-fail"
@@ -67,6 +68,18 @@ class TheoremReport:
             "verdict": self.verdict,
             "notes": list(self.notes),
         }
+
+    def text_lines(self) -> list[str]:
+        inputs = " ".join(f"{k}={v}" for k, v in self.inputs.items())
+        lines = [f"check {self.theorem}: {inputs}"]
+        for cond in self.conditions:
+            lines.append(f"condition [{'ok' if cond.ok else 'NO'}] {cond.name}")
+        for grp in self.groups:
+            lines.append(f"group i={grp.i} p={grp.p}: dim = {grp.dim}")
+        lines.append(f"verdict: {self.verdict}")
+        for note in self.notes:
+            lines.append(f"note: {note}")
+        return lines
 
 
 def check_split_distribution(n: int, k: int, degrees) -> TheoremReport:
@@ -172,8 +185,6 @@ def check_map_recovery(E: BundleExpr, G: BundleExpr) -> TheoremReport:
     """Generic-statement checker: wraps the vanishing certificate for a map
     E -> G of arbitrary supported bundles."""
     cert = vanishing_certificate(E, G)
-    from .grammar import render_expression
-
     groups = tuple(GroupDim(r.i, r.i, r.table.h(r.i)) for r in cert.required)
     verdict = HOLD if cert.verdict else FAIL
     return TheoremReport(

@@ -22,21 +22,22 @@ trailing "on P^n" or through --n.
 Exit codes: 0 success; 1 a verdict failed (certificate false, checker
 hypotheses-fail, or a form not determined by its singular scheme); 2 bad
 input; 3 computation refused (unsupported plethysm or scale guard); 4 an
-internal cross-check failed, which is a bug, not a verdict.
+internal cross-check failed, which is a bug, not a verdict.  A sweep's
+--workers below 1 is bad input (exit 2); above the CPU count it is clamped
+to the CPU count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .bundles import BundleExpr, o, rank, tensor
 from .checkers import (
     HOLD,
-    TheoremReport,
     check_codim1_generic,
     check_endomorphism_space,
     check_map_recovery,
@@ -45,7 +46,7 @@ from .checkers import (
 )
 from .chow import ChowClass, chern_character, hrr_chi, porteous_class, total_chern
 from .cohomology import cohomology_table
-from .complexes import ENCertificate, en_resolution, vanishing_certificate
+from .complexes import en_resolution, vanishing_certificate
 from .errors import (
     ConsistencyError,
     InputError,
@@ -156,42 +157,6 @@ def _require(args, names: list[str], context: str) -> None:
     missing = [name for name in names if getattr(args, name.lstrip("-").replace("-", "_"), None) is None]
     if missing:
         raise InputError(f"{context} needs {', '.join(missing)}")
-
-
-# ---------------------------------------------------------------------------
-# report renderers
-
-
-def _theorem_lines(report: TheoremReport) -> list[str]:
-    inputs = " ".join(f"{k}={v}" for k, v in report.inputs.items())
-    lines = [f"check {report.theorem}: {inputs}"]
-    for cond in report.conditions:
-        lines.append(f"condition [{'ok' if cond.ok else 'NO'}] {cond.name}")
-    for grp in report.groups:
-        lines.append(f"group i={grp.i} p={grp.p}: dim = {grp.dim}")
-    lines.append(f"verdict: {report.verdict}")
-    for note in report.notes:
-        lines.append(f"note: {note}")
-    return lines
-
-
-def _certificate_lines(cert: ENCertificate) -> list[str]:
-    lines = [
-        f"certificate on P^{cert.n}: E = {render_expression(cert.E)}, "
-        f"G = {render_expression(cert.G)} (e = {cert.e}, g = {cert.g})"
-    ]
-    for req in cert.required:
-        status = "ok" if req.ok else "NONZERO"
-        lines.append(
-            f"H^{req.i}({render_expression(req.expr)}) = {req.table.h(req.i)}  [{status}]"
-        )
-    for step in cert.chain_trace:
-        lines.append(f"chase: {step}")
-    for assumption in cert.assumptions:
-        lines.append(f"assumption: {assumption}")
-    lines.append(f"endomorphism space dimension: {cert.endomorphism_dim}")
-    lines.append(f"verdict: {'holds' if cert.verdict else 'fails'}")
-    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +280,7 @@ def _cmd_certificate(args) -> int:
     E = _load_expr(args.E, args.n)
     G = _load_expr(args.G, args.n)
     cert = vanishing_certificate(E, G)
-    _emit(args, cert.to_json_dict(), _certificate_lines(cert))
+    _emit(args, cert.to_json_dict(), cert.text_lines())
     return 0 if cert.verdict else 1
 
 
@@ -349,27 +314,34 @@ def _cmd_porteous(args) -> int:
     return 0
 
 
+# canonical id -> (flags it needs, builder of its TheoremReport from args)
+CHECKS = {
+    "thm-1-1": (
+        ["--E", "--G"],
+        lambda a: check_map_recovery(_load_expr(a.E, a.n), _load_expr(a.G, a.n)),
+    ),
+    "thm-1-2": (
+        ["--n", "--k", "--degrees"],
+        lambda a: check_split_distribution(a.n, a.k, _parse_degrees(a.degrees)),
+    ),
+    "thm-1-4": (["--n", "--r"], lambda a: check_codim1_generic(a.n, a.r)),
+    "prop-4-5": (
+        ["--n", "--k", "--degrees"],
+        lambda a: check_split_vanishing(a.n, a.k, _parse_degrees(a.degrees)),
+    ),
+    "lemma-4-4": (["--n", "--k"], lambda a: check_endomorphism_space(a.k, a.n)),
+}
+
+
 def _cmd_check(args) -> int:
     ident = CHECK_ALIASES.get(args.id, args.id)
-    if ident == "thm-1-2":
-        _require(args, ["--n", "--k", "--degrees"], "check thm-1-2")
-        report = check_split_distribution(args.n, args.k, _parse_degrees(args.degrees))
-    elif ident == "prop-4-5":
-        _require(args, ["--n", "--k", "--degrees"], "check prop-4-5")
-        report = check_split_vanishing(args.n, args.k, _parse_degrees(args.degrees))
-    elif ident == "thm-1-4":
-        _require(args, ["--n", "--r"], "check thm-1-4")
-        report = check_codim1_generic(args.n, args.r)
-    elif ident == "lemma-4-4":
-        _require(args, ["--n", "--k"], "check lemma-4-4")
-        report = check_endomorphism_space(args.k, args.n)
-    elif ident == "thm-1-1":
-        _require(args, ["--E", "--G"], "check thm-1-1")
-        report = check_map_recovery(_load_expr(args.E, args.n), _load_expr(args.G, args.n))
-    else:
-        known = sorted(set(CHECK_ALIASES) | set(CHECK_ALIASES.values()))
+    if ident not in CHECKS:
+        known = sorted({*CHECK_ALIASES, *CHECKS})
         raise InputError(f"unknown check id {args.id!r}; choose from {', '.join(known)}")
-    _emit(args, report.to_json_dict(), _theorem_lines(report))
+    flags, build = CHECKS[ident]
+    _require(args, flags, f"check {ident}")
+    report = build(args)
+    _emit(args, report.to_json_dict(), report.text_lines())
     return 0 if report.verdict == HOLD else 1
 
 
@@ -502,43 +474,40 @@ def _cmd_pfaff_random_pencil(args) -> int:
 # sweeps
 
 
-def _sweep_task_codim1(item: tuple[int, int]) -> dict:
-    n, r = item
-    report = check_codim1_generic(n, r)
-    return {"n": n, "r": r, "verdict": report.verdict}
+def _sweep_task_codim1(n: int, r: int) -> dict:
+    return {"n": n, "r": r, "verdict": check_codim1_generic(n, r).verdict}
 
 
-def _sweep_task_split(item: tuple[int, int, int]) -> dict:
-    n, k, d = item
+def _sweep_task_split(n: int, k: int, d: int) -> dict:
     report = check_split_distribution(n, k, (d,) * k)
     return {"n": n, "k": k, "d": d, "verdict": report.verdict}
 
 
-def _sweep_task_endo(item: tuple[int, int]) -> dict:
-    n, k = item
+def _sweep_task_endo(n: int, k: int) -> dict:
     report = check_endomorphism_space(k, n)
     return {"n": n, "k": k, "dim": report.groups[0].dim, "verdict": report.verdict}
 
 
-def _sweep_task_certificate(item: tuple[str, str, int, int]) -> dict:
-    e_text, g_text, n, t = item
-    E = parse_expression(e_text, n)
-    G = tensor(parse_expression(g_text, n), o(t, n))
-    cert = vanishing_certificate(E, G)
+def _sweep_task_certificate(E: BundleExpr, G: BundleExpr, t: int) -> dict:
+    cert = vanishing_certificate(E, tensor(G, o(t, E.ambient)))
     return {"twist": t, "verdict": HOLD if cert.verdict else "hypotheses-fail"}
 
 
-def _run_sweep(args, task, grid: list) -> list[dict]:
-    if args.workers <= 1:
-        return [task(item) for item in grid]
-    with ProcessPoolExecutor(max_workers=args.workers) as pool:
-        return list(pool.map(task, grid))
+def _sweep(args, task, grid: list[tuple]) -> int:
+    """Run task(*point) over the grid, serially or across a worker pool."""
+    if args.workers < 1:
+        raise InputError(f"--workers must be at least 1; got {args.workers}")
+    workers = min(args.workers, os.cpu_count() or 1)
+    if workers == 1:
+        results = [task(*point) for point in grid]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-
-def _finish_sweep(args, mode: str, results: list[dict]) -> int:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(task, *zip(*grid)))
     failures = sum(1 for r in results if r["verdict"] != HOLD)
     payload = {
-        "sweep": mode,
+        "sweep": args.sweep_command,
         "count": len(results),
         "failures": failures,
         "results": results,
@@ -554,7 +523,7 @@ def _finish_sweep(args, mode: str, results: list[dict]) -> int:
 
 def _cmd_sweep_codim1(args) -> int:
     grid = [(n, r) for n in _parse_range(args.n) for r in _parse_range(args.r)]
-    return _finish_sweep(args, "codim1", _run_sweep(args, _sweep_task_codim1, grid))
+    return _sweep(args, _sweep_task_codim1, grid)
 
 
 def _cmd_sweep_split(args) -> int:
@@ -567,28 +536,21 @@ def _cmd_sweep_split(args) -> int:
     ]
     if not grid:
         raise InputError("sweep grid is empty after the 1 <= k <= n filter")
-    return _finish_sweep(args, "split", _run_sweep(args, _sweep_task_split, grid))
+    return _sweep(args, _sweep_task_split, grid)
 
 
 def _cmd_sweep_endo(args) -> int:
     grid = [(n, k) for n in _parse_range(args.n) for k in range(n + 1)]
-    return _finish_sweep(args, "endo", _run_sweep(args, _sweep_task_endo, grid))
+    return _sweep(args, _sweep_task_endo, grid)
 
 
 def _cmd_sweep_certificate(args) -> int:
     if args.n is None:
         raise InputError("sweep certificate needs --n")
-    base_e, amb_e = split_ambient(args.E)
-    base_g, amb_g = split_ambient(args.G)
-    for amb in (amb_e, amb_g):
-        if amb is not None and amb != args.n:
-            raise InputError(f"--n {args.n} disagrees with 'on P^{amb}'")
-    parse_expression(base_e, args.n)  # validate now, before fanning out
-    parse_expression(base_g, args.n)
-    grid = [(base_e, base_g, args.n, t) for t in _parse_range(args.twist)]
-    return _finish_sweep(
-        args, "certificate", _run_sweep(args, _sweep_task_certificate, grid)
-    )
+    E = _load_expr(args.E, args.n)
+    G = _load_expr(args.G, args.n)
+    grid = [(E, G, t) for t in _parse_range(args.twist)]
+    return _sweep(args, _sweep_task_certificate, grid)
 
 
 # ---------------------------------------------------------------------------

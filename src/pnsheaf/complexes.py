@@ -25,6 +25,7 @@ from .bundles import (
 )
 from .cohomology import CohomologyTable, cohomology_table
 from .errors import ConsistencyError, InputError
+from .grammar import render_expression
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,6 @@ class ENCertificate:
     assumptions: tuple[str, ...] = ("purity",)
 
     def to_json_dict(self) -> dict:
-        from .grammar import render_expression
-
         return {
             "e": self.e,
             "g": self.g,
@@ -77,6 +76,24 @@ class ENCertificate:
             "assumptions": list(self.assumptions),
             "verdict": self.verdict,
         }
+
+    def text_lines(self) -> list[str]:
+        lines = [
+            f"certificate on P^{self.n}: E = {render_expression(self.E)}, "
+            f"G = {render_expression(self.G)} (e = {self.e}, g = {self.g})"
+        ]
+        for req in self.required:
+            status = "ok" if req.ok else "NONZERO"
+            lines.append(
+                f"H^{req.i}({render_expression(req.expr)}) = {req.table.h(req.i)}  [{status}]"
+            )
+        for step in self.chain_trace:
+            lines.append(f"chase: {step}")
+        for assumption in self.assumptions:
+            lines.append(f"assumption: {assumption}")
+        lines.append(f"endomorphism space dimension: {self.endomorphism_dim}")
+        lines.append(f"verdict: {'holds' if self.verdict else 'fails'}")
+        return lines
 
 
 def _en_term(E: BundleExpr, G: BundleExpr, i: int, g: int, twisted: bool) -> BundleExpr:

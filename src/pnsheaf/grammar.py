@@ -31,12 +31,9 @@ from .bundles import (
 from .errors import ParseError
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(\(\+\))|(\(x\))|(-?\d+)|(Omega\^)|(wedge)|(sym)|(dual)|(on)|(P\^)|(O)|(T)|(\()|(\))|(,)|(\+)|(\*))"
-)
-
-_TOKEN_NAMES = (
-    "OPLUS", "OTIMES", "INT", "OMEGA", "WEDGE", "SYM", "DUAL",
-    "ON", "PHAT", "O", "T", "LPAREN", "RPAREN", "COMMA", "PLUS", "STAR",
+    r"\s*(?:(?P<OPLUS>\(\+\))|(?P<OTIMES>\(x\))|(?P<INT>-?\d+)|(?P<OMEGA>Omega\^)"
+    r"|(?P<WEDGE>wedge)|(?P<SYM>sym)|(?P<DUAL>dual)|(?P<ON>on)|(?P<PHAT>P\^)|(?P<O>O)"
+    r"|(?P<T>T)|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<COMMA>,)|(?P<PLUS>\+)|(?P<STAR>\*))"
 )
 
 
@@ -50,10 +47,7 @@ def _tokenize(text: str):
         m = _TOKEN_RE.match(text, pos)
         if not m or m.end() == pos:
             raise ParseError(f"unrecognized input {text[pos:pos + 8]!r}", pos)
-        for name, value in zip(_TOKEN_NAMES, m.groups()):
-            if value is not None:
-                tokens.append((name, value, pos))
-                break
+        tokens.append((m.lastgroup, m.group(m.lastgroup), pos))
         pos = m.end()
     tokens.append(("EOF", "", len(text)))
     return tokens
@@ -106,22 +100,14 @@ class _Parser:
             if p == 0:
                 return LineBundle(self.n, 0)
             return Cotangent(self.n, p)
-        if kind == "WEDGE":
+        if kind in ("WEDGE", "SYM"):
             self.pos += 1
             self.take("LPAREN")
             k = int(self.take("INT")[1])
             self.take("COMMA")
             inner = self.expr()
             self.take("RPAREN")
-            return Wedge(self.n, k, inner)
-        if kind == "SYM":
-            self.pos += 1
-            self.take("LPAREN")
-            k = int(self.take("INT")[1])
-            self.take("COMMA")
-            inner = self.expr()
-            self.take("RPAREN")
-            return Sym(self.n, k, inner)
+            return (Wedge if kind == "WEDGE" else Sym)(self.n, k, inner)
         if kind == "DUAL":
             self.pos += 1
             self.take("LPAREN")

@@ -35,12 +35,7 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
 
 def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
     """Basis of the right kernel of the matrix (list of coefficient rows)."""
-    cleaned = [row for row in rows if any(row)]
-    if not cleaned:
-        return [
-            tuple(Fraction(int(i == j)) for i in range(ncols)) for j in range(ncols)
-        ]
-    reduced, pivots = rref(cleaned)
+    reduced, pivots = rref(rows)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -54,11 +49,7 @@ def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction,
 
 
 def row_rank(rows: list[list[Fraction]]) -> int:
-    cleaned = [row for row in rows if any(row)]
-    if not cleaned:
-        return 0
-    _, pivots = rref(cleaned)
-    return len(pivots)
+    return len(rref(rows)[1])
 
 
 def in_row_span(rows: list[list[Fraction]], vector: list[Fraction]) -> bool:

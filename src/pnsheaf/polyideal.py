@@ -405,19 +405,12 @@ def _reduce_basis(basis) -> tuple[Poly, ...]:
                 break
         if keep:
             minimal.append(g)
-    # fully reduce each member against the rest, to a fixpoint
-    changed = True
+    # fully reduce each member against the rest: reduction keeps the leading
+    # monomials of a minimal basis, so one pass gives the reduced basis
     current = [g.monic() for g in minimal]
-    while changed:
-        changed = False
+    if len(current) > 1:
         for idx in range(len(current)):
-            others = current[:idx] + current[idx + 1:]
-            red = normal_form(current[idx], others) if others else current[idx]
-            red = red.monic()
-            if red != current[idx]:
-                current[idx] = red
-                changed = True
-        current = [g for g in current if g]
+            current[idx] = normal_form(current[idx], current[:idx] + current[idx + 1:]).monic()
     current.sort(key=lambda g: monomial_key(g.leading_monomial()), reverse=True)
     return tuple(current)
 

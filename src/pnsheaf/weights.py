@@ -113,39 +113,35 @@ def _lr_terms(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[tuple[tuple[in
     if not sizes:
         found[lam] += 1
     else:
-        # Grow lam one horizontal strip per label.  strips[t][r] counts the
-        # label-t cells placed in row r; the lattice-word condition is imposed
-        # pairwise against the previous strip as rows are chosen.
-        def place(shape: tuple[int, ...], label: int, prev_strip: tuple[int, ...]):
-            size = sizes[label]
-
-            def rows(r: int, left: int, cur_shape: list[int], strip: list[int],
-                     cum_cur: int, cum_prev: int):
-                if r == n_rows:
-                    if left == 0:
-                        nxt = tuple(cur_shape)
-                        if label + 1 == len(sizes):
-                            found[nxt] += 1
-                        else:
-                            place(nxt, label + 1, tuple(strip))
-                    return
-                # horizontal strip: new row r may not reach under row r-1's old cells
-                cap = left if r == 0 else min(left, shape[r - 1] - shape[r])
+        # Grow lam one horizontal strip per label, one row at a time, from an
+        # explicit stack.  A state holds the shape before this label's strip,
+        # the previous label's strip, and this strip's rows chosen so far.
+        last_row = n_rows - 1
+        last_label = len(sizes) - 1
+        stack = [(0, lam, (0,) * n_rows, (), sizes[0], 0, 0)]
+        while stack:
+            label, shape, prev_strip, strip, left, cum_cur, cum_prev = stack.pop()
+            r = len(strip)
+            # horizontal strip: new row r may not reach under row r-1's old cells
+            cap = left if r == 0 else min(left, shape[r - 1] - shape[r])
+            # lattice word: label-t count through row r stays <= label-(t-1)
+            # count through row r-1 (first strip is unconstrained)
+            if label > 0:
+                cap = min(cap, cum_prev - cum_cur)
+                cum_prev += prev_strip[r]
+            if r < last_row:
                 for a in range(cap + 1):
-                    # lattice word: label-t count through row r stays <= label-(t-1)
-                    # count through row r-1 (first strip is unconstrained)
-                    if label > 0 and cum_cur + a > cum_prev:
-                        break
-                    cur_shape[r] = shape[r] + a
-                    strip[r] = a
-                    rows(r + 1, left - a, cur_shape, strip,
-                         cum_cur + a, cum_prev + (prev_strip[r] if label > 0 else 0))
-                cur_shape[r] = shape[r]
-                strip[r] = 0
-
-            rows(0, size, list(shape), [0] * n_rows, 0, 0)
-
-        place(lam, 0, tuple([0] * n_rows))
+                    stack.append(
+                        (label, shape, prev_strip, strip + (a,), left - a, cum_cur + a, cum_prev)
+                    )
+            elif left <= cap:
+                # the last row takes what is left of the strip
+                strip += (left,)
+                nxt = tuple(x + a for x, a in zip(shape, strip))
+                if label == last_label:
+                    found[nxt] += 1
+                else:
+                    stack.append((label + 1, nxt, strip, (), sizes[label + 1], 0, 0))
     ordered = sorted(found.items(), key=lambda kv: kv[0], reverse=True)
     return tuple(ordered)
 

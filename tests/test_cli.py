@@ -13,6 +13,8 @@ import jsonschema
 import pytest
 
 from pnsheaf import (
+    CHECK_IDS,
+    HOLD,
     Cotangent,
     DirectSum,
     Dual,
@@ -20,6 +22,7 @@ from pnsheaf import (
     Poly,
     Tangent,
     Tensor,
+    TheoremReport,
     Wedge,
     parse_expression,
     parse_form_file,
@@ -28,7 +31,7 @@ from pnsheaf import (
     render_expression,
     render_form_file,
 )
-from pnsheaf.cli import main
+from pnsheaf.cli import CHECK_ALIASES, CHECKS, main
 
 from helpers import random_expression
 
@@ -359,6 +362,25 @@ def test_check_alias_matches_canonical_id(capsys):
     assert alias == canonical
 
 
+def test_every_check_id_and_alias_reaches_the_check_table(monkeypatch, capsys):
+    assert tuple(CHECKS) == CHECK_IDS
+    stubs = {
+        ident: ([], lambda args, ident=ident: TheoremReport(ident, {}, (), (), HOLD))
+        for ident in CHECKS
+    }
+    monkeypatch.setattr("pnsheaf.cli.CHECKS", stubs)
+    for name in CHECK_IDS + tuple(CHECK_ALIASES):
+        code, payload = _run_json(capsys, ["check", name])
+        assert (code, payload["theorem"]) == (0, CHECK_ALIASES.get(name, name))
+
+
+def test_deep_codim1_check_does_not_recurse(capsys):
+    # the LR enumeration once recursed about rows x labels frames deep
+    code, out, err = _run(capsys, ["check", "codim1", "--n", "60", "--r", "70"])
+    assert (code, err) == (0, "")
+    assert "verdict: hypotheses-hold" in out.splitlines()
+
+
 def test_endomorphism_check_via_cli(capsys):
     code, payload = _run_json(capsys, ["check", "endo", "--n", "4", "--k", "2"])
     assert code == 0
@@ -469,3 +491,57 @@ def test_sweep_rejects_bad_range(capsys):
     capsys.readouterr()
     assert main(["sweep", "codim1", "--n", "x", "--r", "4"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_rejects_workers_below_one(capsys, workers):
+    code, out, err = _run(capsys, ["sweep", "endo", "--n", "2", "--workers", workers])
+    assert (code, out) == (2, "")
+    assert err == f"error: --workers must be at least 1; got {workers}\n"
+
+
+def test_sweep_workers_are_clamped_to_the_cpu_count(monkeypatch, capsys):
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for the process pool; runs the tasks in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    # also replace a pool bound into pnsheaf.cli at import, so that no
+    # version of the front end starts real processes here
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("pnsheaf.cli.ProcessPoolExecutor", RecordingPool, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    argv = ["sweep", "endo", "--n", "2:3", "--workers"]
+    _, serial = _run_json(capsys, argv + ["1"])
+    _, clamped = _run_json(capsys, argv + ["8"])
+    _, two = _run_json(capsys, argv + ["2"])
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    _, unknown = _run_json(capsys, argv + ["8"])
+    assert sizes == [3, 2]
+    assert serial == clamped == two == unknown
+
+
+def test_cli_import_leaves_the_worker_pool_unloaded():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import pnsheaf.cli; "
+        "print('concurrent.futures' in sys.modules)"
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
