@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError, UnsupportedPlethysm
-from .weights import Weight, lr_product, weyl_dim
+from .weights import lr_product, weyl_dim
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +333,17 @@ def _dual_summand(lam: tuple[int, ...], d: int) -> tuple[tuple[int, ...], int]:
 def tensor_decompositions(a: Decomposition, b: Decomposition) -> Decomposition:
     if a.ambient != b.ambient:
         raise InputError("tensor of decompositions over different ambients")
-    n = a.ambient
-    acc: dict = {}
+    return _freeze(a.ambient, _tensor_into({}, a, b))
+
+
+def _tensor_into(acc: dict, a: Decomposition, b: Decomposition) -> dict:
+    """Add the summands of a (x) b into acc, keyed by (lam, twist); return acc."""
     for x, mx in a.terms:
         for y, my in b.terms:
-            expansion = lr_product(Weight(x.lam), Weight(y.lam))
-            for nu, c in expansion.terms:
+            for nu, c in lr_product(x.lam, y.lam).terms:
                 key = _canon_summand(nu.entries, x.twist + y.twist)
                 acc[key] = acc.get(key, 0) + mx * my * c
-    return _freeze(n, acc)
+    return acc
 
 
 # wedge/sym of a single irreducible summand ----------------------------------
@@ -413,12 +415,7 @@ def _graded_power(dec: Decomposition, k: int, single) -> Decomposition:
         for j in range(k + 1):
             acc: dict = {}
             for a in range(j + 1):
-                if firsts[a].is_zero() or tail[j - a].is_zero():
-                    continue
-                piece = tensor_decompositions(firsts[a], tail[j - a])
-                for b, mult in piece.terms:
-                    key = (b.lam, b.twist)
-                    acc[key] = acc.get(key, 0) + mult
+                _tensor_into(acc, firsts[a], tail[j - a])
             powers.append(_freeze(n, acc))
         tail = powers
     return tail[k]

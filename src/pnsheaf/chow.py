@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .bundles import BundleExpr, normalize
+from .bundles import BundleExpr, normalize, rank
 from .errors import ConsistencyError, InputError
 from .weights import binom
 
@@ -263,8 +263,6 @@ def porteous_class(E: BundleExpr, G: BundleExpr) -> PorteousResult:
     (e-g+1) x (e-g+1) matrix with (i, j) entry c_(1+j-i)(G - E).  When the
     codimension exceeds n the zero class is returned and flagged.
     """
-    from .bundles import rank  # local import to keep module load cheap
-
     e = rank(E)
     g = rank(G)
     n = E.ambient

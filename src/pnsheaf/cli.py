@@ -541,6 +541,8 @@ def _cmd_sweep_split(args) -> int:
 
 def _cmd_sweep_endo(args) -> int:
     grid = [(n, k) for n in _parse_range(args.n) for k in range(n + 1)]
+    if not grid:
+        raise InputError(f"sweep grid is empty: --n {args.n} has no n >= 0")
     return _sweep(args, _sweep_task_endo, grid)
 
 

@@ -60,13 +60,9 @@ class CohomologyTable:
         return all(d == 0 for d in self.dims)
 
 
+@lru_cache(maxsize=None)
 def bwb_cohomology(b: IrreducibleBundle) -> BWBGroup | None:
     """Cohomology of one summand; None when every group vanishes."""
-    return _bwb_cached(b)
-
-
-@lru_cache(maxsize=None)
-def _bwb_cached(b: IrreducibleBundle) -> BWBGroup | None:
     n = b.ambient
     seq = b.lam + (-b.twist,)
     res = dotted_weyl_reduce(seq, rho_weight(n + 1))

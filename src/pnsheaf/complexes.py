@@ -18,8 +18,11 @@ from .bundles import (
     LineBundle,
     det_bundle,
     dual,
+    o,
+    omega,
     rank,
     sym,
+    tangent,
     tensor,
     wedge,
 )
@@ -191,8 +194,6 @@ def euler_les_chase(k: int, n: int) -> list[tuple[int, int]]:
     with j = k - i; both middle groups vanish, and both sides of every
     isomorphism are computed independently.
     """
-    from .bundles import o, omega, tangent
-
     if not 0 <= k <= n:
         raise InputError(f"need 0 <= k <= n; got k={k}, n={n}")
     if n == 0:

@@ -24,6 +24,7 @@ from .polyideal import (
     ideal_presentation,
     monomials_of_degree,
     normal_form,
+    parse_poly,
     projective_dimension,
 )
 
@@ -158,6 +159,8 @@ def pencil_form(p: Poly, q: Poly) -> TwistedOneForm:
 
 def random_pencil_form(n: int, d: int, seed: int) -> TwistedOneForm:
     """Seeded random degree-d pencil with integer coefficients in [-5, 5]."""
+    if n < 1 or d < 1:
+        raise InputError(f"a random pencil needs n >= 1 and degree >= 1; got n={n}, degree={d}")
     rng = random.Random(seed)
     nvars = n + 1
     monos = monomials_of_degree(nvars, d)
@@ -336,8 +339,6 @@ def parse_form_file(text: str) -> TwistedOneForm:
         ...
         A_n: <polynomial>
     """
-    from .polyideal import parse_poly
-
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InputError("empty form file")
@@ -365,7 +366,7 @@ def parse_form_file(text: str) -> TwistedOneForm:
             raise InputError(f"coefficient index {idx} out of range for P^{n}")
         if idx in coeffs:
             raise InputError(f"duplicate coefficient A_{idx}")
-        coeffs[idx] = parse_poly(body.strip(), n + 1) if body.strip() != "0" else Poly.zero(n + 1)
+        coeffs[idx] = parse_poly(body.strip(), n + 1)
     missing = [i for i in range(n + 1) if i not in coeffs]
     if missing:
         raise InputError(f"missing coefficients {missing}")

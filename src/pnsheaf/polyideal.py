@@ -56,7 +56,10 @@ def monomials_of_degree(nvars: int, d: int) -> list[tuple[int, ...]]:
 
 
 class Poly:
-    """Immutable multivariate polynomial over Fraction."""
+    """Immutable multivariate polynomial over Fraction.
+
+    Each exponent vector must be a tuple of nvars non-negative ints (else InputError).
+    """
 
     __slots__ = ("nvars", "terms")
 
@@ -67,11 +70,12 @@ class Poly:
             c = Fraction(c)
             if not c:
                 continue
-            expo = tuple(int(x) for x in expo)
-            if len(expo) != nvars or any(x < 0 for x in expo):
+            if type(expo) is not tuple or len(expo) != nvars or not all(
+                type(x) is int and x >= 0 for x in expo
+            ):
                 raise InputError(f"bad exponent vector {expo} for {nvars} variables")
-            clean[expo] = clean.get(expo, Fraction(0)) + c
-        self.terms = {e: c for e, c in clean.items() if c}
+            clean[expo] = c
+        self.terms = clean
 
     # construction helpers ---------------------------------------------------
 
@@ -157,9 +161,6 @@ class Poly:
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
-
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
 
     def leading_monomial(self) -> tuple[int, ...]:
         if not self.terms:
@@ -280,7 +281,10 @@ def parse_poly(text: str, nvars: int) -> Poly:
             if plus or minus or caret:
                 break
             if number is not None:
-                coeff *= Fraction(number)
+                try:
+                    coeff *= Fraction(number)
+                except ZeroDivisionError:
+                    raise ParseError(f"zero denominator in {number}", m.start(1)) from None
                 saw_factor = True
                 pos = m.end()
             elif var is not None:
@@ -322,10 +326,9 @@ def parse_poly(text: str, nvars: int) -> Poly:
 
 def normal_form(f: Poly, basis) -> Poly:
     """Remainder of f under multivariate division by an ordered basis."""
-    basis = [g for g in basis if g]
-    remainder = Poly.zero(f.nvars)
+    remainder: dict = {}
     p = f
-    lms = [(g.leading_monomial(), g.leading_coefficient(), g) for g in basis]
+    lms = [(g.leading_monomial(), g.leading_coefficient(), g) for g in basis if g]
     while p:
         lm = p.leading_monomial()
         lc = p.terms[lm]
@@ -334,9 +337,9 @@ def normal_form(f: Poly, basis) -> Poly:
                 p = p - g.term_times(monomial_div(lm, glm), lc / glc)
                 break
         else:
-            remainder = remainder + Poly(p.nvars, {lm: lc})
-            p = p - Poly(p.nvars, {lm: lc})
-    return remainder
+            remainder[lm] = lc
+            p = Poly(p.nvars, {e: c for e, c in p.terms.items() if e != lm})
+    return Poly(f.nvars, remainder)
 
 
 def s_polynomial(f: Poly, g: Poly) -> Poly:
@@ -348,15 +351,15 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
 
 
 def _guard(polys, nvars: int):
-    if nvars > MAX_CHART_VARS:
-        raise ScaleExceeded(
-            f"{nvars} variables exceeds the supported chart size of {MAX_CHART_VARS}"
-        )
     for p in polys:
         if p.degree() > MAX_GENERATOR_DEGREE:
             raise ScaleExceeded(
                 f"generator of degree {p.degree()} exceeds the bound {MAX_GENERATOR_DEGREE}"
             )
+    if nvars > MAX_CHART_VARS:
+        raise ScaleExceeded(
+            f"{nvars} variables exceeds the supported chart size of {MAX_CHART_VARS}"
+        )
 
 
 def buchberger(gens) -> tuple[Poly, ...]:
@@ -369,8 +372,7 @@ def buchberger(gens) -> tuple[Poly, ...]:
     gens = [g for g in gens if g]
     if not gens:
         return ()
-    nvars = gens[0].nvars
-    _guard(gens, nvars)
+    _guard(gens, gens[0].nvars)
     basis = [g.primitive() for g in gens]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     while pairs:
@@ -388,26 +390,16 @@ def buchberger(gens) -> tuple[Poly, ...]:
 
 
 def _reduce_basis(basis) -> tuple[Poly, ...]:
-    # minimal: drop members whose leading monomial another one divides
-    basis = [g for g in basis if g]
-    basis.sort(key=lambda g: monomial_key(g.leading_monomial()))
-    minimal = []
-    lms = [g.leading_monomial() for g in basis]
-    for idx, g in enumerate(basis):
-        lm = lms[idx]
-        keep = True
-        for jdx, other in enumerate(basis):
-            if jdx == idx:
-                continue
-            lo = lms[jdx]
-            if monomial_divides(lo, lm) and (lo != lm or jdx < idx):
-                keep = False
-                break
-        if keep:
-            minimal.append(g)
+    # minimal: a divisor of a leading monomial never sorts later, so keep a
+    # member unless the leading monomial of a kept one divides its own
+    current, lms = [], []
+    for g in sorted((g for g in basis if g), key=lambda g: monomial_key(g.leading_monomial())):
+        lm = g.leading_monomial()
+        if not any(monomial_divides(lo, lm) for lo in lms):
+            current.append(g.monic())
+            lms.append(lm)
     # fully reduce each member against the rest: reduction keeps the leading
     # monomials of a minimal basis, so one pass gives the reduced basis
-    current = [g.monic() for g in minimal]
     if len(current) > 1:
         for idx in range(len(current)):
             current[idx] = normal_form(current[idx], current[:idx] + current[idx + 1:]).monic()
@@ -442,10 +434,7 @@ def ideal_presentation(gens) -> IdealPresentation:
             raise InputError("generators over different variable counts")
         if not g.is_homogeneous():
             raise InputError(f"generator {g} is not homogeneous")
-        if g.degree() > MAX_GENERATOR_DEGREE:
-            raise ScaleExceeded(
-                f"generator of degree {g.degree()} exceeds the bound {MAX_GENERATOR_DEGREE}"
-            )
+    _guard(gens, nvars - 1)
     charts = []
     for i in range(nvars):
         dehoms = [g.dehomogenize(i) for g in gens]

@@ -90,13 +90,16 @@ def _weyl_dim_cached(entries: tuple[int, ...]) -> int:
     return num // den
 
 
-def lr_product(lam: Weight, mu: Weight) -> LRExpansion:
+@lru_cache(maxsize=None)
+def lr_product(lam: Weight | tuple[int, ...], mu: Weight | tuple[int, ...]) -> LRExpansion:
     """Expand the product of two Schur functors inside GL(N), N = len(lam).
 
-    Both weights must be nonnegative and of equal length; terms with more
-    than N rows are dropped (they vanish for rank-N bundles).  Terms come
-    back sorted lexicographically descending.
+    Each weight is a Weight or a tuple of ints.  Both must be nonnegative and
+    of equal length; terms with more than N rows are dropped (they vanish
+    for rank-N bundles).  Terms come back sorted lexicographically
+    descending.
     """
+    lam, mu = Weight(tuple(lam)), Weight(tuple(mu))
     if lam.length != mu.length:
         raise InputError(f"length mismatch: {lam} vs {mu}")
     if (lam.entries and lam.entries[-1] < 0) or (mu.entries and mu.entries[-1] < 0):
@@ -105,7 +108,6 @@ def lr_product(lam: Weight, mu: Weight) -> LRExpansion:
     return LRExpansion(tuple((Weight(entries), mult) for entries, mult in raw))
 
 
-@lru_cache(maxsize=None)
 def _lr_terms(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     n_rows = len(lam)
     sizes = [m for m in mu if m > 0]

@@ -149,6 +149,14 @@ def test_bad_form_label_is_two(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: bad coefficient label 'A_x'\n")
 
 
+def test_zero_denominator_in_form_file_is_two(tmp_path, capsys):
+    path = tmp_path / "zero.form"
+    path.write_text("P^2 twist 2\nA_0: 1/0*x1\nA_1: 0\nA_2: 0\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["pfaff", "singular", "--file", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: zero denominator in 1/0 at position 0\n"
+
+
 def test_failed_cross_check_is_four(monkeypatch, capsys):
     monkeypatch.setattr("pnsheaf.cli.hrr_chi", lambda e: -1)
     code, out, err = _run(capsys, ["chi", "T on P^2"])
@@ -398,6 +406,22 @@ def test_random_pencil_stdout_reparses(capsys):
     assert w.ambient == 2 and w.twist == 4
 
 
+@pytest.mark.parametrize("n, degree", [("0", "1"), ("2", "0"), ("-1", "2")])
+def test_random_pencil_rejects_impossible_sizes(capsys, n, degree):
+    # these sizes admit no pencil at all, so drawing again can never succeed
+    code, out, err = _run(capsys, ["pfaff", "random-pencil", "--n", n, "--degree", degree])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: a random pencil needs n >= 1 and degree >= 1; got n={n}, degree={degree}\n"
+    )
+
+
+def test_smallest_random_pencil_still_draws(capsys):
+    code, out, _ = _run(capsys, ["pfaff", "random-pencil", "--n", "1", "--degree", "1"])
+    assert code == 0
+    assert parse_form_file(out).twist == 2
+
+
 def test_pencil_file_workflow(tmp_path, capsys):
     path = tmp_path / "pencil.form"
     code, out, _ = _run(
@@ -491,6 +515,13 @@ def test_sweep_rejects_bad_range(capsys):
     capsys.readouterr()
     assert main(["sweep", "codim1", "--n", "x", "--r", "4"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n", ["-1", "-3:-1"])
+def test_sweep_endo_rejects_an_empty_grid(capsys, n):
+    code, out, err = _run(capsys, ["sweep", "endo", "--n", n])
+    assert (code, out) == (2, "")
+    assert err == f"error: sweep grid is empty: --n {n} has no n >= 0\n"
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

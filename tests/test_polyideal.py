@@ -45,6 +45,11 @@ def _random_poly(rng: random.Random, nvars: int, maxdeg: int = 3) -> Poly:
 # ring arithmetic
 
 
+def test_non_int_exponent_is_rejected_not_truncated():
+    with pytest.raises(InputError, match=r"bad exponent vector \(1\.5, 0\)"):
+        Poly(2, {(1.5, 0): 1})
+
+
 def test_square_of_binomial():
     x, y = Poly.variable(0, 2), Poly.variable(1, 2)
     assert (x + y) * (x + y) == _p("x0^2 + 2*x0*x1 + x1^2", 2)
@@ -198,6 +203,16 @@ def test_buchberger_guards_scale():
         buchberger([_p("x0^9 - x1", 2)])
     with pytest.raises(ScaleExceeded):
         buchberger([Poly.variable(0, 5)])
+
+
+def test_presentation_guards_degree_before_any_chart(monkeypatch):
+    # every dehomogenization has degree 6, so only the guard on the
+    # homogeneous generators can refuse it
+    charts = []
+    monkeypatch.setattr("pnsheaf.polyideal.buchberger", lambda gens: charts.append(gens))
+    with pytest.raises(ScaleExceeded, match="degree 9"):
+        ideal_presentation([_p("x0^3*x1^3*x2^3", 3)])
+    assert charts == []
 
 
 # ---------------------------------------------------------------------------

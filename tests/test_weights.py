@@ -188,6 +188,15 @@ def test_product_symmetry_and_dim_multiplicativity_exhaustive():
             assert total == weyl_dim(lam, n_amb) * weyl_dim(mu, n_amb), (lam, mu)
 
 
+def test_product_accepts_tuples_and_weights():
+    shapes = list(partitions_fitting(3, 2))
+    for lam in shapes:
+        for mu in shapes:
+            expected = lr_product(Weight(lam), Weight(mu))
+            assert lr_product(lam, mu) == expected
+            assert lr_product(Weight(lam), mu) == expected
+
+
 # ---------------------------------------------------------------------------
 # sort-and-count reduction
 
