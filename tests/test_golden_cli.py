@@ -2,8 +2,9 @@
 
 Every subcommand runs in text and JSON format through ``main(argv)``, and
 its output must match ``golden/cli_corpus.json`` byte for byte.  The
-pfaff cases read the corpus's form file, written to a temporary directory;
-the ``{form}`` placeholder in an argv stands for its path.
+pfaff cases read the corpus's form files, written to a temporary directory:
+the ``{form}`` placeholder in an argv stands for the path of ``form_file``,
+and ``{name}`` for the path of ``extra_form_files[name]``.
 
 A refactoring must leave the corpus unchanged.  After an intended output
 change, re-record with ``PYTHONPATH=src python tests/test_golden_cli.py``
@@ -27,9 +28,11 @@ CORPUS = json.loads(CORPUS_PATH.read_text(encoding="utf-8"))
 
 
 def _run(argv: list[str], form_dir: pathlib.Path) -> tuple[int, str, str]:
-    form = form_dir / "pencil.form"
-    form.write_text(CORPUS["form_file"], encoding="utf-8")
-    argv = [str(form) if arg == "{form}" else arg for arg in argv]
+    paths = {}
+    for name, text in {"form": CORPUS["form_file"], **CORPUS["extra_form_files"]}.items():
+        paths["{" + name + "}"] = path = form_dir / f"{name}.form"
+        path.write_text(text, encoding="utf-8")
+    argv = [str(paths.get(arg, arg)) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
