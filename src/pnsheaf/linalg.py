@@ -1,60 +1,117 @@
-"""Dense exact linear algebra over Fraction: RREF, kernels, span tests."""
+"""Exact linear algebra on integer rows: RREF, kernels, span tests.
+
+Each input row of Fractions is cleared to a sparse primitive integer row
+({column: entry} with content 1).  Fraction-free forward elimination (in
+the spirit of Bareiss, Math. Comp. 1968) works on the rows not yet pivoted
+only; back substitution then clears each pivot column above its pivot, and
+Fractions come back only when the unique RREF is read off.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _int_row(row) -> dict[int, int]:
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    den = lcm(*(x.denominator for x in row))
+    return _primitive({c: x.numerator * (den // x.denominator) for c, x in enumerate(row) if x})
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    content = gcd(*row.values())
+    if content > 1:
+        return {c: v // content for c, v in row.items()}
+    return row
+
+
+def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict[int, int]:
+    """The primitive integer combination of row and pivot_row that is zero at col."""
+    h = gcd(pivot_row[col], row[col])
+    a, b = pivot_row[col] // h, row[col] // h
+    out = {c: a * v for c, v in row.items()}
+    for c, v in pivot_row.items():
+        out[c] = out.get(c, 0) - b * v
+    return _primitive({c: v for c, v in out.items() if v})
+
+
+def _echelon(rows) -> list[tuple[int, dict[int, int]]]:
+    """(pivot column, row) pairs of a row echelon form, pivot columns increasing."""
+    pending = [r for r in map(_int_row, rows) if r]
+    echelon = []
+    for col in range(max((max(r) for r in pending), default=-1) + 1):
+        if not pending:
+            break
+        hits = [r for r in pending if col in r]
+        if not hits:
+            continue
+        pivot_row = min(hits, key=len)
+        rest = []
+        for r in pending:
+            if r is pivot_row:
+                continue
+            if col in r:
+                r = _eliminate(r, pivot_row, col)
+                if not r:
+                    continue
+            rest.append(r)
+        pending = rest
+        echelon.append((col, pivot_row))
+    return echelon
+
+
+def _reduced(rows) -> list[tuple[int, dict[int, int]]]:
+    """The echelon form back-substituted: each pivot column is zero off its pivot."""
+    echelon = _echelon(rows)
+    for k in range(len(echelon) - 1, 0, -1):
+        col, pivot_row = echelon[k]
+        for j in range(k):
+            if col in echelon[j][1]:
+                echelon[j] = (echelon[j][0], _eliminate(echelon[j][1], pivot_row, col))
+    return echelon
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    ncols = len(rows[0]) if rows else 0
+    reduced = _reduced(rows)
+    out = []
+    for col, row in reduced:
+        dense = [_ZERO] * ncols
+        for c, v in row.items():
+            dense[c] = Fraction(v, row[col])
+        out.append(dense)
+    return out, [col for col, _ in reduced]
 
 
 def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
     """Basis of the right kernel of the matrix (list of coefficient rows)."""
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    reduced = _reduced(rows)
+    pivot_set = {col for col, _ in reduced}
     basis = []
-    for free in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row_idx, piv in enumerate(pivots):
-            vec[piv] = -reduced[row_idx][free]
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = [_ZERO] * ncols
+        vec[free] = _ONE
+        for col, row in reduced:
+            if free in row:
+                vec[col] = Fraction(-row[free], row[col])
         basis.append(tuple(vec))
     return basis
 
 
 def row_rank(rows: list[list[Fraction]]) -> int:
-    return len(rref(rows)[1])
+    return len(_echelon(rows))
 
 
 def in_row_span(rows: list[list[Fraction]], vector: list[Fraction]) -> bool:
     """Is the vector a linear combination of the rows?"""
-    if not any(vector):
-        return True
-    base = row_rank(rows)
-    return row_rank(rows + [list(vector)]) == base
+    v = _int_row(vector)
+    for col, pivot_row in _echelon(rows):
+        if col in v:
+            v = _eliminate(v, pivot_row, col)
+    return not v

@@ -16,9 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .checkers import TheoremReport, check_codim1_generic
-from .errors import EulerViolation, InputError
+from .errors import EulerViolation, InputError, ScaleExceeded
 from .linalg import in_row_span, kernel_basis
 from .polyideal import (
+    MAX_CHART_VARS,
+    MAX_GENERATOR_DEGREE,
     IdealPresentation,
     Poly,
     ideal_presentation,
@@ -158,9 +160,23 @@ def pencil_form(p: Poly, q: Poly) -> TwistedOneForm:
 
 
 def random_pencil_form(n: int, d: int, seed: int) -> TwistedOneForm:
-    """Seeded random degree-d pencil with integer coefficients in [-5, 5]."""
+    """Seeded random degree-d pencil with integer coefficients in [-5, 5].
+
+    Refuses, before drawing, a pencil whose singular scheme the Groebner
+    layer would refuse: coefficients of degree 2d - 1 above its generator
+    bound, or more than its chart size of n variables.
+    """
     if n < 1 or d < 1:
         raise InputError(f"a random pencil needs n >= 1 and degree >= 1; got n={n}, degree={d}")
+    if 2 * d - 1 > MAX_GENERATOR_DEGREE:
+        raise ScaleExceeded(
+            f"a degree-{d} pencil has coefficients of degree {2 * d - 1}, above the bound"
+            f" {MAX_GENERATOR_DEGREE}"
+        )
+    if n > MAX_CHART_VARS:
+        raise ScaleExceeded(
+            f"a pencil on P^{n} has charts of {n} variables, above the supported {MAX_CHART_VARS}"
+        )
     rng = random.Random(seed)
     nvars = n + 1
     monos = monomials_of_degree(nvars, d)

@@ -1,6 +1,11 @@
-"""Exact-rational multivariate polynomials, Buchberger, and chart membership.
+"""Multivariate polynomials, an integer Buchberger kernel, and chart membership.
 
-Monomial order is degree-reverse-lexicographic with x0 > x1 > ... > x_n.
+``Poly`` is the public polynomial type, with exact Fraction coefficients.
+Buchberger and multivariate division run underneath on primitive integer
+polynomials with packed monomials and a heap of pending terms, and go back
+to Fractions only at the boundary: the reduced basis is made monic when it
+is emitted, and ``normal_form`` divides out the scalar its pseudo-division
+carried.  Monomial order is degree-reverse-lexicographic with x0 > x1 > ... > x_n.
 Saturation-related questions are handled chart by chart: a homogeneous ideal
 is presented through the reduced Groebner bases of its dehomogenizations on
 every affine chart x_i = 1, and membership means reduction to zero on each
@@ -11,10 +16,12 @@ chart or generators of degree above 8.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InputError, ParseError, ScaleExceeded
 
@@ -25,10 +32,6 @@ MAX_GENERATOR_DEGREE = 8
 def monomial_key(expo: tuple[int, ...]):
     """Sort key: larger key = larger monomial in degrevlex."""
     return (sum(expo), tuple(-e for e in reversed(expo)))
-
-
-def monomial_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
 
 
 def monomial_div(b: tuple[int, ...], a: tuple[int, ...]) -> tuple[int, ...]:
@@ -141,10 +144,6 @@ class Poly:
     def scale(self, c) -> "Poly":
         c = Fraction(c)
         return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
-
-    def term_times(self, expo: tuple[int, ...], c) -> "Poly":
-        c = Fraction(c)
-        return Poly(self.nvars, {monomial_mul(e, expo): c * v for e, v in self.terms.items()})
 
     def _match(self, other: "Poly"):
         if self.nvars != other.nvars:
@@ -321,32 +320,124 @@ def parse_poly(text: str, nvars: int) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# division and Buchberger
+# division and Buchberger on packed integer polynomials
+#
+# The engine works on primitive integer polynomials: a dict from packed
+# monomial to int.  A packed monomial is one int,
+#     key = (deg << span) - raw,   raw = sum_k e_k << (_BITS * k),   span = _BITS * nvars,
+# so multiplying monomials adds keys and the degrevlex order is integer order
+# (Monagan-Pearce, CASC 2007).  raw keeps each exponent in a _BITS-wide field
+# whose top bit stays clear, so a difference of raws with no top bit set
+# means divisibility.  A reducer is the tuple (raw of its leading monomial,
+# leading monomial, leading coefficient > 0, tail terms).
+
+_BITS = 32
+_EXPONENT_LIMIT = 1 << (_BITS - 1)
+
+
+def _top_bits(nvars: int) -> int:
+    return sum(_EXPONENT_LIMIT << (_BITS * k) for k in range(nvars))
+
+
+def _pack(expo: tuple[int, ...]) -> int:
+    deg = sum(expo)
+    if deg >= _EXPONENT_LIMIT:
+        raise ScaleExceeded(f"monomial degree {deg} exceeds the packed exponent range")
+    raw = 0
+    for e in reversed(expo):
+        raw = (raw << _BITS) + e
+    return (deg << (_BITS * len(expo))) - raw
+
+
+def _raw(key: int, span: int) -> int:
+    return (-(-key >> span) << span) - key
+
+
+def _unpack(key: int, nvars: int) -> tuple[int, ...]:
+    raw = _raw(key, _BITS * nvars)
+    mask = (1 << _BITS) - 1
+    return tuple((raw >> (_BITS * k)) & mask for k in range(nvars))
+
+
+def _int_terms(f: Poly) -> tuple[dict[int, int], int]:
+    """(packed terms of den * f, den) for the least common denominator den."""
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    return {_pack(e): c.numerator * (den // c.denominator) for e, c in f.terms.items()}, den
+
+
+def _reducer(terms: dict[int, int], span: int) -> tuple:
+    """The primitive reducer of nonzero integer terms."""
+    lm = max(terms)
+    content = gcd(*terms.values())
+    if terms[lm] < 0:
+        content = -content
+    tail = [(k, c // content) for k, c in terms.items() if k != lm]
+    return _raw(lm, span), lm, terms[lm] // content, tail
+
+
+def _divide(terms: dict[int, int], reducers, span: int, top: int) -> tuple[dict[int, int], int]:
+    """Pseudo-remainder (r, s): s > 0 and s * f reduces to r.
+
+    Multivariate division by an ordered list of reducers, taking the first
+    whose leading monomial divides the current term.  Pending monomials wait
+    in a heap; a step scales by the cofactor of the reducer's leading
+    coefficient instead of dividing by it, so every coefficient stays an
+    integer.  r is built largest monomial first.
+    """
+    pending = dict(terms)
+    heap = [-k for k in pending]
+    heapify(heap)
+    rem: dict[int, int] = {}
+    scale = 1
+    while heap:
+        key = -heappop(heap)
+        c = pending.pop(key)
+        if not c:
+            continue
+        raw = _raw(key, span)
+        for g_raw, g_lm, g_lc, g_tail in reducers:
+            if not (raw - g_raw) & top:
+                break
+        else:
+            rem[key] = c
+            continue
+        h = gcd(c, g_lc)
+        a, b = g_lc // h, c // h
+        if a != 1:
+            scale *= a
+            for k in pending:
+                pending[k] *= a
+            for k in rem:
+                rem[k] *= a
+        shift = key - g_lm
+        for k, gc in g_tail:
+            k += shift
+            if k in pending:
+                pending[k] -= b * gc
+            else:
+                pending[k] = -b * gc
+                heappush(heap, -k)
+    return rem, scale
 
 
 def normal_form(f: Poly, basis) -> Poly:
     """Remainder of f under multivariate division by an ordered basis."""
-    remainder: dict = {}
-    p = f
-    lms = [(g.leading_monomial(), g.leading_coefficient(), g) for g in basis if g]
-    while p:
-        lm = p.leading_monomial()
-        lc = p.terms[lm]
-        for glm, glc, g in lms:
-            if monomial_divides(glm, lm):
-                p = p - g.term_times(monomial_div(lm, glm), lc / glc)
-                break
-        else:
-            remainder[lm] = lc
-            p = Poly(p.nvars, {e: c for e, c in p.terms.items() if e != lm})
-    return Poly(f.nvars, remainder)
+    if not f:
+        return f
+    nvars = f.nvars
+    span = _BITS * nvars
+    terms, den = _int_terms(f)
+    reducers = [_reducer(_int_terms(g)[0], span) for g in basis if g]
+    rem, scale = _divide(terms, reducers, span, _top_bits(nvars))
+    den *= scale
+    return Poly(nvars, {_unpack(k, nvars): Fraction(c, den) for k, c in rem.items()})
 
 
 def s_polynomial(f: Poly, g: Poly) -> Poly:
     lf, lg = f.leading_monomial(), g.leading_monomial()
-    lcm = monomial_lcm(lf, lg)
-    left = f.term_times(monomial_div(lcm, lf), 1 / f.leading_coefficient())
-    right = g.term_times(monomial_div(lcm, lg), 1 / g.leading_coefficient())
+    lcm_fg = monomial_lcm(lf, lg)
+    left = f * Poly(f.nvars, {monomial_div(lcm_fg, lf): 1 / f.leading_coefficient()})
+    right = g * Poly(g.nvars, {monomial_div(lcm_fg, lg): 1 / g.leading_coefficient()})
     return left - right
 
 
@@ -365,46 +456,59 @@ def _guard(polys, nvars: int):
 def buchberger(gens) -> tuple[Poly, ...]:
     """Reduced Groebner basis (monic, mutually reduced, deterministic order).
 
-    The zero ideal returns the empty basis.  Intermediate polynomials are
-    kept primitive (integer coefficients with unit content) so coefficient
-    growth stays in check.
+    The zero ideal returns the empty basis.  Pairs are taken first in, first
+    out, and a pair with coprime leading monomials is skipped.  Every
+    intermediate polynomial is a primitive integer polynomial; the basis is
+    made monic only when it is emitted.
     """
     gens = [g for g in gens if g]
     if not gens:
         return ()
-    _guard(gens, gens[0].nvars)
-    basis = [g.primitive() for g in gens]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    nvars = gens[0].nvars
+    _guard(gens, nvars)
+    span, top = _BITS * nvars, _top_bits(nvars)
+    basis = [_reducer(_int_terms(g)[0], span) for g in gens]
+    expos = [_unpack(g[1], nvars) for g in basis]
+    pairs = deque((i, j) for i in range(len(basis)) for j in range(i + 1, len(basis)))
     while pairs:
-        i, j = pairs.pop(0)
-        f, g = basis[i], basis[j]
-        lf, lg = f.leading_monomial(), g.leading_monomial()
-        if monomial_lcm(lf, lg) == monomial_mul(lf, lg):
+        i, j = pairs.popleft()
+        if not any(x and y for x, y in zip(expos[i], expos[j])):
             continue  # coprime leading monomials reduce to zero
-        rem = normal_form(s_polynomial(f, g), basis)
+        _, f_lm, f_lc, f_tail = basis[i]
+        _, g_lm, g_lc, g_tail = basis[j]
+        lcm_key = _pack(tuple(map(max, expos[i], expos[j])))
+        h = gcd(f_lc, g_lc)
+        s_poly = {}
+        for tail, shift, c in ((f_tail, lcm_key - f_lm, g_lc // h),
+                               (g_tail, lcm_key - g_lm, -f_lc // h)):
+            for k, v in tail:
+                k += shift
+                s_poly[k] = s_poly.get(k, 0) + c * v
+        rem, _ = _divide(s_poly, basis, span, top)
         if rem:
-            rem = rem.primitive()
-            basis.append(rem)
+            basis.append(_reducer(rem, span))
+            expos.append(_unpack(basis[-1][1], nvars))
             pairs.extend((t, len(basis) - 1) for t in range(len(basis) - 1))
-    return _reduce_basis(basis)
+    return _reduce_basis(basis, nvars)
 
 
-def _reduce_basis(basis) -> tuple[Poly, ...]:
+def _reduce_basis(basis, nvars: int) -> tuple[Poly, ...]:
+    span, top = _BITS * nvars, _top_bits(nvars)
     # minimal: a divisor of a leading monomial never sorts later, so keep a
     # member unless the leading monomial of a kept one divides its own
-    current, lms = [], []
-    for g in sorted((g for g in basis if g), key=lambda g: monomial_key(g.leading_monomial())):
-        lm = g.leading_monomial()
-        if not any(monomial_divides(lo, lm) for lo in lms):
-            current.append(g.monic())
-            lms.append(lm)
+    kept = []
+    for g in sorted(basis, key=lambda g: g[1]):
+        if all((g[0] - lo[0]) & top for lo in kept):
+            kept.append(g)
     # fully reduce each member against the rest: reduction keeps the leading
     # monomials of a minimal basis, so one pass gives the reduced basis
-    if len(current) > 1:
-        for idx in range(len(current)):
-            current[idx] = normal_form(current[idx], current[:idx] + current[idx + 1:]).monic()
-    current.sort(key=lambda g: monomial_key(g.leading_monomial()), reverse=True)
-    return tuple(current)
+    for idx, (_, lm, lc, tail) in enumerate(kept):
+        rem, _ = _divide({lm: lc, **dict(tail)}, kept[:idx] + kept[idx + 1:], span, top)
+        kept[idx] = _reducer(rem, span)
+    return tuple(
+        Poly(nvars, {_unpack(k, nvars): Fraction(c, lc) for k, c in ((lm, lc), *tail)})
+        for _, lm, lc, tail in reversed(kept)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -420,6 +421,22 @@ def test_smallest_random_pencil_still_draws(capsys):
     code, out, _ = _run(capsys, ["pfaff", "random-pencil", "--n", "1", "--degree", "1"])
     assert code == 0
     assert parse_form_file(out).twist == 2
+
+
+@pytest.mark.parametrize("n, degree", [("2", "100"), ("5", "2")])
+def test_random_pencil_refuses_sizes_singular_would_refuse(capsys, n, degree):
+    # refused before drawing: degree 100 used to run until killed
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["pfaff", "random-pencil", "--n", n, "--degree", degree])
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_largest_random_pencil_singular_accepts_still_draws(capsys):
+    code, out, _ = _run(capsys, ["pfaff", "random-pencil", "--n", "2", "--degree", "4"])
+    assert code == 0
+    assert parse_form_file(out).twist == 8
 
 
 def test_pencil_file_workflow(tmp_path, capsys):
