@@ -43,23 +43,13 @@ def _echelon(rows) -> list[tuple[int, dict[int, int]]]:
     pending = [r for r in map(_int_row, rows) if r]
     echelon = []
     for col in range(max((max(r) for r in pending), default=-1) + 1):
-        if not pending:
-            break
         hits = [r for r in pending if col in r]
-        if not hits:
-            continue
-        pivot_row = min(hits, key=len)
-        rest = []
-        for r in pending:
-            if r is pivot_row:
-                continue
-            if col in r:
-                r = _eliminate(r, pivot_row, col)
-                if not r:
-                    continue
-            rest.append(r)
-        pending = rest
-        echelon.append((col, pivot_row))
+        if hits:
+            pivot_row = min(hits, key=len)
+            pending = [r for r in pending if col not in r] + [
+                r for r in (_eliminate(h, pivot_row, col) for h in hits if h is not pivot_row) if r
+            ]
+            echelon.append((col, pivot_row))
     return echelon
 
 

@@ -168,14 +168,11 @@ def random_pencil_form(n: int, d: int, seed: int) -> TwistedOneForm:
     """
     if n < 1 or d < 1:
         raise InputError(f"a random pencil needs n >= 1 and degree >= 1; got n={n}, degree={d}")
-    if 2 * d - 1 > MAX_GENERATOR_DEGREE:
+    if 2 * d - 1 > MAX_GENERATOR_DEGREE or n > MAX_CHART_VARS:
         raise ScaleExceeded(
-            f"a degree-{d} pencil has coefficients of degree {2 * d - 1}, above the bound"
+            f"a degree-{d} pencil on P^{n} has {n}-variable charts and coefficients of degree"
+            f" {2 * d - 1}; the Groebner layer takes at most {MAX_CHART_VARS} and"
             f" {MAX_GENERATOR_DEGREE}"
-        )
-    if n > MAX_CHART_VARS:
-        raise ScaleExceeded(
-            f"a pencil on P^{n} has charts of {n} variables, above the supported {MAX_CHART_VARS}"
         )
     rng = random.Random(seed)
     nvars = n + 1

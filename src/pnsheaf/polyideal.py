@@ -365,17 +365,17 @@ def _int_terms(f: Poly) -> tuple[dict[int, int], int]:
     return {_pack(e): c.numerator * (den // c.denominator) for e, c in f.terms.items()}, den
 
 
-def _reducer(terms: dict[int, int], span: int) -> tuple:
+def _reducer(terms: dict[int, int], nvars: int) -> tuple:
     """The primitive reducer of nonzero integer terms."""
     lm = max(terms)
     content = gcd(*terms.values())
     if terms[lm] < 0:
         content = -content
     tail = [(k, c // content) for k, c in terms.items() if k != lm]
-    return _raw(lm, span), lm, terms[lm] // content, tail
+    return _raw(lm, _BITS * nvars), lm, terms[lm] // content, tail
 
 
-def _divide(terms: dict[int, int], reducers, span: int, top: int) -> tuple[dict[int, int], int]:
+def _divide(terms: dict[int, int], reducers, nvars: int) -> tuple[dict[int, int], int]:
     """Pseudo-remainder (r, s): s > 0 and s * f reduces to r.
 
     Multivariate division by an ordered list of reducers, taking the first
@@ -384,6 +384,7 @@ def _divide(terms: dict[int, int], reducers, span: int, top: int) -> tuple[dict[
     coefficient instead of dividing by it, so every coefficient stays an
     integer.  r is built largest monomial first.
     """
+    span, top = _BITS * nvars, _top_bits(nvars)
     pending = dict(terms)
     heap = [-k for k in pending]
     heapify(heap)
@@ -422,13 +423,10 @@ def _divide(terms: dict[int, int], reducers, span: int, top: int) -> tuple[dict[
 
 def normal_form(f: Poly, basis) -> Poly:
     """Remainder of f under multivariate division by an ordered basis."""
-    if not f:
-        return f
     nvars = f.nvars
-    span = _BITS * nvars
     terms, den = _int_terms(f)
-    reducers = [_reducer(_int_terms(g)[0], span) for g in basis if g]
-    rem, scale = _divide(terms, reducers, span, _top_bits(nvars))
+    reducers = [_reducer(_int_terms(g)[0], nvars) for g in basis if g]
+    rem, scale = _divide(terms, reducers, nvars)
     den *= scale
     return Poly(nvars, {_unpack(k, nvars): Fraction(c, den) for k, c in rem.items()})
 
@@ -466,8 +464,7 @@ def buchberger(gens) -> tuple[Poly, ...]:
         return ()
     nvars = gens[0].nvars
     _guard(gens, nvars)
-    span, top = _BITS * nvars, _top_bits(nvars)
-    basis = [_reducer(_int_terms(g)[0], span) for g in gens]
+    basis = [_reducer(_int_terms(g)[0], nvars) for g in gens]
     expos = [_unpack(g[1], nvars) for g in basis]
     pairs = deque((i, j) for i in range(len(basis)) for j in range(i + 1, len(basis)))
     while pairs:
@@ -484,16 +481,16 @@ def buchberger(gens) -> tuple[Poly, ...]:
             for k, v in tail:
                 k += shift
                 s_poly[k] = s_poly.get(k, 0) + c * v
-        rem, _ = _divide(s_poly, basis, span, top)
+        rem, _ = _divide(s_poly, basis, nvars)
         if rem:
-            basis.append(_reducer(rem, span))
+            basis.append(_reducer(rem, nvars))
             expos.append(_unpack(basis[-1][1], nvars))
             pairs.extend((t, len(basis) - 1) for t in range(len(basis) - 1))
     return _reduce_basis(basis, nvars)
 
 
 def _reduce_basis(basis, nvars: int) -> tuple[Poly, ...]:
-    span, top = _BITS * nvars, _top_bits(nvars)
+    top = _top_bits(nvars)
     # minimal: a divisor of a leading monomial never sorts later, so keep a
     # member unless the leading monomial of a kept one divides its own
     kept = []
@@ -503,8 +500,8 @@ def _reduce_basis(basis, nvars: int) -> tuple[Poly, ...]:
     # fully reduce each member against the rest: reduction keeps the leading
     # monomials of a minimal basis, so one pass gives the reduced basis
     for idx, (_, lm, lc, tail) in enumerate(kept):
-        rem, _ = _divide({lm: lc, **dict(tail)}, kept[:idx] + kept[idx + 1:], span, top)
-        kept[idx] = _reducer(rem, span)
+        rem, _ = _divide({lm: lc, **dict(tail)}, kept[:idx] + kept[idx + 1:], nvars)
+        kept[idx] = _reducer(rem, nvars)
     return tuple(
         Poly(nvars, {_unpack(k, nvars): Fraction(c, lc) for k, c in ((lm, lc), *tail)})
         for _, lm, lc, tail in reversed(kept)
