@@ -16,6 +16,7 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _int_row(row) -> dict[int, int]:
+    """The primitive integer multiple of a row, sparse; {} for a zero row."""
     row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     den = lcm(*(x.denominator for x in row))
     return _primitive({c: x.numerator * (den // x.denominator) for c, x in enumerate(row) if x})

@@ -163,16 +163,16 @@ def random_pencil_form(n: int, d: int, seed: int) -> TwistedOneForm:
     """Seeded random degree-d pencil with integer coefficients in [-5, 5].
 
     Refuses, before drawing, a pencil whose singular scheme the Groebner
-    layer would refuse: coefficients of degree 2d - 1 above its generator
-    bound, or more than its chart size of n variables.
+    layer would refuse: its coefficients have degree 2d - 1 and its charts
+    n variables.
     """
     if n < 1 or d < 1:
         raise InputError(f"a random pencil needs n >= 1 and degree >= 1; got n={n}, degree={d}")
     if 2 * d - 1 > MAX_GENERATOR_DEGREE or n > MAX_CHART_VARS:
         raise ScaleExceeded(
-            f"a degree-{d} pencil on P^{n} has {n}-variable charts and coefficients of degree"
-            f" {2 * d - 1}; the Groebner layer takes at most {MAX_CHART_VARS} and"
-            f" {MAX_GENERATOR_DEGREE}"
+            f"a degree-{d} pencil on P^{n} has coefficients of degree {2 * d - 1} and"
+            f" {n}-variable charts; the Groebner layer takes degree at most"
+            f" {MAX_GENERATOR_DEGREE} and at most {MAX_CHART_VARS} variables"
         )
     rng = random.Random(seed)
     nvars = n + 1

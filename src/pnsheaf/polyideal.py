@@ -350,6 +350,7 @@ def _pack(expo: tuple[int, ...]) -> int:
 
 
 def _raw(key: int, span: int) -> int:
+    # 0 <= raw < 2**span, so the degree is key / 2**span rounded up
     return (-(-key >> span) << span) - key
 
 
