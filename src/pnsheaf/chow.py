@@ -1,12 +1,14 @@
 """Exact intersection theory on P^n.
 
-The Chow ring is Q[h]/(h^(n+1)); classes are held as coefficient vectors of
-1, h, ..., h^n over Fraction.  Chern characters of irreducible summands come
-from Jacobi-Trudi determinants in the classes of Sym^m Q, the Todd class from
-the exact power series h/(1 - e^(-h)), and Euler characteristics from the
-degree-n coefficient of ch * td.  Maximal-minor degeneracy classes use the
-determinantal formula det[c_{1+j-i}(G - E)] of size e - g + 1.
-"""
+The Chow ring is Q[h]/(h^(n+1)); a public class (``ChowClass``) is the
+vector of Fraction coefficients of 1, h, ..., h^n.  Chern characters are
+computed over int, as the power sums p_k = k! ch_k of the Chern roots:
+those of irreducible summands come from Jacobi-Trudi determinants in the
+characters of Sym^m Q, and Newton's identities turn them into Chern classes.
+The Todd class comes from the exact power series h/(1 - e^(-h)), and Euler
+characteristics from the degree-n coefficient of ch * td.  Maximal-minor
+degeneracy classes use the determinantal formula det[c_{1+j-i}(G - E)] of
+size e - g + 1."""
 
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .bundles import BundleExpr, normalize, rank
 from .errors import ConsistencyError, InputError
@@ -100,25 +103,56 @@ def hyperplane_power(n: int, i: int, c=1) -> ChowClass:
 # Chern character
 
 
-@lru_cache(maxsize=None)
-def _ch_line(d: int, n: int) -> ChowClass:
-    """Truncated exp(d*h)."""
-    coeffs = [Fraction(d) ** i / math.factorial(i) for i in range(n + 1)]
-    return ChowClass(n, tuple(coeffs))
+class _PowerSums(tuple):
+    """The power sums p_k = k! ch_k of the Chern roots, k = 0..n, as ints.
+
+    ch = sum p_k h^k / k! is an exponential generating function, so a sum
+    of bundles adds the p_k and a tensor product is the binomial
+    convolution (p q)_k = sum_i C(k, i) p_i q_(k-i) (Fulton, Intersection
+    Theory, Ex. 3.2.3).
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other: "_PowerSums") -> "_PowerSums":
+        return _PowerSums(a + b for a, b in zip(self, other))
+
+    def __sub__(self, other: "_PowerSums") -> "_PowerSums":
+        return _PowerSums(a - b for a, b in zip(self, other))
+
+    def __mul__(self, other: "_PowerSums") -> "_PowerSums":
+        return _PowerSums(
+            sum(map(mul, map(mul, row, self), other[k::-1]))
+            for k, row in enumerate(_pascal(len(self) - 1))
+        )
+
+    def scale(self, c: int) -> "_PowerSums":
+        return _PowerSums(c * a for a in self)
 
 
 @lru_cache(maxsize=None)
-def _ch_sym_q(m: int, n: int) -> ChowClass:
+def _pascal(n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..n of Pascal's triangle."""
+    return tuple(tuple(math.comb(k, i) for i in range(k + 1)) for k in range(n + 1))
+
+
+@lru_cache(maxsize=None)
+def _ch_line(d: int, n: int) -> _PowerSums:
+    """exp(d*h): every Chern root is d."""
+    return _PowerSums(d**k for k in range(n + 1))
+
+
+@lru_cache(maxsize=None)
+def _ch_sym_q(m: int, n: int) -> _PowerSums:
     """Character of Sym^m of the tautological quotient Q.
 
     From the symmetric powers of the Euler sequence:
     [Sym^m Q] = C(n+m, n) * 1 - C(n+m-1, n) * [O(-1)]; zero for m < 0.
     """
     if m < 0:
-        return chow_zero(n)
-    if m == 0:
-        return chow_unit(n)
-    return chow_unit(n).scale(binom(n + m, n)) - _ch_line(-1, n).scale(binom(n + m - 1, n))
+        return _PowerSums((0,) * (n + 1))
+    a, b = binom(n + m, n), binom(n + m - 1, n)
+    return _PowerSums(a * (k == 0) - b * (-1) ** k for k in range(n + 1))
 
 
 def _det(mat: list[list], zero, one):
@@ -149,21 +183,26 @@ def _det(mat: list[list], zero, one):
 
 
 @lru_cache(maxsize=None)
-def _ch_schur_q(lam: tuple[int, ...], n: int) -> ChowClass:
-    """Jacobi-Trudi: ch S_lam(Q) = det[ ch Sym^(lam_i - i + j) Q ]."""
+def _ch_schur_q(lam: tuple[int, ...], n: int) -> _PowerSums:
+    """Jacobi-Trudi (Macdonald, Symmetric Functions, I.(3.4)):
+    ch S_lam(Q) = det[ ch Sym^(lam_i - i + j) Q ]."""
     size = len(lam)
-    mat = [[_ch_sym_q(lam[i] - (i + 1) + (j + 1), n) for j in range(size)] for i in range(size)]
-    return _det(mat, chow_zero(n), chow_unit(n))
+    mat = [[_ch_sym_q(lam[i] - i + j, n) for j in range(size)] for i in range(size)]
+    return _det(mat, _ch_sym_q(-1, n), _ch_line(0, n))  # the ring's 0 and 1
+
+
+def _power_sums(e: BundleExpr) -> _PowerSums:
+    dec = normalize(e)
+    n = dec.ambient
+    total = _PowerSums((0,) * (n + 1))
+    for b, mult in dec.terms:
+        total = total + (_ch_schur_q(b.lam, n) * _ch_line(b.twist, n)).scale(mult)
+    return total
 
 
 def chern_character(e: BundleExpr) -> ChowClass:
-    dec = normalize(e)
-    n = dec.ambient
-    total = chow_zero(n)
-    for b, mult in dec.terms:
-        piece = _ch_schur_q(b.lam, n) * _ch_line(b.twist, n)
-        total = total + piece.scale(mult)
-    return total
+    p = _power_sums(e)
+    return ChowClass(e.ambient, tuple(Fraction(pk, math.factorial(k)) for k, pk in enumerate(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +239,7 @@ def _series_inverse(a: list[Fraction]) -> list[Fraction]:
 def hrr_chi(e: BundleExpr) -> int:
     """Euler characteristic by Hirzebruch-Riemann-Roch; exact, must be integral."""
     n = e.ambient
-    cls = chern_character(e) * todd_class(n)
-    chi = cls.coefficient(n)
+    chi = sum(a * b for a, b in zip(chern_character(e).coeffs, reversed(todd_class(n).coeffs)))
     if chi.denominator != 1:
         raise ConsistencyError(f"chi({e}) came out non-integral: {chi}")
     return int(chi)
@@ -217,23 +255,19 @@ def total_chern(e: BundleExpr) -> ChowClass:
     Every c_i of an actual bundle is an integer multiple of h^i; a
     non-integer is an internal consistency failure.
     """
-    ch = chern_character(e)
-    n = e.ambient
-    return _chern_from_character(tuple(ch.coeffs), n)
+    return ChowClass(e.ambient, _chern_classes(_power_sums(e)))
 
 
-def _chern_from_character(coeffs: tuple[Fraction, ...], n: int) -> ChowClass:
-    p = [coeffs[i] * math.factorial(i) for i in range(n + 1)]  # power sums
-    e_list = [Fraction(1)] + [Fraction(0)] * n
-    for k in range(1, n + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            acc += (-1) ** (i - 1) * e_list[k - i] * p[i]
-        e_list[k] = acc / k
-    for k in range(1, n + 1):
-        if e_list[k].denominator != 1:
-            raise ConsistencyError(f"Chern class c_{k} came out non-integral: {e_list[k]}")
-    return ChowClass(n, tuple(e_list))
+def _chern_classes(p: tuple[int, ...]) -> tuple[int, ...]:
+    """Elementary symmetric functions of the roots with power sums p:
+    k c_k = sum_(i=1..k) (-1)^(i-1) c_(k-i) p_i, each division exact."""
+    c = [1]
+    for k in range(1, len(p)):
+        acc = sum((-1) ** (i - 1) * c[k - i] * p[i] for i in range(1, k + 1))
+        if acc % k:
+            raise ConsistencyError(f"Chern class c_{k} came out non-integral: {Fraction(acc, k)}")
+        c.append(acc // k)
+    return tuple(c)
 
 
 def chern_difference(E: BundleExpr, G: BundleExpr) -> ChowClass:

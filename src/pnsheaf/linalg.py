@@ -4,7 +4,9 @@ Each input row of Fractions is cleared to a sparse primitive integer row
 ({column: entry} with content 1).  Fraction-free forward elimination (in
 the spirit of Bareiss, Math. Comp. 1968) works on the rows not yet pivoted
 only; back substitution then clears each pivot column above its pivot, and
-Fractions come back only when the unique RREF is read off.
+Fractions come back only when the unique RREF is read off.  Rows of
+unequal widths, or a vector or column count of another width than the
+rows, raise InputError.
 """
 
 from __future__ import annotations
@@ -12,7 +14,18 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import InputError
+
 _ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _check_width(rows, width: int | None = None) -> None:
+    """InputError unless every row, and the given width if any, agree in length."""
+    widths = {len(r) for r in rows}
+    if width is not None:
+        widths.add(width)
+    if len(widths) > 1:
+        raise InputError(f"widths of rows and vector differ: {sorted(widths)}")
 
 
 def _int_row(row) -> dict[int, int]:
@@ -67,6 +80,7 @@ def _reduced(rows) -> list[tuple[int, dict[int, int]]]:
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
+    _check_width(rows)
     ncols = len(rows[0]) if rows else 0
     reduced = _reduced(rows)
     out = []
@@ -80,6 +94,7 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
 
 def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
     """Basis of the right kernel of the matrix (list of coefficient rows)."""
+    _check_width(rows, ncols)
     reduced = _reduced(rows)
     pivot_set = {col for col, _ in reduced}
     basis = []
@@ -96,11 +111,13 @@ def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction,
 
 
 def row_rank(rows: list[list[Fraction]]) -> int:
+    _check_width(rows)
     return len(_echelon(rows))
 
 
 def in_row_span(rows: list[list[Fraction]], vector: list[Fraction]) -> bool:
     """Is the vector a linear combination of the rows?"""
+    _check_width(rows, len(vector))
     v = _int_row(vector)
     for col, pivot_row in _echelon(rows):
         if col in v:

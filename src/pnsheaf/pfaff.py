@@ -23,9 +23,10 @@ from .polyideal import (
     MAX_GENERATOR_DEGREE,
     IdealPresentation,
     Poly,
+    _reducers,
+    _remainder,
     ideal_presentation,
     monomials_of_degree,
-    normal_form,
     parse_poly,
     projective_dimension,
 )
@@ -245,18 +246,18 @@ def vanishing_section_space(n: int, r: int, z) -> SectionSpace:
         rows.append(row)
     # chart-wise membership of every coefficient
     for chart in range(nvars):
-        basis = ideal.charts[chart]
-        nf_cache: dict[tuple[int, ...], Poly] = {}
+        # the chart basis is converted to integer reducers once, not per monomial
+        reducers = _reducers(ideal.charts[chart], n)
+        nf_cache: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
         for m in monos:
-            chart_mono = Poly(nvars - 1, {m[:chart] + m[chart + 1:]: Fraction(1)})
-            nf_cache[m] = normal_form(chart_mono, basis) if basis else chart_mono
-        support = sorted({mu for p in nf_cache.values() for mu in p.terms})
+            nf_cache[m] = _remainder(Poly(n, {m[:chart] + m[chart + 1:]: Fraction(1)}), reducers)
+        support = sorted({mu for nf in nf_cache.values() for mu in nf})
         for slot in range(nvars):
             for mu in support:
                 row = [Fraction(0)] * ncols
                 touched = False
                 for m in monos:
-                    c = nf_cache[m].terms.get(mu)
+                    c = nf_cache[m].get(mu)
                     if c:
                         row[col(slot, m)] += c
                         touched = True

@@ -422,14 +422,22 @@ def _divide(terms: dict[int, int], reducers, nvars: int) -> tuple[dict[int, int]
     return rem, scale
 
 
+def _reducers(basis, nvars: int) -> list[tuple]:
+    """The reducers of the nonzero members of an ordered basis, in order."""
+    return [_reducer(_int_terms(g)[0], nvars) for g in basis if g]
+
+
+def _remainder(f: Poly, reducers) -> dict[tuple[int, ...], Fraction]:
+    """The terms of the remainder of f under division by the reducers."""
+    terms, den = _int_terms(f)
+    rem, scale = _divide(terms, reducers, f.nvars)
+    den *= scale
+    return {_unpack(k, f.nvars): Fraction(c, den) for k, c in rem.items()}
+
+
 def normal_form(f: Poly, basis) -> Poly:
     """Remainder of f under multivariate division by an ordered basis."""
-    nvars = f.nvars
-    terms, den = _int_terms(f)
-    reducers = [_reducer(_int_terms(g)[0], nvars) for g in basis if g]
-    rem, scale = _divide(terms, reducers, nvars)
-    den *= scale
-    return Poly(nvars, {_unpack(k, nvars): Fraction(c, den) for k, c in rem.items()})
+    return Poly(f.nvars, _remainder(f, _reducers(basis, f.nvars)))
 
 
 def s_polynomial(f: Poly, g: Poly) -> Poly:

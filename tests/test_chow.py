@@ -11,6 +11,7 @@ import pytest
 
 from pnsheaf import (
     ChowClass,
+    ConsistencyError,
     InputError,
     chern_character,
     chern_difference,
@@ -27,7 +28,9 @@ from pnsheaf import (
     todd_class,
     total_chern,
 )
-from pnsheaf.weights import binom
+from pnsheaf.bundles import normalize
+from pnsheaf.chow import _ch_schur_q, _chern_classes
+from pnsheaf.weights import binom, partitions_fitting
 
 from helpers import random_expression
 
@@ -77,6 +80,91 @@ def test_character_of_cotangent_powers_satisfies_euler_recursion():
             actual = chern_character(omega(p, n))
             assert actual.coeffs == expected.coeffs, (n, p)
             prev = actual
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference: Jacobi-Trudi over ChowClass, Newton's identities over
+# Fraction, Riemann-Roch as the full product ch * td
+
+
+def _ref_line(d: int, n: int) -> ChowClass:
+    return ChowClass(n, tuple(Fraction(d) ** i / math.factorial(i) for i in range(n + 1)))
+
+
+def _ref_sym_q(m: int, n: int) -> ChowClass:
+    if m < 0:
+        return ChowClass(n, (Fraction(0),) * (n + 1))
+    if m == 0:
+        return chow_unit(n)
+    return chow_unit(n).scale(binom(n + m, n)) - _ref_line(-1, n).scale(binom(n + m - 1, n))
+
+
+def _ref_det(mat: list[list[ChowClass]], n: int) -> ChowClass:
+    """Laplace expansion along the last row, memoised on column subsets."""
+    zero = ChowClass(n, (Fraction(0),) * (n + 1))
+    memo = {0: chow_unit(n)}
+
+    def minor(cols: int, row: int) -> ChowClass:
+        if cols not in memo:
+            total, sign = zero, -1 if (row - 1) % 2 else 1
+            for j in (j for j in range(len(mat)) if cols >> j & 1):
+                term = mat[row - 1][j] * minor(cols & ~(1 << j), row - 1)
+                total = total + term if sign > 0 else total - term
+                sign = -sign
+            memo[cols] = total
+        return memo[cols]
+
+    return minor((1 << len(mat)) - 1, len(mat))
+
+
+def _ref_schur_q(lam: tuple[int, ...], n: int) -> ChowClass:
+    size = len(lam)
+    return _ref_det([[_ref_sym_q(lam[i] - i + j, n) for j in range(size)] for i in range(size)], n)
+
+
+def _ref_character(e) -> ChowClass:
+    dec = normalize(e)
+    total = ChowClass(dec.ambient, (Fraction(0),) * (dec.ambient + 1))
+    for b, mult in dec.terms:
+        total = total + (_ref_schur_q(b.lam, dec.ambient) * _ref_line(b.twist, dec.ambient)).scale(mult)
+    return total
+
+
+def _ref_chern(ch: ChowClass) -> tuple[Fraction, ...]:
+    p = [c * math.factorial(i) for i, c in enumerate(ch.coeffs)]
+    c = [Fraction(1)]
+    for k in range(1, len(p)):
+        c.append(sum((-1) ** (i - 1) * c[k - i] * p[i] for i in range(1, k + 1)) / k)
+    return tuple(c)
+
+
+def test_schur_characters_match_fraction_reference():
+    for n in range(1, 7):
+        for lam in partitions_fitting(n, 3):
+            expected = _ref_schur_q(lam, n)
+            p = _ch_schur_q(lam, n)
+            assert tuple(Fraction(pk, math.factorial(k)) for k, pk in enumerate(p)) == expected.coeffs
+            assert _chern_classes(p) == _ref_chern(expected), lam
+
+
+def test_character_chern_and_chi_match_fraction_reference():
+    seed = 848484
+    print(f"reference seed {seed}")
+    rng = random.Random(seed)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        e = random_expression(rng, n, depth=2)
+        ch = _ref_character(e)
+        assert chern_character(e).coeffs == ch.coeffs, e
+        assert total_chern(e).coeffs == _ref_chern(ch), e
+        assert hrr_chi(e) == (ch * todd_class(n)).coefficient(n), e
+
+
+def test_power_sums_of_no_bundle_fail_the_integrality_check():
+    # c_1 = p_1 = 1, then 2 c_2 = c_1 p_1 - p_2 = 1 is odd
+    with pytest.raises(ConsistencyError, match="c_2 came out non-integral: 1/2"):
+        _chern_classes((1, 1, 0))
+    assert _chern_classes((2, 1, 1)) == (1, 1, 0)  # O (+) O(1)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from pnsheaf import in_row_span, kernel_basis, row_rank, rref
+from pnsheaf import InputError, in_row_span, kernel_basis, row_rank, rref
 
 sympy = pytest.importorskip("sympy")
 
@@ -98,3 +98,21 @@ def test_empty_matrix():
     assert in_row_span([], [Fraction(0), Fraction(0)])
     assert not in_row_span([], [Fraction(0), Fraction(1)])
     assert rref([[], []]) == ([], [])
+
+
+def test_ragged_rows_are_rejected():
+    ragged = [[Fraction(1), Fraction(2)], [Fraction(3)]]
+    for call in (rref, row_rank, lambda rows: kernel_basis(rows, 2),
+                 lambda rows: in_row_span(rows, [Fraction(1), Fraction(0)])):
+        with pytest.raises(InputError, match="widths"):
+            call(ragged)
+
+
+def test_vector_or_column_count_of_another_width_is_rejected():
+    rows = [[Fraction(1), Fraction(2)]]
+    with pytest.raises(InputError):
+        in_row_span(rows, [Fraction(1)])
+    with pytest.raises(InputError):
+        in_row_span([[], []], [Fraction(1)])  # zero-width rows used to answer True
+    with pytest.raises(InputError):
+        kernel_basis(rows, 3)
