@@ -4,7 +4,9 @@ Every subcommand runs in text and JSON format through ``main(argv)``, and
 its output must match ``golden/cli_corpus.json`` byte for byte.  The
 pfaff cases read the corpus's form files, written to a temporary directory:
 the ``{form}`` placeholder in an argv stands for the path of ``form_file``,
-and ``{name}`` for the path of ``extra_form_files[name]``.
+and ``{name}`` for the path of ``extra_form_files[name]``.  The front-end
+cases pin ``--help`` of every parser and argparse's usage errors; argparse
+wraps that text to the terminal width, so every case runs at 200 columns.
 
 A refactoring must leave the corpus unchanged.  After an intended output
 change, re-record with ``PYTHONPATH=src python tests/test_golden_cli.py``
@@ -16,8 +18,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import pathlib
 import tempfile
+from unittest import mock
 
 import pytest
 
@@ -34,7 +38,12 @@ def _run(argv: list[str], form_dir: pathlib.Path) -> tuple[int, str, str]:
         path.write_text(text, encoding="utf-8")
     argv = [str(paths.get(arg, arg)) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # argparse wraps help and usage to the terminal width; pin it
+    with (
+        mock.patch.dict(os.environ, {"COLUMNS": "200"}),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
