@@ -15,6 +15,9 @@ pfaff SUB ...          concrete twisted 1-forms: uniqueness, singular,
                        sections, annihilator, random-pencil
 sweep SUB ...          parameter sweeps across a worker pool
 
+The parser is declared once, in the table COMMANDS, and main builds only the
+part of it that argv names: the top level and the one command requested.
+
 Expressions follow the grammar "O(d) | T | Omega^p | wedge(k, e) | sym(k, e)
 | dual(e) | e (x) e | e (+) e | m*e" with the ambient given either as a
 trailing "on P^n" or through --n.
@@ -102,7 +105,7 @@ def _warn_zero(e: BundleExpr) -> None:
 
 def _emit(args, payload: dict, lines: list[str]) -> None:
     if args.format == "json":
-        if getattr(args, "seed", None) is not None:
+        if args.seed is not None:
             payload = {**payload, "seed": args.seed}
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
@@ -149,8 +152,12 @@ def _parse_range(text: str) -> range:
 
 
 def _read_form(path: str) -> TwistedOneForm:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_form_file(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"form file {path} is not UTF-8 text: {exc}") from exc
+    return parse_form_file(text)
 
 
 def _require(args, names: list[str], context: str) -> None:
@@ -559,148 +566,100 @@ def _cmd_sweep_certificate(args) -> int:
 # parser assembly
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    common.add_argument("--seed", type=int, default=None, help="seed echoed in output")
+_N = ("--n", {"type": int})
+_E_G_N = [("E", {}), ("G", {}), _N]
+_REQ = {"required": True}
+_FILE = ("--file", _REQ)
+_WORKERS = ("--workers", {"type": int, "default": 1})
 
+# A command maps its name to (help, handler, [(flag, add_argument kwargs)]),
+# a group of commands to (help, table of its commands).
+COMMANDS = {
+    "cohomology": ("cohomology table", _cmd_cohomology, [
+        ("expr", {"help": "bundle expression, e.g. 'wedge(2,T) (x) Omega^1 on P^3'"}),
+        ("--n", {"type": int, "help": "ambient dimension"}),
+    ]),
+    "chern": ("Chern character and classes", _cmd_chern, [("expr", {}), _N]),
+    "chi": ("Euler characteristic", _cmd_chi, [("expr", {}), _N]),
+    "en-resolution": ("Eagon-Northcott resolution terms", _cmd_en_resolution, [
+        *_E_G_N,
+        ("--twisted",
+         {"action": "store_true", "help": "tensor every term by wedge^g(E*) (x) det G"}),
+    ]),
+    "certificate": ("vanishing certificate for E -> G", _cmd_certificate, _E_G_N),
+    "porteous": ("degeneracy-locus class of E -> G", _cmd_porteous, _E_G_N),
+    "check": ("named hypothesis checkers", _cmd_check, [
+        ("id", {"help": "thm-1-1 | thm-1-2 | thm-1-4 | prop-4-5 | lemma-4-4"}),
+        _N, ("--k", {"type": int}), ("--r", {"type": int}),
+        ("--degrees", {"help": "comma-separated, e.g. -1,-1"}),
+        ("--E", {"help": "source expression (thm-1-1)"}),
+        ("--G", {"help": "target expression (thm-1-1)"}),
+    ]),
+    "pfaff": ("concrete twisted 1-forms", {
+        "uniqueness": ("is the form determined by its singular scheme?", _cmd_pfaff_uniqueness, [
+            ("--file", {"required": True, "help": "form file: 'P^n twist r' + A_i lines"}),
+        ]),
+        "singular": ("singular-scheme ideal and dimension", _cmd_pfaff_singular, [_FILE]),
+        "sections": ("twisted forms vanishing on the singular scheme", _cmd_pfaff_sections, [
+            _FILE, ("--twist", {"type": int, "help": "default: the form's twist"}),
+        ]),
+        "annihilator": ("vector fields annihilated by the form", _cmd_pfaff_annihilator, [
+            _FILE, ("--bound", {"type": int, "default": 1, "help": "maximum field degree"}),
+        ]),
+        "random-pencil": ("seeded random pencil form P dQ - Q dP", _cmd_pfaff_random_pencil, [
+            ("--n", {"type": int, "required": True}),
+            ("--degree", {"type": int, "required": True}),
+            ("--out", {"help": "write the form file here"}),
+        ]),
+    }),
+    "sweep": ("parameter sweeps (ranges are 'a' or 'a:b')", {
+        "codim1": ("codimension-one checker over (n, r)", _cmd_sweep_codim1, [
+            ("--n", _REQ), ("--r", _REQ), _WORKERS,
+        ]),
+        "split": ("split checker over (n, k, uniform degree d)", _cmd_sweep_split, [
+            ("--n", _REQ), ("--k", _REQ), ("--d", _REQ), _WORKERS,
+        ]),
+        "endo": ("endomorphism-space dimension over n, all k", _cmd_sweep_endo, [
+            ("--n", _REQ), _WORKERS,
+        ]),
+        "certificate": ("certificate of E -> G (x) O(t) over twists t", _cmd_sweep_certificate, [
+            ("--E", _REQ), ("--G", _REQ), _N,
+            ("--twist", {"required": True, "help": "twist range for G"}), _WORKERS,
+        ]),
+    }),
+}
+
+
+def _add_commands(parser, table: dict, dest: str, argv) -> None:
+    """Register the command argv's first word names, or every command if none.
+
+    With a single command registered, the metavar keeps the full choice list
+    in the usage line argparse prints for an unrecognized trailing word.
+    """
+    chosen = {argv[0]: table[argv[0]]} if argv and argv[0] in table else table
+    metavar = None if chosen is table else "{" + ",".join(table) + "}"
+    sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+    for name, (help_text, *entry) in chosen.items():
+        p = sub.add_parser(name, help=help_text)
+        if len(entry) == 1:
+            _add_commands(p, entry[0], f"{name}_command", argv[1:])
+            continue
+        handler, arguments = entry
+        p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
+        p.add_argument("--seed", type=int, help="seed echoed in output")
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for argv; with no argv, the parser of every command."""
     parser = argparse.ArgumentParser(
         prog="pnsheaf",
         description="Exact sheaf cohomology, degeneracy loci, and twisted "
         "1-forms on projective space.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cohomology", parents=[common], help="cohomology table")
-    p.add_argument("expr", help="bundle expression, e.g. 'wedge(2,T) (x) Omega^1 on P^3'")
-    p.add_argument("--n", type=int, default=None, help="ambient dimension")
-    p.set_defaults(func=_cmd_cohomology)
-
-    p = sub.add_parser("chern", parents=[common], help="Chern character and classes")
-    p.add_argument("expr")
-    p.add_argument("--n", type=int, default=None)
-    p.set_defaults(func=_cmd_chern)
-
-    p = sub.add_parser("chi", parents=[common], help="Euler characteristic")
-    p.add_argument("expr")
-    p.add_argument("--n", type=int, default=None)
-    p.set_defaults(func=_cmd_chi)
-
-    p = sub.add_parser(
-        "en-resolution", parents=[common], help="Eagon-Northcott resolution terms"
-    )
-    p.add_argument("E")
-    p.add_argument("G")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument(
-        "--twisted",
-        action="store_true",
-        help="tensor every term by wedge^g(E*) (x) det G",
-    )
-    p.set_defaults(func=_cmd_en_resolution)
-
-    p = sub.add_parser(
-        "certificate", parents=[common], help="vanishing certificate for E -> G"
-    )
-    p.add_argument("E")
-    p.add_argument("G")
-    p.add_argument("--n", type=int, default=None)
-    p.set_defaults(func=_cmd_certificate)
-
-    p = sub.add_parser(
-        "porteous", parents=[common], help="degeneracy-locus class of E -> G"
-    )
-    p.add_argument("E")
-    p.add_argument("G")
-    p.add_argument("--n", type=int, default=None)
-    p.set_defaults(func=_cmd_porteous)
-
-    p = sub.add_parser("check", parents=[common], help="named hypothesis checkers")
-    p.add_argument("id", help="thm-1-1 | thm-1-2 | thm-1-4 | prop-4-5 | lemma-4-4")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--degrees", default=None, help="comma-separated, e.g. -1,-1")
-    p.add_argument("--E", default=None, help="source expression (thm-1-1)")
-    p.add_argument("--G", default=None, help="target expression (thm-1-1)")
-    p.set_defaults(func=_cmd_check)
-
-    pfaff = sub.add_parser("pfaff", help="concrete twisted 1-forms")
-    pfaff_sub = pfaff.add_subparsers(dest="pfaff_command", required=True)
-
-    p = pfaff_sub.add_parser(
-        "uniqueness", parents=[common], help="is the form determined by its singular scheme?"
-    )
-    p.add_argument("--file", required=True, help="form file: 'P^n twist r' + A_i lines")
-    p.set_defaults(func=_cmd_pfaff_uniqueness)
-
-    p = pfaff_sub.add_parser(
-        "singular", parents=[common], help="singular-scheme ideal and dimension"
-    )
-    p.add_argument("--file", required=True)
-    p.set_defaults(func=_cmd_pfaff_singular)
-
-    p = pfaff_sub.add_parser(
-        "sections", parents=[common], help="twisted forms vanishing on the singular scheme"
-    )
-    p.add_argument("--file", required=True)
-    p.add_argument("--twist", type=int, default=None, help="default: the form's twist")
-    p.set_defaults(func=_cmd_pfaff_sections)
-
-    p = pfaff_sub.add_parser(
-        "annihilator", parents=[common], help="vector fields annihilated by the form"
-    )
-    p.add_argument("--file", required=True)
-    p.add_argument("--bound", type=int, default=1, help="maximum field degree")
-    p.set_defaults(func=_cmd_pfaff_annihilator)
-
-    p = pfaff_sub.add_parser(
-        "random-pencil", parents=[common], help="seeded random pencil form P dQ - Q dP"
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--out", default=None, help="write the form file here")
-    p.set_defaults(func=_cmd_pfaff_random_pencil)
-
-    sweep = sub.add_parser("sweep", help="parameter sweeps (ranges are 'a' or 'a:b')")
-    sweep_sub = sweep.add_subparsers(dest="sweep_command", required=True)
-
-    p = sweep_sub.add_parser(
-        "codim1", parents=[common], help="codimension-one checker over (n, r)"
-    )
-    p.add_argument("--n", required=True)
-    p.add_argument("--r", required=True)
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=_cmd_sweep_codim1)
-
-    p = sweep_sub.add_parser(
-        "split", parents=[common], help="split checker over (n, k, uniform degree d)"
-    )
-    p.add_argument("--n", required=True)
-    p.add_argument("--k", required=True)
-    p.add_argument("--d", required=True)
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=_cmd_sweep_split)
-
-    p = sweep_sub.add_parser(
-        "endo", parents=[common], help="endomorphism-space dimension over n, all k"
-    )
-    p.add_argument("--n", required=True)
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=_cmd_sweep_endo)
-
-    p = sweep_sub.add_parser(
-        "certificate", parents=[common], help="certificate of E -> G (x) O(t) over twists t"
-    )
-    p.add_argument("--E", required=True)
-    p.add_argument("--G", required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--twist", required=True, help="twist range for G")
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=_cmd_sweep_certificate)
-
+    _add_commands(parser, COMMANDS, "command", argv)
     return parser
 
 
@@ -728,13 +687,11 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    raw = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
+    argv = _join_negative_values(list(sys.argv[1:]) if argv is None else list(argv))
     try:
-        args = parser.parse_args(_join_negative_values(raw))
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+        return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
     except (UnsupportedPlethysm, ScaleExceeded) as exc:
@@ -743,10 +700,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConsistencyError as exc:
         print(f"error: internal cross-check failed: {exc}", file=sys.stderr)
         return 4
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -364,7 +364,7 @@ def parse_form_file(text: str) -> TwistedOneForm:
         r = int(head[2])
     except ValueError as exc:
         raise InputError(f"bad header numbers in {lines[0]!r}") from exc
-    coeffs: dict[int, Poly] = {}
+    bodies: dict[int, str] = {}
     for ln in lines[1:]:
         if ":" not in ln:
             raise InputError(f"bad coefficient line {ln!r}")
@@ -378,10 +378,11 @@ def parse_form_file(text: str) -> TwistedOneForm:
             raise InputError(f"bad coefficient label {label!r}") from exc
         if not 0 <= idx <= n:
             raise InputError(f"coefficient index {idx} out of range for P^{n}")
-        if idx in coeffs:
+        if idx in bodies:
             raise InputError(f"duplicate coefficient A_{idx}")
-        coeffs[idx] = parse_poly(body.strip(), n + 1)
-    missing = [i for i in range(n + 1) if i not in coeffs]
-    if missing:
-        raise InputError(f"missing coefficients {missing}")
+        bodies[idx] = body.strip()
+    # distinct indices in 0..n: n + 1 of them means none is missing
+    if len(bodies) < n + 1:
+        raise InputError(f"P^{n} needs {n + 1} coefficient lines; found {len(bodies)}")
+    coeffs = {idx: parse_poly(body, n + 1) for idx, body in bodies.items()}
     return TwistedOneForm(n, r, tuple(coeffs[i] for i in range(n + 1)))

@@ -158,6 +158,24 @@ def test_zero_denominator_in_form_file_is_two(tmp_path, capsys):
     assert err == "error: zero denominator in 1/0 at position 0\n"
 
 
+def test_non_utf8_form_file_is_two(tmp_path, capsys):
+    path = tmp_path / "utf16.form"
+    path.write_bytes(b"\xff\xfeP\x00^\x002\x00")
+    code, out, err = _run(capsys, ["pfaff", "singular", "--file", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: form file {path} is not UTF-8 text: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_form_file_with_too_few_lines_is_refused_before_parsing(tmp_path, capsys):
+    path = tmp_path / "huge.form"
+    path.write_text("P^1000000 twist 2\nA_0: x0\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["pfaff", "singular", "--file", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: P^1000000 needs 1000001 coefficient lines; found 1\n"
+    assert len(err) < 200
+
+
 def test_failed_cross_check_is_four(monkeypatch, capsys):
     monkeypatch.setattr("pnsheaf.cli.hrr_chi", lambda e: -1)
     code, out, err = _run(capsys, ["chi", "T on P^2"])
