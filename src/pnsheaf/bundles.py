@@ -5,6 +5,13 @@ S_lam(Q) (x) O(d), where Q is the rank-n tautological quotient bundle,
 lam is a weakly decreasing nonnegative weight of length n with last entry 0
 (the determinant of Q is O(1) and gets absorbed into the twist), and d is an
 integer.  The normal form is what the cohomology and Chow modules consume.
+
+Inside this module a normal form is a count map {(lam, twist): multiplicity}
+of plain tuples and ints.  Tensor products, sums, duals and the wedge/sym
+expansion all work on count maps; _normalize_cached keeps one per expression
+node, frozen into an immutable tuple of ((lam, twist), multiplicity) pairs.
+The public Decomposition, whose IrreducibleBundle summands are validated, is
+built once per normalize call, by _freeze.
 """
 
 from __future__ import annotations
@@ -12,8 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InputError, UnsupportedPlethysm
+from .errors import InputError, ScaleExceeded, UnsupportedPlethysm
 from .weights import lr_product, weyl_dim
+
+# A wedge/sym power of a sum is refused when its expansion would take more
+# than this many tensor steps: (k+1)(k+2)/2 for each copy of a summand.
+MAX_POWER_STEPS = 10**6
+
+# A normal form as the engine keeps it: ((lam, twist), multiplicity) pairs,
+# ascending by (lam, twist), every multiplicity positive.
+Terms = tuple[tuple[tuple[tuple[int, ...], int], int], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +266,19 @@ class Decomposition:
         return " + ".join(bits)
 
 
-def _freeze(n: int, acc: dict[tuple[tuple[int, ...], int], int]) -> Decomposition:
-    terms = []
-    for (lam, d), mult in acc.items():
-        if mult:
-            terms.append((IrreducibleBundle(n, lam, d), mult))
-    terms.sort(key=lambda t: (t[0].lam, t[0].twist), reverse=True)
-    return Decomposition(n, tuple(terms))
+def _freeze(n: int, terms: Terms) -> Decomposition:
+    """The public Decomposition of a normal form: each summand validated, largest first."""
+    return Decomposition(
+        n, tuple((IrreducibleBundle(n, lam, d), mult) for (lam, d), mult in reversed(terms))
+    )
+
+
+def _terms(acc: dict[tuple[tuple[int, ...], int], int]) -> Terms:
+    return tuple(sorted(acc.items()))
+
+
+def _line(n: int, d: int) -> Terms:
+    return ((((0,) * n, d), 1),)
 
 
 def _canon_summand(lam: tuple[int, ...], d: int) -> tuple[tuple[int, ...], int]:
@@ -269,57 +290,44 @@ def _canon_summand(lam: tuple[int, ...], d: int) -> tuple[tuple[int, ...], int]:
     return lam, d
 
 
-def _zero(n: int) -> Decomposition:
-    return Decomposition(n, ())
-
-
-def _unit(n: int) -> Decomposition:
-    return _freeze(n, {((0,) * n, 0): 1})
-
-
 def normalize(e: BundleExpr) -> Decomposition:
     """Decompose an expression into irreducible summands.
 
     Raises UnsupportedPlethysm when a wedge/sym is applied to a summand that
     is not a line bundle or a twisted copy of Q or its dual (the cases that
-    cover split bundles, T and Omega^1).
+    cover split bundles, T and Omega^1), and ScaleExceeded when a wedge/sym
+    power would take more than MAX_POWER_STEPS expansion steps.
     """
-    return _normalize_cached(e)
+    return _freeze(e.ambient, _normalize_cached(e))
 
 
 @lru_cache(maxsize=None)
-def _normalize_cached(e: BundleExpr) -> Decomposition:
+def _normalize_cached(e: BundleExpr) -> Terms:
     n = e.ambient
     if isinstance(e, LineBundle):
-        return _freeze(n, {((0,) * n, e.degree): 1})
+        return _line(n, e.degree)
     if isinstance(e, Tangent):
         # Euler sequence: T = Q(1); on P^1 the weight itself collapses into the twist
-        lam, d = _canon_summand((1,) + (0,) * (n - 1), 1)
-        return _freeze(n, {(lam, d): 1})
+        return ((_canon_summand((1,) + (0,) * (n - 1), 1), 1),)
     if isinstance(e, Cotangent):
         p = e.power
-        lam, d = _canon_summand((1,) * (n - p) + (0,) * p, -p - 1)
-        return _freeze(n, {(lam, d): 1})
+        return ((_canon_summand((1,) * (n - p) + (0,) * p, -p - 1), 1),)
     if isinstance(e, Dual):
         acc: dict = {}
-        for b, mult in _normalize_cached(e.child).terms:
-            lam, d = _dual_summand(b.lam, b.twist)
-            key = _canon_summand(lam, d)
+        for (lam, d), mult in _normalize_cached(e.child):
+            key = _canon_summand(*_dual_summand(lam, d))
             acc[key] = acc.get(key, 0) + mult
-        return _freeze(n, acc)
+        return _terms(acc)
     if isinstance(e, DirectSum):
         acc = {}
         for child, cmult in zip(e.children, e.multiplicities):
-            for b, mult in _normalize_cached(child).terms:
-                key = (b.lam, b.twist)
+            for key, mult in _normalize_cached(child):
                 acc[key] = acc.get(key, 0) + cmult * mult
-        return _freeze(n, acc)
+        return _terms(acc)
     if isinstance(e, Tensor):
-        return tensor_decompositions(_normalize_cached(e.left), _normalize_cached(e.right))
+        return _terms(_tensor_into({}, _normalize_cached(e.left), _normalize_cached(e.right)))
     if isinstance(e, (Wedge, Sym)):
-        child = _normalize_cached(e.child)
-        single = _wedge_single if isinstance(e, Wedge) else _sym_single
-        return _graded_power(child, e.power, single)
+        return _graded_power(_normalize_cached(e.child), n, e.power, isinstance(e, Wedge))
     raise InputError(f"unknown expression node {type(e).__name__}")
 
 
@@ -330,19 +338,24 @@ def _dual_summand(lam: tuple[int, ...], d: int) -> tuple[tuple[int, ...], int]:
     return rev, -d - top
 
 
-def tensor_decompositions(a: Decomposition, b: Decomposition) -> Decomposition:
-    if a.ambient != b.ambient:
-        raise InputError("tensor of decompositions over different ambients")
-    return _freeze(a.ambient, _tensor_into({}, a, b))
+def _tensor_into(acc: dict, a: Terms, b: Terms) -> dict:
+    """Add the summands of a (x) b into acc, keyed by (lam, twist); return acc.
 
-
-def _tensor_into(acc: dict, a: Decomposition, b: Decomposition) -> dict:
-    """Add the summands of a (x) b into acc, keyed by (lam, twist); return acc."""
-    for x, mx in a.terms:
-        for y, my in b.terms:
-            for nu, c in lr_product(x.lam, y.lam).terms:
-                key = _canon_summand(nu.entries, x.twist + y.twist)
-                acc[key] = acc.get(key, 0) + mx * my * c
+    A line-bundle factor (lam[0] == 0, so lam is all zeros) only shifts the
+    twist of the other one.
+    """
+    for (lx, dx), mx in a:
+        for (ly, dy), my in b:
+            if not ly[0]:
+                key = (lx, dx + dy)
+                acc[key] = acc.get(key, 0) + mx * my
+            elif not lx[0]:
+                key = (ly, dx + dy)
+                acc[key] = acc.get(key, 0) + mx * my
+            else:
+                for nu, c in lr_product(lx, ly).terms:
+                    key = _canon_summand(nu.entries, dx + dy)
+                    acc[key] = acc.get(key, 0) + mx * my * c
     return acc
 
 
@@ -352,73 +365,86 @@ def _tensor_into(acc: dict, a: Decomposition, b: Decomposition) -> dict:
 #   * (0,...,0)        -- line bundles
 #   * (1,0,...,0)      -- twists of Q (covers T)
 #   * (1,...,1,0)      -- twists of Q* (covers Omega^1)
-# Everything else would be a genuine plethysm and is out of scope.
+# Everything else would be a genuine plethysm and is out of scope; the shape
+# is checked before either function is called.
 
 
-def _wedge_single(b: IrreducibleBundle, j: int) -> Decomposition:
-    n = b.ambient
+def _is_supported(lam: tuple[int, ...]) -> bool:
+    n = len(lam)
+    return not lam[0] or lam in ((1,) + (0,) * (n - 1), (1,) * (n - 1) + (0,))
+
+
+def _wedge_single(lam: tuple[int, ...], d: int, n: int, j: int) -> Terms:
     if j == 0:
-        return _unit(n)
+        return _line(n, 0)
     if j == 1:
-        return _freeze(n, {(b.lam, b.twist): 1})
-    if b.is_line_bundle():
-        return _zero(n)
-    if b.lam == (1,) + (0,) * (n - 1):
-        if j > n:
-            return _zero(n)
-        key = _canon_summand((1,) * j + (0,) * (n - j), j * b.twist)
-        return _freeze(n, {key: 1})
-    if b.lam == (1,) * (n - 1) + (0,):
-        # S_lam(Q) = Q*(1), so wedge powers dualize the standard ones
-        if j > n:
-            return _zero(n)
-        key = _canon_summand((1,) * (n - j) + (0,) * j, j * b.twist + j - 1)
-        return _freeze(n, {key: 1})
-    raise UnsupportedPlethysm(f"wedge({j}, {b}) is outside the supported summand classes")
+        return (((lam, d), 1),)
+    if not lam[0] or j > n:
+        return ()
+    if lam == (1,) + (0,) * (n - 1):
+        return ((_canon_summand((1,) * j + (0,) * (n - j), j * d), 1),)
+    # S_lam(Q) = Q*(1), so wedge powers dualize the standard ones
+    return ((_canon_summand((1,) * (n - j) + (0,) * j, j * d + j - 1), 1),)
 
 
-def _sym_single(b: IrreducibleBundle, j: int) -> Decomposition:
-    n = b.ambient
+def _sym_single(lam: tuple[int, ...], d: int, n: int, j: int) -> Terms:
     if j == 0:
-        return _unit(n)
+        return _line(n, 0)
     if j == 1:
-        return _freeze(n, {(b.lam, b.twist): 1})
-    if b.is_line_bundle():
-        return _freeze(n, {((0,) * n, j * b.twist): 1})
-    if b.lam == (1,) + (0,) * (n - 1):
-        key = _canon_summand((j,) + (0,) * (n - 1), j * b.twist)
-        return _freeze(n, {key: 1})
-    if b.lam == (1,) * (n - 1) + (0,):
-        # Sym^j(Q*(c)) = (Sym^j Q)*(jc), and the dual reverses the weight
-        key = _canon_summand((j,) * (n - 1) + (0,), j * b.twist)
-        return _freeze(n, {key: 1})
-    raise UnsupportedPlethysm(f"sym({j}, {b}) is outside the supported summand classes")
+        return (((lam, d), 1),)
+    if not lam[0]:
+        return _line(n, j * d)
+    if lam == (1,) + (0,) * (n - 1):
+        return ((_canon_summand((j,) + (0,) * (n - 1), j * d), 1),)
+    # Sym^j(Q*(c)) = (Sym^j Q)*(jc), and the dual reverses the weight
+    return ((_canon_summand((j,) * (n - 1) + (0,), j * d), 1),)
 
 
-def _graded_power(dec: Decomposition, k: int, single) -> Decomposition:
-    """wedge^k or sym^k of a decomposition via the binomial expansion.
+def _graded_power(terms: Terms, n: int, k: int, is_wedge: bool) -> Terms:
+    """wedge^k or sym^k of a normal form via the binomial expansion.
 
     wedge^k(A + B) = sum_{i+j=k} wedge^i A (x) wedge^j B, and likewise for
-    sym; a summand of multiplicity m counts as m copies.  The expansion runs
-    from the last summand to the first, without recursion, so a large
-    multiplicity cannot exhaust the stack.
+    sym; a summand of multiplicity m counts as m copies.  A single summand,
+    or a wedge power above the rank, needs no expansion.  Otherwise the
+    expansion is a loop over the copies, so a large multiplicity cannot
+    exhaust the stack, and it is refused before it starts when it would take
+    more than MAX_POWER_STEPS tensor steps.
     """
-    n = dec.ambient
+    name, single = ("wedge", _wedge_single) if is_wedge else ("sym", _sym_single)
     if k == 0:
-        return _unit(n)
-    items = [b for b, m in dec.terms for _ in range(m)]
-    # tail[j] is the degree-j power of the summands after the current one
-    tail = [_unit(n)] + [_zero(n)] * k
-    for summand in reversed(items):
-        firsts = [single(summand, a) for a in range(k + 1)]
-        powers = []
-        for j in range(k + 1):
-            acc: dict = {}
-            for a in range(j + 1):
-                _tensor_into(acc, firsts[a], tail[j - a])
-            powers.append(_freeze(n, acc))
-        tail = powers
-    return tail[k]
+        return _line(n, 0)
+    if k >= 2:
+        for (lam, d), _ in terms:
+            if not _is_supported(lam):
+                raise UnsupportedPlethysm(
+                    f"{name}(2, {IrreducibleBundle(n, lam, d)}) is outside the"
+                    " supported summand classes"
+                )
+    if len(terms) == 1 and terms[0][1] == 1:
+        (lam, d), _ = terms[0]
+        return single(lam, d, n, k)
+    if is_wedge and k > sum(mult * weyl_dim(lam, n) for (lam, _), mult in terms):
+        return ()
+    copies = sum(mult for _, mult in terms)
+    steps = copies * (k + 1) * (k + 2) // 2
+    if steps > MAX_POWER_STEPS:
+        raise ScaleExceeded(
+            f"{name}^{k} of a sum of {copies} summands needs {steps} expansion"
+            f" steps; the bound is {MAX_POWER_STEPS}"
+        )
+    # tail[j] is the degree-j power of the copies expanded so far
+    tail: list[Terms] = [_line(n, 0)] + [()] * k
+    for (lam, d), mult in terms:
+        firsts = [single(lam, d, n, a) for a in range(k + 1)]
+        for _ in range(mult):
+            powers = []
+            for j in range(k + 1):
+                acc: dict = {}
+                for a in range(j + 1):
+                    _tensor_into(acc, firsts[a], tail[j - a])
+                powers.append(tuple(acc.items()))
+            tail = powers
+    return tuple(sorted(tail[k]))
 
 
 # ---------------------------------------------------------------------------

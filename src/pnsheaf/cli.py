@@ -321,22 +321,26 @@ def _cmd_porteous(args) -> int:
     return 0
 
 
-# canonical id -> (flags it needs, builder of its TheoremReport from args)
+# canonical id -> (flags it needs, other flags it takes, builder of its
+# TheoremReport from args)
 CHECKS = {
     "thm-1-1": (
         ["--E", "--G"],
+        ["--n"],
         lambda a: check_map_recovery(_load_expr(a.E, a.n), _load_expr(a.G, a.n)),
     ),
     "thm-1-2": (
         ["--n", "--k", "--degrees"],
+        [],
         lambda a: check_split_distribution(a.n, a.k, _parse_degrees(a.degrees)),
     ),
-    "thm-1-4": (["--n", "--r"], lambda a: check_codim1_generic(a.n, a.r)),
+    "thm-1-4": (["--n", "--r"], [], lambda a: check_codim1_generic(a.n, a.r)),
     "prop-4-5": (
         ["--n", "--k", "--degrees"],
+        [],
         lambda a: check_split_vanishing(a.n, a.k, _parse_degrees(a.degrees)),
     ),
-    "lemma-4-4": (["--n", "--k"], lambda a: check_endomorphism_space(a.k, a.n)),
+    "lemma-4-4": (["--n", "--k"], [], lambda a: check_endomorphism_space(a.k, a.n)),
 }
 
 
@@ -345,8 +349,16 @@ def _cmd_check(args) -> int:
     if ident not in CHECKS:
         known = sorted({*CHECK_ALIASES, *CHECKS})
         raise InputError(f"unknown check id {args.id!r}; choose from {', '.join(known)}")
-    flags, build = CHECKS[ident]
+    flags, optional, build = CHECKS[ident]
     _require(args, flags, f"check {ident}")
+    unused = [
+        flag
+        for flag, _ in COMMANDS["check"][2]
+        if flag.startswith("--") and flag not in flags + optional
+        and getattr(args, flag[2:]) is not None
+    ]
+    if unused:
+        raise InputError(f"check {ident} does not take {', '.join(unused)}")
     report = build(args)
     _emit(args, report.to_json_dict(), report.text_lines())
     return 0 if report.verdict == HOLD else 1

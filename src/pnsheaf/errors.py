@@ -30,7 +30,7 @@ class UnsupportedPlethysm(PnsheafError):
 
 
 class ScaleExceeded(PnsheafError):
-    """Polynomial computation beyond the desk-scale guard (exit code 3)."""
+    """Computation beyond a desk-scale guard (exit code 3)."""
 
 
 class EulerViolation(InputError):

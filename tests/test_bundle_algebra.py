@@ -6,20 +6,32 @@ import random
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnsheaf import (
+    Cotangent,
     Decomposition,
     DirectSum,
+    Dual,
     InputError,
     IrreducibleBundle,
+    LineBundle,
+    Sym,
+    Tangent,
+    Tensor,
     UnsupportedPlethysm,
+    Wedge,
+    cohomology_table,
     det_bundle,
     direct_sum,
     dual,
+    hrr_chi,
     normalize,
     o,
     omega,
     rank,
+    serre_dual_check,
     split_bundle,
     sym,
     tangent,
@@ -27,7 +39,7 @@ from pnsheaf import (
     twist,
     wedge,
 )
-from pnsheaf.weights import binom
+from pnsheaf.weights import binom, lr_product
 
 from helpers import random_expression
 
@@ -255,3 +267,179 @@ def test_normal_form_weight_is_normalized():
             assert len(b.lam) == n
             assert all(x >= y for x, y in zip(b.lam, b.lam[1:]))
             assert b.lam == () or b.lam[-1] == 0
+
+
+def test_cached_normal_form_is_not_changed_by_a_larger_expression():
+    inner = wedge(2, direct_sum(tangent(3), o(1, 3)))
+    first = normalize(inner)
+    normalize(sym(2, direct_sum(inner, inner, omega(1, 3))))
+    normalize(tensor(inner, dual(inner)))
+    assert normalize(inner) == first
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-copy Decomposition expansion the engine used to run,
+# every intermediate power a validated Decomposition
+
+
+def _ref_freeze(n, acc):
+    terms = [(IrreducibleBundle(n, lam, d), mult) for (lam, d), mult in acc.items() if mult]
+    terms.sort(key=lambda t: (t[0].lam, t[0].twist), reverse=True)
+    return Decomposition(n, tuple(terms))
+
+
+def _ref_canon(lam, d):
+    low = lam[-1]
+    return tuple(x - low for x in lam), d + low
+
+
+def _ref_unit(n):
+    return _ref_freeze(n, {((0,) * n, 0): 1})
+
+
+def _ref_tensor_into(acc, a, b):
+    for x, mx in a.terms:
+        for y, my in b.terms:
+            for nu, c in lr_product(x.lam, y.lam).terms:
+                key = _ref_canon(nu.entries, x.twist + y.twist)
+                acc[key] = acc.get(key, 0) + mx * my * c
+    return acc
+
+
+def _ref_wedge_single(b, j):
+    n = b.ambient
+    if j == 0:
+        return _ref_unit(n)
+    if j == 1:
+        return _ref_freeze(n, {(b.lam, b.twist): 1})
+    if b.is_line_bundle():
+        return Decomposition(n, ())
+    if b.lam == (1,) + (0,) * (n - 1):
+        if j > n:
+            return Decomposition(n, ())
+        return _ref_freeze(n, {_ref_canon((1,) * j + (0,) * (n - j), j * b.twist): 1})
+    if b.lam == (1,) * (n - 1) + (0,):
+        if j > n:
+            return Decomposition(n, ())
+        key = _ref_canon((1,) * (n - j) + (0,) * j, j * b.twist + j - 1)
+        return _ref_freeze(n, {key: 1})
+    raise UnsupportedPlethysm(f"wedge({j}, {b}) is outside the supported summand classes")
+
+
+def _ref_sym_single(b, j):
+    n = b.ambient
+    if j == 0:
+        return _ref_unit(n)
+    if j == 1:
+        return _ref_freeze(n, {(b.lam, b.twist): 1})
+    if b.is_line_bundle():
+        return _ref_freeze(n, {((0,) * n, j * b.twist): 1})
+    if b.lam == (1,) + (0,) * (n - 1):
+        return _ref_freeze(n, {_ref_canon((j,) + (0,) * (n - 1), j * b.twist): 1})
+    if b.lam == (1,) * (n - 1) + (0,):
+        return _ref_freeze(n, {_ref_canon((j,) * (n - 1) + (0,), j * b.twist): 1})
+    raise UnsupportedPlethysm(f"sym({j}, {b}) is outside the supported summand classes")
+
+
+def _ref_graded_power(dec, k, single):
+    n = dec.ambient
+    if k == 0:
+        return _ref_unit(n)
+    items = [b for b, m in dec.terms for _ in range(m)]
+    tail = [_ref_unit(n)] + [Decomposition(n, ())] * k
+    for summand in reversed(items):
+        firsts = [single(summand, a) for a in range(k + 1)]
+        powers = []
+        for j in range(k + 1):
+            acc: dict = {}
+            for a in range(j + 1):
+                _ref_tensor_into(acc, firsts[a], tail[j - a])
+            powers.append(_ref_freeze(n, acc))
+        tail = powers
+    return tail[k]
+
+
+def _ref_normalize(e):
+    n = e.ambient
+    if isinstance(e, LineBundle):
+        return _ref_freeze(n, {((0,) * n, e.degree): 1})
+    if isinstance(e, Tangent):
+        return _ref_freeze(n, {_ref_canon((1,) + (0,) * (n - 1), 1): 1})
+    if isinstance(e, Cotangent):
+        p = e.power
+        return _ref_freeze(n, {_ref_canon((1,) * (n - p) + (0,) * p, -p - 1): 1})
+    acc: dict = {}
+    if isinstance(e, Dual):
+        for b, mult in _ref_normalize(e.child).terms:
+            top = b.lam[0]
+            key = _ref_canon(tuple(top - x for x in reversed(b.lam)), -b.twist - top)
+            acc[key] = acc.get(key, 0) + mult
+        return _ref_freeze(n, acc)
+    if isinstance(e, DirectSum):
+        for child, cmult in zip(e.children, e.multiplicities):
+            for b, mult in _ref_normalize(child).terms:
+                acc[(b.lam, b.twist)] = acc.get((b.lam, b.twist), 0) + cmult * mult
+        return _ref_freeze(n, acc)
+    if isinstance(e, Tensor):
+        left, right = _ref_normalize(e.left), _ref_normalize(e.right)
+        return _ref_freeze(n, _ref_tensor_into(acc, left, right))
+    assert isinstance(e, (Wedge, Sym))
+    single = _ref_wedge_single if isinstance(e, Wedge) else _ref_sym_single
+    return _ref_graded_power(_ref_normalize(e.child), e.power, single)
+
+
+def _atoms(n):
+    return st.one_of(
+        st.builds(o, st.integers(-4, 4), st.just(n)),
+        st.just(tangent(n)),
+        st.builds(omega, st.integers(1, n), st.just(n)),
+    )
+
+
+def _sums(parts, n):
+    def build(children, mults):
+        if len(children) == 1 and mults[0] == 1:
+            return children[0]
+        return DirectSum(n, tuple(children), tuple(mults[: len(children)]))
+
+    mults = st.lists(st.integers(1, 3), min_size=3, max_size=3)
+    return st.builds(build, st.lists(parts, min_size=1, max_size=3), mults)
+
+
+def _power_bases(n):
+    fundamentals = st.one_of(
+        st.builds(o, st.integers(-4, 4), st.just(n)), st.just(tangent(n)), st.just(omega(1, n))
+    )
+    return _sums(fundamentals, n)
+
+
+def _expressions(n, depth):
+    """Depth-`depth` trees; a node below the root may also be an atom."""
+    if depth == 0:
+        return _atoms(n)
+    sub = st.one_of(_atoms(n), _expressions(n, depth - 1))
+    # a wedge/sym of an arbitrary subexpression can leave the supported classes
+    bases = st.one_of(_power_bases(n), _power_bases(n), sub)
+    powers = st.sampled_from((2, 3, 1, 0))
+    return st.one_of(
+        st.builds(wedge, powers, bases),
+        st.builds(sym, powers, bases),
+        st.builds(tensor, sub, sub),
+        _sums(sub, n),
+        st.builds(dual, sub),
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: _expressions(n, 3)))
+def test_normal_form_matches_the_per_copy_reference(e):
+    try:
+        want = _ref_normalize(e)
+    except UnsupportedPlethysm as exc:
+        with pytest.raises(UnsupportedPlethysm) as err:
+            normalize(e)
+        assert str(err.value) == str(exc)
+        return
+    assert normalize(e) == want
+    assert hrr_chi(e) == cohomology_table(e).euler_characteristic()
+    assert serre_dual_check(e)

@@ -143,6 +143,42 @@ def test_refused_computation_is_three(tmp_path, capsys):
     assert "degree 9" in err
 
 
+# the small powers run the expansion the large ones skip, and give the same text
+@pytest.mark.parametrize("k", [3, 100000])
+def test_large_sym_of_a_line_bundle_is_immediate(capsys, k):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["cohomology", f"sym({k}, O(1)) on P^2"])
+    assert time.perf_counter() - start < 1.0
+    h0 = (k + 2) * (k + 1) // 2
+    assert (code, err) == (0, "")
+    assert out == (
+        f"P^2: sym({k}, O(1))\nh^0 = {h0}   from O({k}) x1 (dim {h0})\n"
+        f"h^1 = 0\nh^2 = 0\nchi = {h0}\n"
+    )
+
+
+@pytest.mark.parametrize("k", [5, 100000])
+def test_wedge_beyond_the_rank_is_immediate(capsys, k):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["cohomology", f"wedge({k}, 2*T) on P^2"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (
+        0, "warning: expression is the zero bundle (a wedge power exceeds the rank)\n"
+    )
+    assert out == f"P^2: wedge({k}, 2*T)\nh^0 = 0\nh^1 = 0\nh^2 = 0\nchi = 0\n"
+
+
+def test_large_power_of_a_sum_is_refused_before_it_starts(capsys):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["cohomology", "sym(3000, O(1) (+) O(2)) on P^2"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: sym^3000 of a sum of 2 summands needs 9009002 expansion steps;"
+        " the bound is 1000000\n"
+    )
+
+
 def test_bad_form_label_is_two(tmp_path, capsys):
     path = tmp_path / "bad.form"
     path.write_text("P^2 twist 2\nA_x: x0\n", encoding="utf-8")
@@ -392,13 +428,30 @@ def test_check_alias_matches_canonical_id(capsys):
 def test_every_check_id_and_alias_reaches_the_check_table(monkeypatch, capsys):
     assert tuple(CHECKS) == CHECK_IDS
     stubs = {
-        ident: ([], lambda args, ident=ident: TheoremReport(ident, {}, (), (), HOLD))
+        ident: ([], [], lambda args, ident=ident: TheoremReport(ident, {}, (), (), HOLD))
         for ident in CHECKS
     }
     monkeypatch.setattr("pnsheaf.cli.CHECKS", stubs)
     for name in CHECK_IDS + tuple(CHECK_ALIASES):
         code, payload = _run_json(capsys, ["check", name])
         assert (code, payload["theorem"]) == (0, CHECK_ALIASES.get(name, name))
+
+
+def test_check_refuses_flags_it_does_not_take(capsys):
+    code, out, err = _run(
+        capsys,
+        ["check", "thm-1-4", "--n", "3", "--r", "5", "--k", "2", "--degrees=-1", "--E", "T"],
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: check thm-1-4 does not take --k, --degrees, --E\n"
+    argv = ["check", "map", "--E", "T", "--G", "O(1)", "--n", "2", "--r", "3"]
+    code, _, err = _run(capsys, argv)
+    assert (code, err) == (2, "error: check thm-1-1 does not take --r\n")
+
+
+def test_map_check_takes_the_ambient_from_n(capsys):
+    code, _, err = _run(capsys, ["check", "thm-1-1", "--E", "T", "--G", "O(1)", "--n", "2"])
+    assert (code, err) == (0, "")
 
 
 def test_deep_codim1_check_does_not_recurse(capsys):
