@@ -423,7 +423,7 @@ def _graded_power(terms: Terms, n: int, k: int, is_wedge: bool) -> Terms:
     if len(terms) == 1 and terms[0][1] == 1:
         (lam, d), _ = terms[0]
         return single(lam, d, n, k)
-    if is_wedge and k > sum(mult * weyl_dim(lam, n) for (lam, _), mult in terms):
+    if is_wedge and k > _rank(terms, n):
         return ()
     copies = sum(mult for _, mult in terms)
     steps = copies * (k + 1) * (k + 2) // 2
@@ -452,7 +452,11 @@ def _graded_power(terms: Terms, n: int, k: int, is_wedge: bool) -> Terms:
 
 
 def rank(e: BundleExpr) -> int:
-    return normalize(e).rank
+    return _rank(_normalize_cached(e), e.ambient)
+
+
+def _rank(terms: Terms, n: int) -> int:
+    return sum(mult * weyl_dim(lam, n) for (lam, _), mult in terms)
 
 
 def det_bundle(e: BundleExpr) -> IrreducibleBundle:

@@ -10,18 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .bundles import (
-    BundleExpr,
-    dual,
-    o,
-    omega,
-    rank,
-    split_bundle,
-    sym,
-    tangent,
-    tensor,
-    wedge,
-)
+from .bundles import BundleExpr, dual, o, omega, split_bundle, tangent, tensor, wedge
 from .cohomology import cohomology_table
 from .complexes import ENCertificate, vanishing_certificate
 from .errors import InputError
@@ -46,7 +35,6 @@ class GroupDim:
     i: int
     p: int
     dim: int
-    expr: str = ""
 
 
 @dataclass(frozen=True)
@@ -82,6 +70,11 @@ class TheoremReport:
         return lines
 
 
+def _required_groups(cert: ENCertificate) -> tuple[GroupDim, ...]:
+    """H^i(M_(g+i)) for each required group of a certificate, as (i, i, dim)."""
+    return tuple(GroupDim(req.i, req.i, req.table.h(req.i)) for req in cert.required)
+
+
 def check_split_distribution(n: int, k: int, degrees) -> TheoremReport:
     """Uniqueness hypotheses for a codimension-k distribution with split
     tangent complement F = O(d_1) (+) ... (+) O(d_k) on P^n.
@@ -91,7 +84,11 @@ def check_split_distribution(n: int, k: int, degrees) -> TheoremReport:
       (2) every -d_j + k - n + 1 >= 1  (split case, one twist less)
     The group list is H^p(wedge^k T (x) Omega^i (x) Sym^(i-k) F) over the
     full index set k+1 <= i <= n, 1 <= p <= i-k; all of them vanish whenever
-    a condition holds, and the ones with p = i-k are the certificate inputs.
+    a condition holds.  These bundles are the terms of the Eagon-Northcott
+    certificate of Omega^1 -> F*: its term M_(k+j) = wedge^k T (x)
+    wedge^(k+j) Omega^1 (x) Sym^j F is the one at i = k + j, so every group
+    is read off the certificate's tables, and the ones with p = i-k are its
+    own required groups.
     """
     degrees = tuple(int(d) for d in degrees)
     if not 1 <= k <= n:
@@ -104,23 +101,18 @@ def check_split_distribution(n: int, k: int, degrees) -> TheoremReport:
         ConditionCheck("dual twisted by O(k-n) ample", cond1),
         ConditionCheck("split form: dual twisted by O(k-n+1) ample", cond2),
     )
-    F = split_bundle(degrees, n)
-    groups = []
-    all_zero = True
-    for i in range(k + 1, n + 1):
-        for p in range(1, i - k + 1):
-            expr = tensor(wedge(k, tangent(n)), omega(i, n), sym(i - k, F))
-            dim = cohomology_table(expr).h(p)
-            if dim:
-                all_zero = False
-            groups.append(GroupDim(i, p, dim))
-    cert = vanishing_certificate(omega(1, n), dual(F))
-    verdict = HOLD if (cond1 or cond2) and all_zero else FAIL
+    cert = vanishing_certificate(omega(1, n), dual(split_bundle(degrees, n)))
+    groups = tuple(
+        GroupDim(k + req.i, p, req.table.h(p))
+        for req in cert.required
+        for p in range(1, req.i + 1)
+    )
+    verdict = HOLD if (cond1 or cond2) and not any(g.dim for g in groups) else FAIL
     return TheoremReport(
         "thm-1-2",
         {"n": n, "k": k, "degrees": list(degrees)},
         conditions,
-        tuple(groups),
+        groups,
         verdict,
         (PURITY_NOTE,),
         cert,
@@ -132,28 +124,23 @@ def check_codim1_generic(n: int, r: int) -> TheoremReport:
     twisted normal sheaf is O(r) and whose singular scheme is zero-dimensional.
 
     Condition: r > n + 1.  Groups: H^i(Omega^1 (x) wedge^(i+1) T (x) O(-i*r))
-    for 1 <= i <= n-1; they vanish for every r > n + 1.
+    for 1 <= i <= n-1; they vanish for every r > n + 1.  These are the
+    required groups of the Eagon-Northcott certificate of T -> O(r), whose
+    term M_(1+i) = wedge^1 T* (x) wedge^(i+1) T (x) Sym^i O(-r) is that
+    bundle, so they are read off the certificate.
     """
     if n < 2:
         raise InputError(f"need n >= 2; got n={n}")
     cond = ConditionCheck("twist exceeds n + 1", r > n + 1)
-    groups = []
-    all_zero = True
-    for i in range(1, n):
-        expr = tensor(omega(1, n), wedge(i + 1, tangent(n)), o(-i * r, n))
-        dim = cohomology_table(expr).h(i)
-        if dim:
-            all_zero = False
-        groups.append(GroupDim(i, i, dim))
     cert = vanishing_certificate(tangent(n), o(r, n))
-    verdict = HOLD if cond.ok and all_zero else FAIL
+    verdict = HOLD if cond.ok and cert.verdict else FAIL
     notes = (
         PURITY_NOTE,
         "zero-dimensionality of the singular scheme is a separate input, "
         "certified by the polynomial layer when available",
     )
     return TheoremReport(
-        "thm-1-4", {"n": n, "r": r}, (cond,), tuple(groups), verdict, notes, cert
+        "thm-1-4", {"n": n, "r": r}, (cond,), _required_groups(cert), verdict, notes, cert
     )
 
 
@@ -176,8 +163,6 @@ def check_endomorphism_space(k: int, n: int) -> TheoremReport:
         (ConditionCheck("0 <= k <= n", True),),
         (GroupDim(k, 0, dim),),
         HOLD if dim == 1 else FAIL,
-        (),
-        None,
     )
 
 
@@ -185,8 +170,6 @@ def check_map_recovery(E: BundleExpr, G: BundleExpr) -> TheoremReport:
     """Generic-statement checker: wraps the vanishing certificate for a map
     E -> G of arbitrary supported bundles."""
     cert = vanishing_certificate(E, G)
-    groups = tuple(GroupDim(r.i, r.i, r.table.h(r.i)) for r in cert.required)
-    verdict = HOLD if cert.verdict else FAIL
     return TheoremReport(
         "thm-1-1",
         {
@@ -197,8 +180,8 @@ def check_map_recovery(E: BundleExpr, G: BundleExpr) -> TheoremReport:
             "g": cert.g,
         },
         (ConditionCheck("rank(E) >= rank(G)", cert.e >= cert.g),),
-        groups,
-        verdict,
+        _required_groups(cert),
+        HOLD if cert.verdict else FAIL,
         (PURITY_NOTE,),
         cert,
     )

@@ -19,8 +19,18 @@ from functools import lru_cache
 from operator import mul
 
 from .bundles import BundleExpr, normalize, rank
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, ScaleExceeded
 from .weights import binom
+
+# Chow-ring work is refused above this P^n, before it starts; todd_class(64) takes ~1 s.
+MAX_CHOW_AMBIENT = 64
+
+
+def _check_ambient(n: int) -> None:
+    if n > MAX_CHOW_AMBIENT:
+        raise ScaleExceeded(
+            f"Chow-ring arithmetic on P^{n} is refused; the bound is P^{MAX_CHOW_AMBIENT}"
+        )
 
 
 @dataclass(frozen=True)
@@ -192,6 +202,7 @@ def _ch_schur_q(lam: tuple[int, ...], n: int) -> _PowerSums:
 
 
 def _power_sums(e: BundleExpr) -> _PowerSums:
+    _check_ambient(e.ambient)
     dec = normalize(e)
     n = dec.ambient
     total = _PowerSums((0,) * (n + 1))
@@ -212,6 +223,7 @@ def chern_character(e: BundleExpr) -> ChowClass:
 @lru_cache(maxsize=None)
 def todd_class(n: int) -> ChowClass:
     """td(P^n) = (h / (1 - e^(-h)))^(n+1), exactly, truncated at degree n."""
+    _check_ambient(n)
     # h / (1 - e^{-h}) = 1 / sum_{i>=0} (-h)^i / (i+1)!
     denom = [Fraction((-1) ** i, math.factorial(i + 1)) for i in range(n + 1)]
     inv = _series_inverse(denom)

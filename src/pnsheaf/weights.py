@@ -81,10 +81,11 @@ def _weyl_dim_cached(entries: tuple[int, ...]) -> int:
     num = 1
     den = 1
     n_amb = len(entries)
-    for i in range(n_amb):
+    for i, a in enumerate(entries):
         for j in range(i + 1, n_amb):
-            num *= entries[i] - entries[j] + j - i
-            den *= j - i
+            if a != entries[j]:  # equal entries give the factor (j - i) / (j - i) = 1
+                num *= a - entries[j] + j - i
+                den *= j - i
     if num % den:
         raise InputError(f"Weyl formula produced a non-integer for {entries}")
     return num // den

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+import pnsheaf.checkers
+import pnsheaf.complexes
 from pnsheaf import (
     FAIL,
     HOLD,
@@ -13,10 +15,16 @@ from pnsheaf import (
     check_map_recovery,
     check_split_distribution,
     check_split_vanishing,
+    cohomology_table,
     direct_sum,
     endomorphism_space_dim,
     o,
     omega,
+    split_bundle,
+    sym,
+    tangent,
+    tensor,
+    wedge,
 )
 
 
@@ -155,6 +163,80 @@ def test_split_vanishing_same_computation_different_name():
     assert b.verdict == a.verdict == HOLD
     assert b.groups == a.groups
     assert b.conditions == a.conditions
+
+
+# ---------------------------------------------------------------------------
+# the thm-1-2 and thm-1-4 groups are the Eagon-Northcott certificate's terms
+#
+# The reference computes each theorem's groups from its own bundle
+# expression; the checkers read them off the certificate of the map.
+
+
+def _split_reference(n, k, degrees):
+    F = split_bundle(degrees, n)
+    return [
+        (i, p, cohomology_table(tensor(wedge(k, tangent(n)), omega(i, n), sym(i - k, F))).h(p))
+        for i in range(k + 1, n + 1)
+        for p in range(1, i - k + 1)
+    ]
+
+
+def _codim1_reference(n, r):
+    return [
+        (i, i, cohomology_table(tensor(omega(1, n), wedge(i + 1, tangent(n)), o(-i * r, n))).h(i))
+        for i in range(1, n)
+    ]
+
+
+def _groups(report):
+    return [(g.i, g.p, g.dim) for g in report.groups]
+
+
+def test_codim1_groups_equal_the_theorem_expressions():
+    for n in range(2, 7):
+        for r in range(-3, 13):
+            report = check_codim1_generic(n, r)
+            reference = _codim1_reference(n, r)
+            assert _groups(report) == reference, (n, r)
+            vanish = not any(dim for _, _, dim in reference)
+            assert report.verdict == (HOLD if r > n + 1 and vanish else FAIL)
+
+
+def test_split_groups_equal_the_theorem_expressions():
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            tuples = {(d,) * k for d in (-n - 2, k - n - 1, k - n, -1, 0, 2)}
+            tuples.add(tuple(range(-k, 0)))
+            tuples.add((1,) + (-n - 1,) * (k - 1))
+            for degrees in sorted(tuples):
+                report = check_split_distribution(n, k, degrees)
+                reference = _split_reference(n, k, degrees)
+                assert _groups(report) == reference, (n, k, degrees)
+                ample = all(-d + k - n + 1 >= 1 for d in degrees)
+                vanish = not any(dim for _, _, dim in reference)
+                assert report.verdict == (HOLD if ample and vanish else FAIL)
+
+
+@pytest.mark.parametrize(
+    "check, args, calls",
+    [
+        (check_codim1_generic, (5, 8), 5),
+        (check_split_distribution, (5, 2, (-3, -3)), 4),
+        (check_split_distribution, (6, 1, (-7,)), 6),
+    ],
+)
+def test_each_cohomology_table_is_computed_once(monkeypatch, check, args, calls):
+    # the certificate's required groups plus its endomorphism space
+    seen = []
+
+    def counting(e):
+        seen.append(e)
+        return cohomology_table(e)
+
+    monkeypatch.setattr(pnsheaf.checkers, "cohomology_table", counting)
+    monkeypatch.setattr(pnsheaf.complexes, "cohomology_table", counting)
+    check(*args)
+    assert len(seen) == calls
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from pnsheaf import (
     ChowClass,
     ConsistencyError,
     InputError,
+    ScaleExceeded,
     chern_character,
     chern_difference,
     chow_unit,
@@ -29,7 +31,7 @@ from pnsheaf import (
     total_chern,
 )
 from pnsheaf.bundles import normalize
-from pnsheaf.chow import _ch_schur_q, _chern_classes
+from pnsheaf.chow import MAX_CHOW_AMBIENT, _ch_schur_q, _chern_classes
 from pnsheaf.weights import binom, partitions_fitting
 
 from helpers import random_expression
@@ -231,6 +233,31 @@ def test_chi_matches_cohomology_alternating_sum():
         n = rng.randint(1, 4)
         e = random_expression(rng, n)
         assert hrr_chi(e) == cohomology_table(e).euler_characteristic()
+
+
+def test_chow_layer_runs_at_its_ambient_bound():
+    n = MAX_CHOW_AMBIENT
+    assert total_chern(o(1, n)).coeffs[:3] == _fr(1, 1, 0)
+    assert chern_character(tangent(n)).coeffs[:2] == _fr(n, n + 1)
+
+
+@pytest.mark.parametrize(
+    "compute",
+    [
+        lambda n: chern_character(o(1, n)),
+        lambda n: total_chern(tangent(n)),
+        lambda n: todd_class(n),
+        lambda n: hrr_chi(o(1, n)),
+        lambda n: chern_difference(tangent(n), o(1, n)),
+        lambda n: porteous_class(tangent(n), o(1, n)),
+    ],
+)
+def test_chow_layer_refuses_larger_ambients_before_it_starts(compute):
+    for n in (MAX_CHOW_AMBIENT + 1, 1200):
+        start = time.perf_counter()
+        with pytest.raises(ScaleExceeded, match=f"on P\\^{n} is refused"):
+            compute(n)
+        assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

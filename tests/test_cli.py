@@ -179,6 +179,33 @@ def test_large_power_of_a_sum_is_refused_before_it_starts(capsys):
     )
 
 
+def test_cohomology_on_a_large_ambient_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["cohomology", "O(1) on P^1200"])
+    assert time.perf_counter() - start < 2.0
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "h^0 = 1201   from O(1) x1 (dim 1201)"
+    assert out.splitlines()[-1] == "chi = 1201"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chern", "O(1) on P^1200"],
+        ["chi", "O(1) on P^1200"],
+        ["chi", "T on P^100"],
+        ["porteous", "T", "O(1)", "--n", "1200"],
+    ],
+)
+def test_chow_commands_refuse_large_ambients_before_they_start(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    n = argv[-1] if argv[-2] == "--n" else argv[1].rpartition("^")[2]
+    assert (code, out) == (3, "")
+    assert err == f"error: Chow-ring arithmetic on P^{n} is refused; the bound is P^64\n"
+
+
 def test_bad_form_label_is_two(tmp_path, capsys):
     path = tmp_path / "bad.form"
     path.write_text("P^2 twist 2\nA_x: x0\n", encoding="utf-8")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations_with_replacement
 
 import pytest
@@ -121,6 +122,15 @@ def test_weyl_dim_shift_invariance():
     # adding a constant to every entry multiplies by a determinant character
     assert weyl_dim((3, 2, 1), 3) == weyl_dim((2, 1, 0), 3)
     assert weyl_dim((0, -1, -2), 3) == weyl_dim((2, 1, 0), 3)
+
+
+def test_weyl_dim_on_a_large_ambient_is_fast():
+    # the pairs of equal entries contribute nothing and are skipped
+    start = time.perf_counter()
+    assert weyl_dim((1,) + (0,) * 1200, 1201) == 1201
+    assert weyl_dim((1, 1, 1) + (0,) * 298, 301) == binom(301, 3)
+    assert weyl_dim((2, 1) + (0,) * 599, 601) == 2 * binom(602, 3)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_weyl_dim_length_mismatch():
