@@ -8,6 +8,7 @@ reduction used by the cohomology engine.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -78,14 +79,27 @@ def _weyl_dim_cached(entries: tuple[int, ...]) -> int:
     for a, b in zip(entries, entries[1:]):
         if a < b:
             raise InputError(f"weight {entries} is not weakly decreasing")
-    num = 1
-    den = 1
-    n_amb = len(entries)
+    # Equal entries give the factor (j - i) / (j - i) = 1, so only pairs of
+    # runs of equal entries count.  Over two runs of lengths p <= q (in either
+    # order), with d = a - b, the differences x = j - i form p intervals of q
+    # consecutive integers, starting at lo, ..., lo + p - 1; over an interval
+    # u..u+q-1 the factors telescope to prod (d + x) / x =
+    # perm(u + q - 1 + d, k) / perm(u + k - 1, k), with k = min(d, q).
+    runs = []
     for i, a in enumerate(entries):
-        for j in range(i + 1, n_amb):
-            if a != entries[j]:  # equal entries give the factor (j - i) / (j - i) = 1
-                num *= a - entries[j] + j - i
-                den *= j - i
+        if i and a == entries[i - 1]:
+            runs[-1][2] += 1
+        else:
+            runs.append([a, i, 1])
+    num = den = 1
+    for r, (a, s, length) in enumerate(runs):
+        for b, t, m in runs[r + 1 :]:
+            d, lo = a - b, t - s - length + 1
+            p, q = (length, m) if length < m else (m, length)
+            k = d if d < q else q
+            for u in range(lo, lo + p):
+                num *= math.perm(u + q - 1 + d, k)
+                den *= math.perm(u + k - 1, k)
     if num % den:
         raise InputError(f"Weyl formula produced a non-integer for {entries}")
     return num // den
@@ -161,11 +175,11 @@ def dotted_weyl_reduce(w: tuple[int, ...] | Weight, rho: tuple[int, ...]):
     shifted = tuple(a + b for a, b in zip(entries, rho))
     if len(set(shifted)) < len(shifted):
         return Degenerate(shifted)
-    inversions = 0
-    for i in range(len(shifted)):
-        for j in range(i + 1, len(shifted)):
-            if shifted[i] < shifted[j]:
-                inversions += 1
+    # pairs i < j with shifted[i] < shifted[j], counted from the right
+    inversions, seen = 0, []
+    for x in reversed(shifted):
+        inversions += len(seen) - bisect_right(seen, x)
+        insort(seen, x)
     ordered = sorted(shifted, reverse=True)
     reduced = tuple(a - b for a, b in zip(ordered, rho))
     return inversions, Weight(reduced)

@@ -25,14 +25,15 @@ from pnsheaf import (
     o,
     omega,
     porteous_class,
+    sym,
     tangent,
     tensor,
     todd_class,
     total_chern,
 )
 from pnsheaf.bundles import normalize
-from pnsheaf.chow import MAX_CHOW_AMBIENT, _ch_schur_q, _chern_classes
-from pnsheaf.weights import binom, partitions_fitting
+from pnsheaf.chow import MAX_CHOW_AMBIENT, _ch_schur_q, _chern_classes, _skew_dims
+from pnsheaf.weights import binom, partitions_fitting, weyl_dim
 
 from helpers import random_expression
 
@@ -144,17 +145,28 @@ def test_schur_characters_match_fraction_reference():
     for n in range(1, 7):
         for lam in partitions_fitting(n, 3):
             expected = _ref_schur_q(lam, n)
-            p = _ch_schur_q(lam, n)
+            p = _ch_schur_q(lam, n, 0)
             assert tuple(Fraction(pk, math.factorial(k)) for k, pk in enumerate(p)) == expected.coeffs
             assert _chern_classes(p) == _ref_chern(expected), lam
+
+
+def test_skew_dimensions_match_weyl_dimensions():
+    # v_0 = s_lam(1^(n+1)) is a GL(n+1) dimension, and sum_j v_j = p_0 is the
+    # rank of S_lam(Q), a GL(n) dimension
+    for n in range(1, 13):
+        for lam in partitions_fitting(n, 3):
+            v = _skew_dims(lam, n)
+            assert len(v) == 1 + sum(1 for x in lam if x), lam
+            assert v[0] == weyl_dim(lam + (0,), n + 1), lam
+            assert sum(v) == weyl_dim(lam, n), lam
 
 
 def test_character_chern_and_chi_match_fraction_reference():
     seed = 848484
     print(f"reference seed {seed}")
     rng = random.Random(seed)
-    for _ in range(40):
-        n = rng.randint(1, 6)
+    for i in range(48):
+        n = rng.randint(1, 6) if i < 40 else 7 + i % 2
         e = random_expression(rng, n, depth=2)
         ch = _ref_character(e)
         assert chern_character(e).coeffs == ch.coeffs, e
@@ -211,6 +223,38 @@ def test_chern_difference_inverts_correctly():
 def test_todd_class_small_planes():
     assert todd_class(2).coeffs == _fr(1, Fraction(3, 2), 1)
     assert todd_class(3).coeffs == _fr(1, 2, Fraction(11, 6), 1)
+
+
+def _ref_todd(n: int) -> ChowClass:
+    """(h / (1 - e^(-h)))^(n+1) as n + 1 products of one inverted series."""
+    denom = [Fraction((-1) ** i, math.factorial(i + 1)) for i in range(n + 1)]
+    inv = [Fraction(1)]
+    for k in range(1, n + 1):
+        inv.append(-sum(denom[j] * inv[k - j] for j in range(1, k + 1)))
+    out = chow_unit(n)
+    for _ in range(n + 1):
+        out = out * ChowClass(n, tuple(inv))
+    return out
+
+
+def test_todd_class_matches_product_reference():
+    for n in range(1, 21):
+        assert todd_class(n).coeffs == _ref_todd(n).coeffs, n
+
+
+def test_large_characters_and_todd_classes_are_fast():
+    # a 15 x 16 skew Jacobi-Trudi solve, and Miller's recurrence at the bound
+    todd_class.cache_clear()
+    _skew_dims.cache_clear()
+    start = time.perf_counter()
+    c = total_chern(sym(20, omega(1, 16)))
+    assert time.perf_counter() - start < 1.0
+    # c_1(Sym^k E) = k rank(Sym^k E) c_1(E) / rank(E), and c_1(Omega^1) = -(n+1)
+    assert c.coeffs[1] == -binom(35, 15) * 20 * 17 // 16
+    start = time.perf_counter()
+    td = todd_class(MAX_CHOW_AMBIENT)
+    assert time.perf_counter() - start < 1.0
+    assert td.coeffs[MAX_CHOW_AMBIENT] == 1  # chi(O) = 1
 
 
 def test_chi_of_line_bundles_is_binomial():

@@ -125,11 +125,17 @@ def test_weyl_dim_shift_invariance():
 
 
 def test_weyl_dim_on_a_large_ambient_is_fast():
-    # the pairs of equal entries contribute nothing and are skipped
+    # the pairs of equal entries contribute nothing and are skipped, and a
+    # pair of runs of equal entries costs as many factors as its shorter run
     start = time.perf_counter()
     assert weyl_dim((1,) + (0,) * 1200, 1201) == 1201
     assert weyl_dim((1, 1, 1) + (0,) * 298, 301) == binom(301, 3)
     assert weyl_dim((2, 1) + (0,) * 599, 601) == 2 * binom(602, 3)
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    assert weyl_dim((1,) + (0,) * 20000, 20001) == 20001
+    assert weyl_dim((0,) * 20000 + (-1,), 20001) == 20001
+    assert weyl_dim((2, 1) + (0,) * 19999, 20001) == 2 * binom(20002, 3)
     assert time.perf_counter() - start < 1.0
 
 
