@@ -26,6 +26,11 @@ from .weights import binom
 # Chow-ring work is refused above this P^n, before it starts; at the bound,
 # todd_class(64) takes about 0.03 s (2 CPUs, Python 3.11).
 MAX_CHOW_AMBIENT = 64
+# A Chern character is refused before any skew Jacobi-Trudi solve when the
+# sum of l^3 over the distinct partitions of its summands, l their numbers of
+# nonzero parts, exceeds the cost of one solve of the largest size at the
+# ambient bound; that one solve takes 0.3-1.9 s on P^64 (2 CPUs, Python 3.11).
+MAX_SKEW_WORK = MAX_CHOW_AMBIENT**3
 
 
 def _check_ambient(n: int) -> None:
@@ -165,6 +170,13 @@ def _ch_schur_q(lam: tuple[int, ...], n: int, t: int) -> tuple[int, ...]:
 def _power_sums(e: BundleExpr) -> tuple[int, ...]:
     _check_ambient(e.ambient)
     dec = normalize(e)
+    lams = {b.lam for b, _ in dec.terms}
+    work = sum(sum(1 for x in lam if x) ** 3 for lam in lams)
+    if work > MAX_SKEW_WORK:
+        raise ScaleExceeded(
+            f"the Chern character of {len(lams)} distinct summands needs skew Jacobi-Trudi"
+            f" solves of work {work} (sum of cubed lengths); the bound is {MAX_SKEW_WORK}"
+        )
     total = [0] * (dec.ambient + 1)
     for b, mult in dec.terms:
         total = [a + mult * p for a, p in zip(total, _ch_schur_q(b.lam, dec.ambient, b.twist))]

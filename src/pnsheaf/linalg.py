@@ -1,7 +1,9 @@
 """Exact linear algebra on integer rows: RREF, kernels, span tests.
 
-Each input row of Fractions is cleared to a sparse primitive integer row
-({column: entry} with content 1).  Fraction-free forward elimination (in
+Each input row of Fractions is cleared to a sparse integer row
+({column: entry}); callers that build integer rows themselves hand them to
+``_kernel`` directly.  Every row is made primitive (content 1) before
+elimination.  Fraction-free forward elimination (in
 the spirit of Bareiss, Math. Comp. 1968) works on the rows not yet pivoted
 only; back substitution then clears each pivot column above its pivot, and
 Fractions come back only when the unique RREF is read off.  Rows of
@@ -29,10 +31,10 @@ def _check_width(rows, width: int | None = None) -> None:
 
 
 def _int_row(row) -> dict[int, int]:
-    """The primitive integer multiple of a row, sparse; {} for a zero row."""
+    """A row times the lcm of its denominators, sparse; {} for a zero row."""
     row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     den = lcm(*(x.denominator for x in row))
-    return _primitive({c: x.numerator * (den // x.denominator) for c, x in enumerate(row) if x})
+    return {c: x.numerator * (den // x.denominator) for c, x in enumerate(row) if x}
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -53,8 +55,9 @@ def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict
 
 
 def _echelon(rows) -> list[tuple[int, dict[int, int]]]:
-    """(pivot column, row) pairs of a row echelon form, pivot columns increasing."""
-    pending = [r for r in map(_int_row, rows) if r]
+    """(pivot column, row) pairs of a row echelon form of sparse integer rows,
+    pivot columns increasing."""
+    pending = [_primitive(r) for r in rows if r]
     echelon = []
     for col in range(max((max(r) for r in pending), default=-1) + 1):
         hits = [r for r in pending if col in r]
@@ -82,7 +85,7 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
     _check_width(rows)
     ncols = len(rows[0]) if rows else 0
-    reduced = _reduced(rows)
+    reduced = _reduced(map(_int_row, rows))
     out = []
     for col, row in reduced:
         dense = [_ZERO] * ncols
@@ -95,6 +98,12 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
 def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
     """Basis of the right kernel of the matrix (list of coefficient rows)."""
     _check_width(rows, ncols)
+    return _kernel(map(_int_row, rows), ncols)
+
+
+def _kernel(rows, ncols: int) -> list[tuple[Fraction, ...]]:
+    """Basis of the right kernel of sparse integer rows over ncols columns,
+    one vector per free column, with 1 there and 0 at the other free ones."""
     reduced = _reduced(rows)
     pivot_set = {col for col, _ in reduced}
     basis = []
@@ -112,14 +121,14 @@ def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction,
 
 def row_rank(rows: list[list[Fraction]]) -> int:
     _check_width(rows)
-    return len(_echelon(rows))
+    return len(_echelon(map(_int_row, rows)))
 
 
 def in_row_span(rows: list[list[Fraction]], vector: list[Fraction]) -> bool:
     """Is the vector a linear combination of the rows?"""
     _check_width(rows, len(vector))
     v = _int_row(vector)
-    for col, pivot_row in _echelon(rows):
+    for col, pivot_row in _echelon(map(_int_row, rows)):
         if col in v:
             v = _eliminate(v, pivot_row, col)
     return not v

@@ -14,17 +14,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .checkers import TheoremReport, check_codim1_generic
 from .errors import EulerViolation, InputError, ScaleExceeded
-from .linalg import in_row_span, kernel_basis
+from .linalg import _kernel, in_row_span, kernel_basis
 from .polyideal import (
     MAX_CHART_VARS,
     MAX_GENERATOR_DEGREE,
     IdealPresentation,
     Poly,
+    _divide,
+    _pack,
     _reducers,
-    _remainder,
     ideal_presentation,
     monomials_of_degree,
     parse_poly,
@@ -229,41 +231,34 @@ def vanishing_section_space(n: int, r: int, z) -> SectionSpace:
     if r < 1:
         return SectionSpace(n, r, 0, ())
     monos = monomials_of_degree(nvars, r - 1)
+    width = len(monos)
     index = {m: i for i, m in enumerate(monos)}
-    ncols = (n + 1) * len(monos)
-
-    def col(slot: int, mono: tuple[int, ...]) -> int:
-        return slot * len(monos) + index[mono]
-
-    rows: list[list[Fraction]] = []
+    # sparse integer rows {column: entry}; column slot * width + index[m]
+    # holds the coefficient of the monomial m in A_slot
+    rows: list[dict[int, int]] = []
     # Euler relation: coefficient of every degree-r monomial in sum x_i A_i
     for m in monomials_of_degree(nvars, r):
-        row = [Fraction(0)] * ncols
-        for i in range(nvars):
-            if m[i] >= 1:
-                lowered = m[:i] + (m[i] - 1,) + m[i + 1:]
-                row[col(i, lowered)] += 1
-        rows.append(row)
+        rows.append({
+            i * width + index[m[:i] + (m[i] - 1,) + m[i + 1:]]: 1 for i in range(nvars) if m[i]
+        })
     # chart-wise membership of every coefficient
     for chart in range(nvars):
         # the chart basis is converted to integer reducers once, not per monomial
         reducers = _reducers(ideal.charts[chart], n)
-        nf_cache: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-        for m in monos:
-            nf_cache[m] = _remainder(Poly(n, {m[:chart] + m[chart + 1:]: Fraction(1)}), reducers)
-        support = sorted({mu for nf in nf_cache.values() for mu in nf})
-        for slot in range(nvars):
-            for mu in support:
-                row = [Fraction(0)] * ncols
-                touched = False
-                for m in monos:
-                    c = nf_cache[m].get(mu)
-                    if c:
-                        row[col(slot, m)] += c
-                        touched = True
-                if touched:
-                    rows.append(row)
-    kernel = kernel_basis(rows, ncols)
+        # the pseudo-remainder (rem, s) of a monomial is s times its normal
+        # form; over the chart's common denominator every normal form is an
+        # integer vector
+        nfs = [_divide({_pack(m[:chart] + m[chart + 1:]): 1}, reducers, n) for m in monos]
+        den = lcm(*(s for _, s in nfs))
+        by_mu: dict[int, dict[int, int]] = {}
+        for m_idx, (rem, s) in enumerate(nfs):
+            for mu, c in rem.items():
+                by_mu.setdefault(mu, {})[m_idx] = c * (den // s)
+        # one row per slot and remainder monomial mu: the coefficient of mu
+        # in the normal form of A_slot
+        for shift in range(0, nvars * width, width):
+            rows.extend({shift + m_idx: c for m_idx, c in row.items()} for row in by_mu.values())
+    kernel = _kernel(rows, nvars * width)
     basis_forms = tuple(TwistedOneForm(n, r, _slot_polys(vec, nvars, monos)) for vec in kernel)
     return SectionSpace(n, r, len(kernel), basis_forms)
 

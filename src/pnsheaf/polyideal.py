@@ -5,7 +5,9 @@ Buchberger and multivariate division run underneath on primitive integer
 polynomials with packed monomials and a heap of pending terms, and go back
 to Fractions only at the boundary: the reduced basis is made monic when it
 is emitted, and ``normal_form`` divides out the scalar its pseudo-division
-carried.  Monomial order is degree-reverse-lexicographic with x0 > x1 > ... > x_n.
+carried.  Buchberger drops useless S-pairs by Gebauer and Moeller's
+criteria and reduces the pair of least lcm first.  Monomial order is
+degree-reverse-lexicographic with x0 > x1 > ... > x_n.
 Saturation-related questions are handled chart by chart: a homogeneous ideal
 is presented through the reduced Groebner bases of its dehomogenizations on
 every affine chart x_i = 1, and membership means reduction to zero on each
@@ -16,7 +18,6 @@ chart or generators of degree above 8.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -427,17 +428,12 @@ def _reducers(basis, nvars: int) -> list[tuple]:
     return [_reducer(_int_terms(g)[0], nvars) for g in basis if g]
 
 
-def _remainder(f: Poly, reducers) -> dict[tuple[int, ...], Fraction]:
-    """The terms of the remainder of f under division by the reducers."""
-    terms, den = _int_terms(f)
-    rem, scale = _divide(terms, reducers, f.nvars)
-    den *= scale
-    return {_unpack(k, f.nvars): Fraction(c, den) for k, c in rem.items()}
-
-
 def normal_form(f: Poly, basis) -> Poly:
     """Remainder of f under multivariate division by an ordered basis."""
-    return Poly(f.nvars, _remainder(f, _reducers(basis, f.nvars)))
+    terms, den = _int_terms(f)
+    rem, scale = _divide(terms, _reducers(basis, f.nvars), f.nvars)
+    den *= scale
+    return Poly(f.nvars, {_unpack(k, f.nvars): Fraction(c, den) for k, c in rem.items()})
 
 
 def s_polynomial(f: Poly, g: Poly) -> Poly:
@@ -463,26 +459,58 @@ def _guard(polys, nvars: int):
 def buchberger(gens) -> tuple[Poly, ...]:
     """Reduced Groebner basis (monic, mutually reduced, deterministic order).
 
-    The zero ideal returns the empty basis.  Pairs are taken first in, first
-    out, and a pair with coprime leading monomials is skipped.  Every
-    intermediate polynomial is a primitive integer polynomial; the basis is
-    made monic only when it is emitted.
+    The zero ideal returns the empty basis.  Each generator and each nonzero
+    remainder joins the basis through Gebauer and Moeller's update (J. Symb.
+    Comp. 6, 1988): a new pair goes when the lcm of another new pair divides
+    its own (chain criterion) or its leading monomials are coprime (product
+    criterion), and an old pair goes when the new leading monomial divides
+    its lcm and differs from the lcms the new element forms with the pair's
+    members.  The pair of least lcm is reduced first (normal strategy), and
+    every basis element stays a reducer.  Every intermediate polynomial is a
+    primitive integer polynomial; the basis is made monic when emitted.
     """
     gens = [g for g in gens if g]
     if not gens:
         return ()
     nvars = gens[0].nvars
     _guard(gens, nvars)
-    basis = [_reducer(_int_terms(g)[0], nvars) for g in gens]
-    expos = [_unpack(g[1], nvars) for g in basis]
-    pairs = deque((i, j) for i in range(len(basis)) for j in range(i + 1, len(basis)))
+    span, top = _BITS * nvars, _top_bits(nvars)
+    basis: list[tuple] = []
+    expos: list[tuple[int, ...]] = []
+    pairs: list[tuple[int, int, int]] = []  # heap of (packed lcm, i, j), i < j
+
+    def update(h: tuple) -> None:
+        h_expo, j = _unpack(h[1], nvars), len(basis)
+        # (packed lcm with h, leading monomials not coprime, i); on equal
+        # lcms a coprime pair sorts first, so it drops the others
+        news = sorted(
+            (_pack(tuple(map(max, e, h_expo))), any(map(min, e, h_expo)), i)
+            for i, e in enumerate(expos)
+        )
+        with_h = {i: key for key, _, i in news}
+        kept = [
+            (key, a, b) for key, a, b in pairs
+            if (_raw(key, span) - h[0]) & top or key in (with_h[a], with_h[b])
+        ]
+        # a divisor of an lcm never sorts later, so one pass applies the chain criterion
+        chain: list[int] = []
+        for key, shared, i in news:
+            raw = _raw(key, span)
+            if all((raw - r) & top for r in chain):
+                chain.append(raw)
+                if shared:
+                    kept.append((key, i, j))
+        heapify(kept)
+        pairs[:] = kept
+        basis.append(h)
+        expos.append(h_expo)
+
+    for g in gens:
+        update(_reducer(_int_terms(g)[0], nvars))
     while pairs:
-        i, j = pairs.popleft()
-        if not any(x and y for x, y in zip(expos[i], expos[j])):
-            continue  # coprime leading monomials reduce to zero
+        lcm_key, i, j = heappop(pairs)
         _, f_lm, f_lc, f_tail = basis[i]
         _, g_lm, g_lc, g_tail = basis[j]
-        lcm_key = _pack(tuple(map(max, expos[i], expos[j])))
         h = gcd(f_lc, g_lc)
         s_poly = {}
         for tail, shift, c in ((f_tail, lcm_key - f_lm, g_lc // h),
@@ -492,9 +520,7 @@ def buchberger(gens) -> tuple[Poly, ...]:
                 s_poly[k] = s_poly.get(k, 0) + c * v
         rem, _ = _divide(s_poly, basis, nvars)
         if rem:
-            basis.append(_reducer(rem, nvars))
-            expos.append(_unpack(basis[-1][1], nvars))
-            pairs.extend((t, len(basis) - 1) for t in range(len(basis) - 1))
+            update(_reducer(rem, nvars))
     return _reduce_basis(basis, nvars)
 
 

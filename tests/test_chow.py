@@ -304,6 +304,23 @@ def test_chow_layer_refuses_larger_ambients_before_it_starts(compute):
         assert time.perf_counter() - start < 1.0
 
 
+def test_chern_character_runs_one_largest_skew_solve():
+    # a single summand with 63 nonzero parts: work 63^3 = 250,047 <= 64^3
+    c = total_chern(sym(2, omega(1, MAX_CHOW_AMBIENT)))
+    assert c.coeffs[1] == -2 * 65 * (64 * 65 // 2) // 64
+
+
+@pytest.mark.parametrize("compute", [chern_character, total_chern, hrr_chi])
+def test_chern_character_refuses_large_skew_solves_before_they_start(compute, monkeypatch):
+    # 11 distinct summands with 63 nonzero parts each: work 2,750,517
+    monkeypatch.setattr("pnsheaf.chow._solve", lambda rows: pytest.fail("a solve started"))
+    n = MAX_CHOW_AMBIENT
+    start = time.perf_counter()
+    with pytest.raises(ScaleExceeded, match="work 2750517 .* the bound is 262144"):
+        compute(tensor(sym(20, omega(1, n)), sym(10, tangent(n))))
+    assert time.perf_counter() - start < 1.0
+
+
 # ---------------------------------------------------------------------------
 # degeneracy loci
 

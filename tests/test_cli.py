@@ -207,6 +207,17 @@ def test_chow_commands_refuse_large_ambients_before_they_start(capsys, argv):
     assert err == f"error: Chow-ring arithmetic on P^{n} is refused; the bound is P^64\n"
 
 
+def test_chern_refuses_large_skew_solves_before_they_start(capsys):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["chern", "sym(20, Omega^1) (x) sym(10, T) on P^64"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: the Chern character of 11 distinct summands needs skew Jacobi-Trudi"
+        " solves of work 2750517 (sum of cubed lengths); the bound is 262144\n"
+    )
+
+
 def test_bad_form_label_is_two(tmp_path, capsys):
     path = tmp_path / "bad.form"
     path.write_text("P^2 twist 2\nA_x: x0\n", encoding="utf-8")

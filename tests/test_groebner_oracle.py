@@ -37,6 +37,7 @@ def _forms():
     for seed in (1, 2, 3):
         yield random_pencil_form(2, 2, seed)
     yield random_pencil_form(2, 3, 7)
+    yield random_pencil_form(2, 4, 7)
     yield random_pencil_form(3, 2, 7)
     quadric = parse_poly("x0^2 + 2*x1*x2 - 3*x2^2", 3)
     yield log_form([parse_poly("x0", 3), parse_poly("x1 - x2", 3), quadric], [2, 2, -2])
@@ -45,7 +46,7 @@ def _forms():
 @pytest.mark.parametrize(
     "form",
     list(_forms()),
-    ids=["pencil-1", "pencil-2", "pencil-3", "pencil-2-3", "pencil-3-2", "log"],
+    ids=["pencil-1", "pencil-2", "pencil-3", "pencil-2-3", "pencil-2-4", "pencil-3-2", "log"],
 )
 def test_chart_bases_match_sympy(form):
     ideal = singular_scheme(form).ideal
