@@ -7,24 +7,29 @@ lam is a weakly decreasing nonnegative weight of length n with last entry 0
 integer.  The normal form is what the cohomology and Chow modules consume.
 
 Inside this module a normal form is a count map {(lam, twist): multiplicity}
-of plain tuples and ints.  Tensor products, sums, duals and the wedge/sym
-expansion all work on count maps; _normalize_cached keeps one per expression
-node, frozen into an immutable tuple of ((lam, twist), multiplicity) pairs.
-The public Decomposition, whose IrreducibleBundle summands are validated, is
-built once per normalize call, by _freeze.
+of plain tuples and ints.  Tensor products, sums, duals and wedge/sym powers
+(m copies of a summand at once, by the Cauchy identities) all work on count
+maps; _normalize_cached keeps one per expression node, frozen into an
+immutable tuple of ((lam, twist), multiplicity) pairs.  The public
+Decomposition, whose IrreducibleBundle summands are validated, is built once
+per normalize call, by _freeze.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError, ScaleExceeded, UnsupportedPlethysm
-from .weights import lr_product, weyl_dim
+from .weights import conjugate, lr_product, partitions, weyl_dim
 
-# A wedge/sym power of a sum is refused when its expansion would take more
-# than this many tensor steps: (k+1)(k+2)/2 for each copy of a summand.
+# A wedge/sym power is refused when its expansion would take more than this
+# many steps (tensor steps and partitions; see _graded_power).
 MAX_POWER_STEPS = 10**6
+
+# Expressions on P^n with n above this are refused before any weight is built.
+MAX_AMBIENT = 10**5
 
 # A normal form as the engine keeps it: ((lam, twist), multiplicity) pairs,
 # ascending by (lam, twist), every multiplicity positive.
@@ -44,6 +49,17 @@ class BundleExpr:
     def __post_init__(self):
         if self.ambient < 1:
             raise InputError(f"ambient projective space P^{self.ambient} is not supported")
+        if self.ambient > MAX_AMBIENT:
+            raise ScaleExceeded(
+                f"bundle expressions on P^{self.ambient} are refused; the bound is P^{MAX_AMBIENT}"
+            )
+
+    def _check_children(self, *children: "BundleExpr"):
+        for c in children:
+            if c.ambient != self.ambient:
+                raise InputError(
+                    f"mixed ambients: P^{self.ambient} vs P^{c.ambient} in one expression"
+                )
 
 
 @dataclass(frozen=True)
@@ -76,7 +92,7 @@ class Dual(BundleExpr):
 
     def __post_init__(self):
         BundleExpr.__post_init__(self)
-        _check_same_ambient(self, self.child)
+        self._check_children(self.child)
 
 
 @dataclass(frozen=True)
@@ -86,7 +102,7 @@ class Tensor(BundleExpr):
 
     def __post_init__(self):
         BundleExpr.__post_init__(self)
-        _check_same_ambient(self, self.left, self.right)
+        self._check_children(self.left, self.right)
 
 
 @dataclass(frozen=True)
@@ -102,39 +118,31 @@ class DirectSum(BundleExpr):
             raise InputError("direct sum children and multiplicities differ in length")
         if any(m < 1 for m in self.multiplicities):
             raise InputError("direct sum multiplicities must be positive")
-        _check_same_ambient(self, *self.children)
+        self._check_children(*self.children)
 
 
 @dataclass(frozen=True)
-class Wedge(BundleExpr):
+class _Power(BundleExpr):
+    """Wedge or Sym: the power-th exterior or symmetric power of child."""
+
     power: int
     child: BundleExpr
 
     def __post_init__(self):
         BundleExpr.__post_init__(self)
         if self.power < 0:
-            raise InputError("wedge power must be nonnegative")
-        _check_same_ambient(self, self.child)
+            raise InputError(f"{type(self).__name__.lower()} power must be nonnegative")
+        self._check_children(self.child)
 
 
 @dataclass(frozen=True)
-class Sym(BundleExpr):
-    power: int
-    child: BundleExpr
-
-    def __post_init__(self):
-        BundleExpr.__post_init__(self)
-        if self.power < 0:
-            raise InputError("sym power must be nonnegative")
-        _check_same_ambient(self, self.child)
+class Wedge(_Power):
+    pass
 
 
-def _check_same_ambient(parent: BundleExpr, *children: BundleExpr):
-    for c in children:
-        if c.ambient != parent.ambient:
-            raise InputError(
-                f"mixed ambients: P^{parent.ambient} vs P^{c.ambient} in one expression"
-            )
+@dataclass(frozen=True)
+class Sym(_Power):
+    pass
 
 
 # convenience constructors ---------------------------------------------------
@@ -326,7 +334,7 @@ def _normalize_cached(e: BundleExpr) -> Terms:
         return _terms(acc)
     if isinstance(e, Tensor):
         return _terms(_tensor_into({}, _normalize_cached(e.left), _normalize_cached(e.right)))
-    if isinstance(e, (Wedge, Sym)):
+    if isinstance(e, _Power):
         return _graded_power(_normalize_cached(e.child), n, e.power, isinstance(e, Wedge))
     raise InputError(f"unknown expression node {type(e).__name__}")
 
@@ -359,92 +367,92 @@ def _tensor_into(acc: dict, a: Terms, b: Terms) -> dict:
     return acc
 
 
-# wedge/sym of a single irreducible summand ----------------------------------
+# wedge/sym powers -------------------------------------------------------------
 #
 # Supported summand shapes (lam up to the det-twist normalization):
 #   * (0,...,0)        -- line bundles
 #   * (1,0,...,0)      -- twists of Q (covers T)
 #   * (1,...,1,0)      -- twists of Q* (covers Omega^1)
 # Everything else would be a genuine plethysm and is out of scope; the shape
-# is checked before either function is called.
+# is checked before any expansion.
 
 
-def _is_supported(lam: tuple[int, ...]) -> bool:
+def _copies_power(lam: tuple[int, ...], d: int, m: int, j: int, is_wedge: bool) -> Terms:
+    """wedge^j or sym^j of m copies of a supported summand V = S_lam(Q) (x) O(d), unsorted.
+
+    By the Cauchy identities (Macdonald, Symmetric Functions, I.4),
+    Sym^j(V (x) C^m) = sum_mu S_mu V (x) S_mu C^m and wedge^j(V (x) C^m) =
+    sum_mu S_mu V (x) S_mu' C^m over the partitions mu of j.  V of rank 1
+    takes only mu = (j); S_mu(Q(d)) = S_mu Q (x) O(jd), and S_mu(Q*(d+1)),
+    lam = (1,...,1,0), is the dual of S_mu(Q(-d-1)).
+    """
     n = len(lam)
-    return not lam[0] or lam in ((1,) + (0,) * (n - 1), (1,) * (n - 1) + (0,))
-
-
-def _wedge_single(lam: tuple[int, ...], d: int, n: int, j: int) -> Terms:
-    if j == 0:
-        return _line(n, 0)
-    if j == 1:
-        return (((lam, d), 1),)
-    if not lam[0] or j > n:
-        return ()
-    if lam == (1,) + (0,) * (n - 1):
-        return ((_canon_summand((1,) * j + (0,) * (n - j), j * d), 1),)
-    # S_lam(Q) = Q*(1), so wedge powers dualize the standard ones
-    return ((_canon_summand((1,) * (n - j) + (0,) * j, j * d + j - 1), 1),)
-
-
-def _sym_single(lam: tuple[int, ...], d: int, n: int, j: int) -> Terms:
-    if j == 0:
-        return _line(n, 0)
-    if j == 1:
-        return (((lam, d), 1),)
     if not lam[0]:
-        return _line(n, j * d)
-    if lam == (1,) + (0,) * (n - 1):
-        return ((_canon_summand((j,) + (0,) * (n - 1), j * d), 1),)
-    # Sym^j(Q*(c)) = (Sym^j Q)*(jc), and the dual reverses the weight
-    return ((_canon_summand((j,) * (n - 1) + (0,), j * d), 1),)
+        mult = math.comb(m, j) if is_wedge else math.comb(m + j - 1, j)
+        return (((lam, j * d), mult),) if mult else ()
+    if m == 1:  # one copy: the only partition is (j) for sym, (1^j) for wedge
+        nus = [(j,)] if j <= n or not is_wedge else []
+    else:  # the GL(m) weights nu: mu for sym, mu' (at most n columns) for wedge
+        nus = partitions(j, min(m, j), n) if is_wedge else partitions(j, min(n, m, j), j)
+    acc: dict = {}
+    for nu in nus:
+        mu = conjugate(nu, n) if is_wedge else nu + (0,) * (n - len(nu))
+        key = _canon_summand(*_dual_summand(mu, -(d + 1) * j) if lam[1] else (mu, j * d))
+        acc[key] = acc.get(key, 0) + (weyl_dim(nu + (0,) * (m - len(nu)), m) if m > 1 else 1)
+    return tuple(acc.items())
 
 
 def _graded_power(terms: Terms, n: int, k: int, is_wedge: bool) -> Terms:
-    """wedge^k or sym^k of a normal form via the binomial expansion.
+    """wedge^k or sym^k of a normal form.
 
-    wedge^k(A + B) = sum_{i+j=k} wedge^i A (x) wedge^j B, and likewise for
-    sym; a summand of multiplicity m counts as m copies.  A single summand,
-    or a wedge power above the rank, needs no expansion.  Otherwise the
-    expansion is a loop over the copies, so a large multiplicity cannot
-    exhaust the stack, and it is refused before it starts when it would take
-    more than MAX_POWER_STEPS tensor steps.
+    The m copies of one summand expand at once (_copies_power); distinct
+    summands combine by wedge^k(A + B) = sum_{i+j=k} wedge^i A (x) wedge^j B,
+    and likewise for sym.  A wedge power above the rank is zero.  Refused
+    before it starts above MAX_POWER_STEPS steps: D (k+1)(k+2)/2 tensor steps
+    for D > 1 distinct summands, plus, per summand of multiplicity m > 1 that
+    is not a line bundle, a bound on its partitions into r = min(n, m, k)
+    parts: C(k+r-1, r-1) of degree k if D = 1, C(k+r, r) of degree <= k else.
     """
-    name, single = ("wedge", _wedge_single) if is_wedge else ("sym", _sym_single)
-    if k == 0:
-        return _line(n, 0)
-    if k >= 2:
-        for (lam, d), _ in terms:
-            if not _is_supported(lam):
-                raise UnsupportedPlethysm(
-                    f"{name}(2, {IrreducibleBundle(n, lam, d)}) is outside the"
-                    " supported summand classes"
-                )
-    if len(terms) == 1 and terms[0][1] == 1:
-        (lam, d), _ = terms[0]
-        return single(lam, d, n, k)
-    if is_wedge and k > _rank(terms, n):
+    name = "wedge" if is_wedge else "sym"
+    if k < 2:
+        return _line(n, 0) if k == 0 else terms
+    for (lam, d), _ in terms:
+        if lam[0] and lam not in ((1,) + (0,) * (n - 1), (1,) * (n - 1) + (0,)):
+            raise UnsupportedPlethysm(
+                f"{name}(2, {IrreducibleBundle(n, lam, d)}) is outside the"
+                " supported summand classes"
+            )
+    # every summand is now a line bundle (rank 1) or a twist of Q or Q* (rank n)
+    if is_wedge and k > sum(m * (n if lam[0] else 1) for (lam, _), m in terms):
         return ()
-    copies = sum(mult for _, mult in terms)
-    steps = copies * (k + 1) * (k + 2) // 2
+    distinct = len(terms)
+    steps = distinct * (k + 1) * (k + 2) // 2 if distinct > 1 else 0
+    for (lam, _), m in terms:
+        if lam[0] and m > 1:
+            # partitions of k, or of every degree up to k, into at most r parts
+            r = min(n, m, k)
+            steps += math.comb(k + r, r) if distinct > 1 else math.comb(k + r - 1, r - 1)
     if steps > MAX_POWER_STEPS:
         raise ScaleExceeded(
-            f"{name}^{k} of a sum of {copies} summands needs {steps} expansion"
-            f" steps; the bound is {MAX_POWER_STEPS}"
+            f"{name}^{k} of a sum of {sum(m for _, m in terms)} summands needs {steps}"
+            f" expansion steps; the bound is {MAX_POWER_STEPS}"
         )
-    # tail[j] is the degree-j power of the copies expanded so far
+    if len(terms) == 1:
+        (lam, d), m = terms[0]
+        return tuple(sorted(_copies_power(lam, d, m, k, is_wedge)))
+    # tail[j] is the degree-j power of the summands expanded so far; after
+    # the last summand only degree k is needed
     tail: list[Terms] = [_line(n, 0)] + [()] * k
-    for (lam, d), mult in terms:
-        firsts = [single(lam, d, n, a) for a in range(k + 1)]
-        for _ in range(mult):
-            powers = []
-            for j in range(k + 1):
-                acc: dict = {}
-                for a in range(j + 1):
-                    _tensor_into(acc, firsts[a], tail[j - a])
-                powers.append(tuple(acc.items()))
-            tail = powers
-    return tuple(sorted(tail[k]))
+    for i, ((lam, d), m) in enumerate(terms):
+        firsts = [_copies_power(lam, d, m, a, is_wedge) for a in range(k + 1)]
+        powers = []
+        for j in (k,) if i == distinct - 1 else range(k + 1):
+            acc: dict = {}
+            for a in range(j + 1):
+                _tensor_into(acc, firsts[a], tail[j - a])
+            powers.append(tuple(acc.items()))
+        tail = powers
+    return tuple(sorted(tail[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +460,7 @@ def _graded_power(terms: Terms, n: int, k: int, is_wedge: bool) -> Terms:
 
 
 def rank(e: BundleExpr) -> int:
-    return _rank(_normalize_cached(e), e.ambient)
-
-
-def _rank(terms: Terms, n: int) -> int:
-    return sum(mult * weyl_dim(lam, n) for (lam, _), mult in terms)
+    return sum(mult * weyl_dim(lam, e.ambient) for (lam, _), mult in _normalize_cached(e))
 
 
 def det_bundle(e: BundleExpr) -> IrreducibleBundle:

@@ -14,13 +14,13 @@ from functools import lru_cache
 
 from .bundles import (
     BundleExpr,
-    Decomposition,
     IrreducibleBundle,
     dual,
     normalize,
     o,
     omega,
     tensor,
+    twist,
 )
 from .errors import InputError
 from .weights import Degenerate, Weight, binom, dotted_weyl_reduce, rho_weight, weyl_dim
@@ -72,23 +72,18 @@ def bwb_cohomology(b: IrreducibleBundle) -> BWBGroup | None:
     return BWBGroup(inversions, reduced, weyl_dim(reduced, n + 1))
 
 
-def cohomology_of_decomposition(dec: Decomposition, expr: BundleExpr | None = None) -> CohomologyTable:
-    n = dec.ambient
-    dims = [0] * (n + 1)
-    contributions = []
-    for b, mult in dec.terms:
-        g = bwb_cohomology(b)
-        if g is None:
-            continue
-        dims[g.degree] += mult * g.dim
-        contributions.append(Contribution(g.degree, b, mult, g.dim))
-    contributions.sort(key=lambda c: (c.degree, c.summand.lam, c.summand.twist))
-    return CohomologyTable(n, tuple(dims), expr, tuple(contributions))
-
-
 def cohomology_table(e: BundleExpr) -> CohomologyTable:
     """Full table (h^0, ..., h^n) of a normalizable expression."""
-    return cohomology_of_decomposition(normalize(e), e)
+    n = e.ambient
+    dims = [0] * (n + 1)
+    contributions = []
+    for b, mult in normalize(e).terms:
+        g = bwb_cohomology(b)
+        if g is not None:
+            dims[g.degree] += mult * g.dim
+            contributions.append(Contribution(g.degree, b, mult, g.dim))
+    contributions.sort(key=lambda c: (c.degree, c.summand.lam, c.summand.twist))
+    return CohomologyTable(n, tuple(dims), e, tuple(contributions))
 
 
 def bott_closed_form(k: int, s: int, n: int) -> CohomologyTable:
@@ -108,9 +103,7 @@ def bott_closed_form(k: int, s: int, n: int) -> CohomologyTable:
         dims[k] = 1
     elif s < k - n:
         dims[n] = binom(-s + k, -s) * binom(-s - 1, n - k)
-    expr = omega(k, n) if s == 0 else tensor(omega(k, n), o(s, n))
-    if k == 0:
-        expr = o(s, n)
+    expr = o(s, n) if k == 0 else twist(omega(k, n), s)
     return CohomologyTable(n, tuple(dims), expr)
 
 

@@ -32,6 +32,11 @@ from .polyideal import (
     parse_poly,
     projective_dimension,
 )
+from .weights import binom
+
+# Linear systems with more unknowns are refused before any monomial list is
+# built; the largest in the examples has 224 (the (3,3) pencil on P^3).
+MAX_UNKNOWNS = 500
 
 SATURATION_NOTE = (
     "vanishing on the singular scheme is tested as ideal membership on every "
@@ -78,9 +83,6 @@ class SingularScheme:
 
     def is_zero_dimensional(self) -> bool:
         return self.dimension == 0
-
-    def is_empty(self) -> bool:
-        return self.dimension == -1
 
 
 @dataclass(frozen=True)
@@ -200,6 +202,15 @@ def random_pencil_form(n: int, d: int, seed: int) -> TwistedOneForm:
 # singular scheme and section spaces
 
 
+def _guard_unknowns(n: int, degree: int) -> None:
+    """Refuse n+1 unknown polynomials of this degree on P^n above MAX_UNKNOWNS coefficients."""
+    if (unknowns := (n + 1) * binom(n + degree, n)) > MAX_UNKNOWNS:
+        raise ScaleExceeded(
+            f"{n + 1} polynomials of degree {degree} on P^{n} have {unknowns} unknown"
+            f" coefficients; the bound is {MAX_UNKNOWNS}"
+        )
+
+
 def _slot_polys(vec, nvars: int, monos) -> tuple[Poly, ...]:
     """Split a flat vector, slot-major over monos, into one Poly per slot."""
     width = len(monos)
@@ -230,6 +241,7 @@ def vanishing_section_space(n: int, r: int, z) -> SectionSpace:
         raise InputError("subscheme lives in a different projective space")
     if r < 1:
         return SectionSpace(n, r, 0, ())
+    _guard_unknowns(n, r - 1)
     monos = monomials_of_degree(nvars, r - 1)
     width = len(monos)
     index = {m: i for i, m in enumerate(monos)}
@@ -289,6 +301,7 @@ def annihilator_distribution(w: TwistedOneForm, bound: int) -> list[AnnihilatorS
     """
     if bound < 0:
         raise InputError("bound must be nonnegative")
+    _guard_unknowns(w.ambient, bound)
     nvars = w.ambient + 1
     slices = []
     for t in range(bound + 1):
@@ -316,6 +329,7 @@ def uniqueness_report(w: TwistedOneForm) -> UniquenessReport:
     Computes the exact space of twist-r forms vanishing on Sing(w) and
     reports unique-up-to-scalar exactly when that space is a line.
     """
+    _guard_unknowns(w.ambient, w.twist - 1)
     scheme = singular_scheme(w)
     sections = vanishing_section_space(w.ambient, w.twist, scheme)
     verdict = "unique-up-to-scalar" if sections.dim == 1 else "not-determined"

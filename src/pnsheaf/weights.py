@@ -56,12 +56,6 @@ class LRExpansion:
 
     terms: tuple[tuple[Weight, int], ...]
 
-    def multiplicity(self, w: Weight) -> int:
-        for term, mult in self.terms:
-            if term == w:
-                return mult
-        return 0
-
 
 def weyl_dim(mu: Weight | tuple[int, ...], n_amb: int) -> int:
     """Dimension of the irreducible GL(n_amb) module of highest weight mu.
@@ -190,18 +184,28 @@ def rho_weight(n_amb: int) -> tuple[int, ...]:
     return tuple(range(n_amb - 1, -1, -1))
 
 
-def partitions_fitting(length: int, bound: int):
-    """All weakly decreasing tuples of the given length with entries in [0, bound]."""
-
-    def go(pos: int, top: int):
-        if pos == length:
-            yield ()
-            return
-        for v in range(top, -1, -1):
-            for rest in go(pos + 1, v):
+def partitions(size: int, rows: int, cols: int):
+    """The partitions of size in a rows x cols box, as weakly decreasing tuples
+    of length rows; the recursion runs along the shorter side of the box."""
+    if rows > cols:
+        yield from (conjugate(mu, rows) for mu in partitions(size, cols, rows))
+    elif size <= 0 or not rows:
+        if not size:
+            yield (0,) * rows
+    else:
+        # the other parts are at most v, so v >= ceil(size / rows)
+        for v in range(min(size, cols), -(-size // rows) - 1, -1):
+            for rest in partitions(size - v, rows - 1, v):
                 yield (v,) + rest
 
-    yield from go(0, bound)
+
+def conjugate(mu: tuple[int, ...], length: int) -> tuple[int, ...]:
+    """The transposed partition of mu, padded with zeros to the given length."""
+    nu: tuple[int, ...] = ()
+    for rows in range(len(mu), 0, -1):
+        # mu_rows - mu_(rows+1) columns are exactly rows tall
+        nu += (rows,) * (mu[rows - 1] - (mu[rows] if rows < len(mu) else 0))
+    return nu + (0,) * (length - len(nu))
 
 
 def binom(a: int, b: int) -> int:

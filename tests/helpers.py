@@ -17,6 +17,7 @@ from pnsheaf import (
     twist,
     wedge,
 )
+from pnsheaf.weights import partitions
 
 
 def random_expression(rng: random.Random, n: int, depth: int = 3) -> BundleExpr:
@@ -69,3 +70,8 @@ def _power_base(rng: random.Random, n: int) -> BundleExpr:
         return omega(1, n)
     base = tangent(n) if rng.random() < 0.5 else omega(1, n)
     return twist(base, rng.randint(-3, 3))
+
+
+def weights_in_box(length: int, bound: int) -> list[tuple[int, ...]]:
+    """Every weakly decreasing tuple of the given length with entries in [0, bound]."""
+    return [mu for size in range(length * bound + 1) for mu in partitions(size, length, bound)]

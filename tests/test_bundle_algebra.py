@@ -21,6 +21,7 @@ from pnsheaf import (
     Tangent,
     Tensor,
     UnsupportedPlethysm,
+    ScaleExceeded,
     Wedge,
     cohomology_table,
     det_bundle,
@@ -248,6 +249,12 @@ def test_mixed_ambient_is_rejected():
         direct_sum(tangent(2), tangent(3))
 
 
+def test_huge_ambient_is_refused_before_any_weight_is_built():
+    with pytest.raises(ScaleExceeded, match=r"on P\^100001 are refused; the bound is P\^100000"):
+        o(1, 100001)
+    assert rank(o(1, 100000)) == 1
+
+
 def test_cotangent_power_out_of_range():
     with pytest.raises(InputError):
         omega(4, 3)
@@ -443,3 +450,51 @@ def test_normal_form_matches_the_per_copy_reference(e):
     assert normalize(e) == want
     assert hrr_chi(e) == cohomology_table(e).euler_characteristic()
     assert serre_dual_check(e)
+
+
+def _repeated_power_cases():
+    """wedge^k and sym^k of m*X, alone and next to a second distinct summand."""
+    for n in range(1, 5):
+        xs = (tangent(n), omega(1, n), o(1, n), o(-2, n))
+        seconds = (None, o(3, n), twist(tangent(n), -1))
+        for x in xs:
+            for second in seconds:
+                for m in range(1, 5):
+                    children, mults = (x,) if second is None else (x, second), (m, 1)
+                    base = DirectSum(n, children, mults[: len(children)])
+                    for k in range(7):
+                        yield wedge(k, base)
+                        yield sym(k, base)
+
+
+def test_repeated_summand_powers_match_the_per_copy_reference():
+    cases = list(_repeated_power_cases())
+    assert len(cases) == 2688
+    for e in cases:
+        assert normalize(e).terms == _ref_normalize(e).terms, e
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.builds(
+            lambda power, k, children, mults: power(
+                k, DirectSum(n, tuple(children), tuple(mults[: len(children)]))
+            ),
+            st.sampled_from((wedge, sym)),
+            st.integers(0, 6),
+            st.lists(
+                st.one_of(
+                    st.builds(o, st.integers(-4, 4), st.just(n)),
+                    st.just(tangent(n)),
+                    st.just(omega(1, n)),
+                ),
+                min_size=1,
+                max_size=2,
+            ),
+            st.lists(st.integers(1, 4), min_size=2, max_size=2),
+        )
+    )
+)
+def test_powers_of_repeated_summands_match_the_per_copy_reference(e):
+    assert normalize(e).terms == _ref_normalize(e).terms

@@ -33,9 +33,9 @@ from pnsheaf import (
 )
 from pnsheaf.bundles import normalize
 from pnsheaf.chow import MAX_CHOW_AMBIENT, _ch_schur_q, _chern_classes, _skew_dims
-from pnsheaf.weights import binom, partitions_fitting, weyl_dim
+from pnsheaf.weights import binom, weyl_dim
 
-from helpers import random_expression
+from helpers import random_expression, weights_in_box
 
 
 def _fr(*values) -> tuple[Fraction, ...]:
@@ -143,7 +143,7 @@ def _ref_chern(ch: ChowClass) -> tuple[Fraction, ...]:
 
 def test_schur_characters_match_fraction_reference():
     for n in range(1, 7):
-        for lam in partitions_fitting(n, 3):
+        for lam in weights_in_box(n, 3):
             expected = _ref_schur_q(lam, n)
             p = _ch_schur_q(lam, n, 0)
             assert tuple(Fraction(pk, math.factorial(k)) for k, pk in enumerate(p)) == expected.coeffs
@@ -154,7 +154,7 @@ def test_skew_dimensions_match_weyl_dimensions():
     # v_0 = s_lam(1^(n+1)) is a GL(n+1) dimension, and sum_j v_j = p_0 is the
     # rank of S_lam(Q), a GL(n) dimension
     for n in range(1, 13):
-        for lam in partitions_fitting(n, 3):
+        for lam in weights_in_box(n, 3):
             v = _skew_dims(lam, n)
             assert len(v) == 1 + sum(1 for x in lam if x), lam
             assert v[0] == weyl_dim(lam + (0,), n + 1), lam

@@ -179,6 +179,34 @@ def test_large_power_of_a_sum_is_refused_before_it_starts(capsys):
     )
 
 
+def test_sym_of_a_repeated_summand_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["cohomology", "sym(300, 2*T) on P^2"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "chi = 436497132386"
+
+
+def test_large_power_of_a_repeated_summand_is_refused_before_it_starts(capsys):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["cohomology", "sym(3000, 9*T) on P^9"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: sym^3000 of a sum of 9 summands needs 164685792114786377267976"
+        " expansion steps; the bound is 1000000\n"
+    )
+
+
+@pytest.mark.parametrize("n", ["100001", "99999999999"])
+def test_cohomology_refuses_a_huge_ambient_before_it_starts(capsys, n):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["cohomology", f"O(1) on P^{n}"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == f"error: bundle expressions on P^{n} are refused; the bound is P^100000\n"
+
+
 def test_cohomology_on_a_large_ambient_is_fast(capsys):
     for n in (1200, 20000):
         start = time.perf_counter()
@@ -590,6 +618,27 @@ def test_pfaff_sections_match_unconstrained_count(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # sweeps
+
+
+@pytest.mark.parametrize(
+    "flags, degree, unknowns",
+    [(["sections", "--twist", "100"], 99, 15150), (["annihilator", "--bound", "60"], 60, 5673)],
+)
+def test_pfaff_refuses_large_linear_systems_before_they_start(tmp_path, capsys, flags, degree, unknowns):
+    path = tmp_path / "golden.form"
+    path.write_text(
+        "P^2 twist 4\nA_0: -2*x0*x1^2 + x0^2*x2 + x1*x2^2\n"
+        "A_1: 2*x0^2*x1 - x1^2*x2 - x0*x2^2\nA_2: -x0^3 + x1^3\n",
+        encoding="utf-8",
+    )
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["pfaff", *flags, "--file", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: 3 polynomials of degree {degree} on P^2 have {unknowns} unknown"
+        " coefficients; the bound is 500\n"
+    )
 
 
 def test_sweep_results_keep_grid_order(capsys):

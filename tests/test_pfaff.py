@@ -12,6 +12,7 @@ from pnsheaf import (
     InputError,
     Poly,
     SATURATION_NOTE,
+    ScaleExceeded,
     TwistedOneForm,
     annihilator_distribution,
     bott_closed_form,
@@ -28,6 +29,7 @@ from pnsheaf import (
     unit_ideal,
     vanishing_section_space,
 )
+from pnsheaf import pfaff
 
 
 def _p(text: str, nvars: int) -> Poly:
@@ -234,6 +236,21 @@ def test_annihilator_degree_one_contains_euler_field():
 def test_annihilator_rejects_negative_bound():
     with pytest.raises(InputError):
         annihilator_distribution(_coordinate_log(), -1)
+
+
+def test_large_linear_systems_are_refused_before_any_work(monkeypatch):
+    def no_groebner(_):
+        raise AssertionError("the singular scheme was computed before the guard")
+
+    monkeypatch.setattr(pfaff, "singular_scheme", no_groebner)
+    quartics = pencil_form(_p("x0^4", 5), _p("x1^4", 5))  # twist 8 on P^4
+    with pytest.raises(ScaleExceeded, match=r"5 polynomials of degree 7 on P\^4 have 1650 unknown"):
+        uniqueness_report(quartics)
+    with pytest.raises(ScaleExceeded, match="have 1650 unknown"):
+        vanishing_section_space(4, 8, unit_ideal(5))
+    with pytest.raises(ScaleExceeded, match=r"3 polynomials of degree 17 on P\^2 have 513 unknown"):
+        annihilator_distribution(_coordinate_log(), 17)
+    assert len(annihilator_distribution(_coordinate_log(), 16)) == 17
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from pnsheaf import Degenerate, InputError, Weight, dotted_weyl_reduce, lr_product, weyl_dim
-from pnsheaf.weights import binom, partitions_fitting, rho_weight
+from pnsheaf.weights import binom, conjugate, partitions, rho_weight
+
+from helpers import weights_in_box
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +197,7 @@ def test_product_matches_tableau_oracle():
 
 def test_product_symmetry_and_dim_multiplicativity_exhaustive():
     for n_amb in (2, 3):
-        shapes = [tuple(p) for p in partitions_fitting(n_amb, 4)]
+        shapes = [tuple(p) for p in weights_in_box(n_amb, 4)]
         for lam, mu in combinations_with_replacement(shapes, 2):
             forward = lr_product(Weight(lam), Weight(mu))
             backward = lr_product(Weight(mu), Weight(lam))
@@ -205,7 +207,7 @@ def test_product_symmetry_and_dim_multiplicativity_exhaustive():
 
 
 def test_product_accepts_tuples_and_weights():
-    shapes = list(partitions_fitting(3, 2))
+    shapes = list(weights_in_box(3, 2))
     for lam in shapes:
         for mu in shapes:
             expected = lr_product(Weight(lam), Weight(mu))
@@ -267,3 +269,18 @@ def test_reduce_inversion_count_matches_sorting_permutation():
 def test_rho_weight_is_staircase():
     assert rho_weight(4) == (3, 2, 1, 0)
     assert rho_weight(1) == (0,)
+
+
+def test_partitions_fill_the_box_once_each():
+    for rows in range(5):
+        for cols in range(5):
+            for size in range(-1, rows * cols + 2):
+                got = list(partitions(size, rows, cols))
+                want = [
+                    mu for mu in product(range(cols + 1), repeat=rows)
+                    if sum(mu) == size and all(a >= b for a, b in zip(mu, mu[1:]))
+                ]
+                assert sorted(got) == sorted(want), (size, rows, cols)
+                for mu in got:
+                    nu = conjugate(mu, cols)
+                    assert sum(nu) == size and conjugate(nu, rows) == mu
