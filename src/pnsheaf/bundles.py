@@ -22,11 +22,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError, ScaleExceeded, UnsupportedPlethysm
-from .weights import conjugate, lr_product, partitions, weyl_dim
+from .weights import conjugate, lr_product, partitions, schur_dim, weyl_dim
 
 # A wedge/sym power is refused when its expansion would take more than this
 # many steps (tensor steps and partitions; see _graded_power).
 MAX_POWER_STEPS = 10**6
+
+# A wedge/sym power is refused when a lower bound on its rank, which bounds
+# every multiplicity in it, is above 10 to this power; the ranks let through
+# stay below 10^2500 (Python prints ints of at most 4300 digits).
+MAX_RANK_DIGITS = 1000
 
 # Expressions on P^n with n above this are refused before any weight is built.
 MAX_AMBIENT = 10**5
@@ -398,7 +403,7 @@ def _copies_power(lam: tuple[int, ...], d: int, m: int, j: int, is_wedge: bool) 
     for nu in nus:
         mu = conjugate(nu, n) if is_wedge else nu + (0,) * (n - len(nu))
         key = _canon_summand(*_dual_summand(mu, -(d + 1) * j) if lam[1] else (mu, j * d))
-        acc[key] = acc.get(key, 0) + (weyl_dim(nu + (0,) * (m - len(nu)), m) if m > 1 else 1)
+        acc[key] = acc.get(key, 0) + (schur_dim(nu, m) if m > 1 else 1)
     return tuple(acc.items())
 
 
@@ -412,6 +417,8 @@ def _graded_power(terms: Terms, n: int, k: int, is_wedge: bool) -> Terms:
     for D > 1 distinct summands, plus, per summand of multiplicity m > 1 that
     is not a line bundle, a bound on its partitions into r = min(n, m, k)
     parts: C(k+r-1, r-1) of degree k if D = 1, C(k+r, r) of degree <= k else.
+    Refused first when the rank of the power, which bounds every multiplicity
+    in it, is above 10^MAX_RANK_DIGITS by the bound C(a, b) >= (a / b)^b.
     """
     name = "wedge" if is_wedge else "sym"
     if k < 2:
@@ -423,9 +430,15 @@ def _graded_power(terms: Terms, n: int, k: int, is_wedge: bool) -> Terms:
                 " supported summand classes"
             )
     # every summand is now a line bundle (rank 1) or a twist of Q or Q* (rank n)
-    if is_wedge and k > sum(m * (n if lam[0] else 1) for (lam, _), m in terms):
+    size = sum(m * (n if lam[0] else 1) for (lam, _), m in terms)
+    if not size or is_wedge and k > size:
         return ()
     distinct = len(terms)
+    # the rank, C(top, k) = C(top, kk) >= (top / kk)^kk, bounds every multiplicity
+    top = size if is_wedge else size + k - 1
+    kk = min(k, top - k)
+    if kk and kk > MAX_RANK_DIGITS / (math.log10(top) - math.log10(kk)):
+        raise ScaleExceeded(f"{name}^{k} has rank above 10^{MAX_RANK_DIGITS}, the bound")
     steps = distinct * (k + 1) * (k + 2) // 2 if distinct > 1 else 0
     for (lam, _), m in terms:
         if lam[0] and m > 1:

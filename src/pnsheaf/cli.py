@@ -59,14 +59,13 @@ from .errors import (
 from .grammar import parse_expression, render_expression, split_ambient
 from .pfaff import (
     TwistedOneForm,
-    _guard_unknowns,
     annihilator_distribution,
     parse_form_file,
     random_pencil_form,
     render_form_file,
     singular_scheme,
+    singular_sections,
     uniqueness_report,
-    vanishing_section_space,
 )
 
 CHECK_ALIASES = {
@@ -161,6 +160,12 @@ def _read_form(path: str) -> TwistedOneForm:
     return parse_form_file(text)
 
 
+def _require(args, names: list[str], context: str) -> None:
+    missing = [name for name in names if getattr(args, name.lstrip("-").replace("-", "_"), None) is None]
+    if missing:
+        raise InputError(f"{context} needs {', '.join(missing)}")
+
+
 # ---------------------------------------------------------------------------
 # bundle subcommands
 
@@ -251,10 +256,15 @@ def _cmd_en_resolution(args) -> int:
     E = _load_expr(args.E, args.n)
     G = _load_expr(args.G, args.n)
     report = en_resolution(E, G, twisted=args.twisted)
-    terms = [
-        {"i": i, "expr": render_expression(term), "rank": rank(term)}
-        for i, term in enumerate(report.terms, report.g)
-    ]
+    terms = []
+    for offset, term in enumerate(report.terms):
+        terms.append(
+            {
+                "i": report.g + offset,
+                "expr": render_expression(term),
+                "rank": rank(term),
+            }
+        )
     payload = {
         "n": E.ambient,
         "e": report.e,
@@ -340,9 +350,7 @@ def _cmd_check(args) -> int:
         known = sorted({*CHECK_ALIASES, *CHECKS})
         raise InputError(f"unknown check id {args.id!r}; choose from {', '.join(known)}")
     flags, optional, build = CHECKS[ident]
-    missing = [flag for flag in flags if getattr(args, flag[2:]) is None]
-    if missing:
-        raise InputError(f"check {ident} needs {', '.join(missing)}")
+    _require(args, flags, f"check {ident}")
     unused = [
         flag
         for flag, _ in COMMANDS["check"][2]
@@ -422,9 +430,7 @@ def _cmd_pfaff_singular(args) -> int:
 def _cmd_pfaff_sections(args) -> int:
     w = _read_form(args.file)
     twist = args.twist if args.twist is not None else w.twist
-    _guard_unknowns(w.ambient, twist - 1)
-    scheme = singular_scheme(w)
-    space = vanishing_section_space(w.ambient, twist, scheme)
+    scheme, space = singular_sections(w, twist)
     payload = {
         "ambient": w.ambient,
         "twist": twist,

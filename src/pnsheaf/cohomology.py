@@ -20,7 +20,6 @@ from .bundles import (
     o,
     omega,
     tensor,
-    twist,
 )
 from .errors import InputError
 from .weights import Degenerate, Weight, binom, dotted_weyl_reduce, rho_weight, weyl_dim
@@ -103,7 +102,9 @@ def bott_closed_form(k: int, s: int, n: int) -> CohomologyTable:
         dims[k] = 1
     elif s < k - n:
         dims[n] = binom(-s + k, -s) * binom(-s - 1, n - k)
-    expr = o(s, n) if k == 0 else twist(omega(k, n), s)
+    expr = omega(k, n) if s == 0 else tensor(omega(k, n), o(s, n))
+    if k == 0:
+        expr = o(s, n)
     return CohomologyTable(n, tuple(dims), expr)
 
 

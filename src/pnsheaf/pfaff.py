@@ -84,6 +84,9 @@ class SingularScheme:
     def is_zero_dimensional(self) -> bool:
         return self.dimension == 0
 
+    def is_empty(self) -> bool:
+        return self.dimension == -1
+
 
 @dataclass(frozen=True)
 class SectionSpace:
@@ -275,6 +278,16 @@ def vanishing_section_space(n: int, r: int, z) -> SectionSpace:
     return SectionSpace(n, r, len(kernel), basis_forms)
 
 
+def singular_sections(w: TwistedOneForm, twist: int) -> tuple[SingularScheme, SectionSpace]:
+    """Sing(w) and the twist-`twist` forms vanishing on it.
+
+    Refused before the Groebner work when the section system is too large.
+    """
+    _guard_unknowns(w.ambient, twist - 1)
+    scheme = singular_scheme(w)
+    return scheme, vanishing_section_space(w.ambient, twist, scheme)
+
+
 def form_coefficient_vector(w: TwistedOneForm) -> list[Fraction]:
     """Flatten a form into the unknown layout used by vanishing_section_space."""
     monos = monomials_of_degree(w.ambient + 1, w.twist - 1)
@@ -329,9 +342,7 @@ def uniqueness_report(w: TwistedOneForm) -> UniquenessReport:
     Computes the exact space of twist-r forms vanishing on Sing(w) and
     reports unique-up-to-scalar exactly when that space is a line.
     """
-    _guard_unknowns(w.ambient, w.twist - 1)
-    scheme = singular_scheme(w)
-    sections = vanishing_section_space(w.ambient, w.twist, scheme)
+    scheme, sections = singular_sections(w, w.twist)
     verdict = "unique-up-to-scalar" if sections.dim == 1 else "not-determined"
     cross = check_codim1_generic(w.ambient, w.twist)
     notes = [SATURATION_NOTE]

@@ -39,6 +39,14 @@ def monomial_div(b: tuple[int, ...], a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(y - x for x, y in zip(a, b))
 
 
+def monomial_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def monomial_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
 def monomials_of_degree(nvars: int, d: int) -> list[tuple[int, ...]]:
     """Exponent vectors of total degree d, largest first in degrevlex."""
     out = []
@@ -127,7 +135,7 @@ class Poly:
             out: dict = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
-                    key = tuple(x + y for x, y in zip(e1, e2))
+                    key = monomial_mul(e1, e2)
                     out[key] = out.get(key, Fraction(0)) + c1 * c2
             return Poly(self.nvars, out)
         return self.scale(other)
@@ -430,7 +438,7 @@ def normal_form(f: Poly, basis) -> Poly:
 
 def s_polynomial(f: Poly, g: Poly) -> Poly:
     lf, lg = f.leading_monomial(), g.leading_monomial()
-    lcm_fg = tuple(max(x, y) for x, y in zip(lf, lg))
+    lcm_fg = monomial_lcm(lf, lg)
     left = f * Poly(f.nvars, {monomial_div(lcm_fg, lf): 1 / f.leading_coefficient()})
     right = g * Poly(g.nvars, {monomial_div(lcm_fg, lg): 1 / g.leading_coefficient()})
     return left - right

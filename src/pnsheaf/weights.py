@@ -65,11 +65,22 @@ def weyl_dim(mu: Weight | tuple[int, ...], n_amb: int) -> int:
     entries = tuple(mu.entries if isinstance(mu, Weight) else mu)
     if len(entries) != n_amb:
         raise InputError(f"weight {entries} has length {len(entries)}, ambient is {n_amb}")
-    return _weyl_dim_cached(entries)
+    return _weyl_dim_cached(entries, n_amb)
+
+
+def schur_dim(nu: tuple[int, ...], m: int) -> int:
+    """Dimension of S_nu(C^m) for a partition nu of at most m parts.
+
+    nu is not padded to length m, so the cost does not grow with m.
+    """
+    if len(nu) > m or (nu and nu[-1] < 0):
+        raise InputError(f"partition {nu} does not fit GL({m})")
+    return _weyl_dim_cached(tuple(nu), m)
 
 
 @lru_cache(maxsize=None)
-def _weyl_dim_cached(entries: tuple[int, ...]) -> int:
+def _weyl_dim_cached(entries: tuple[int, ...], width: int) -> int:
+    """Weyl dimension of entries padded with zeros to length width."""
     for a, b in zip(entries, entries[1:]):
         if a < b:
             raise InputError(f"weight {entries} is not weakly decreasing")
@@ -85,6 +96,11 @@ def _weyl_dim_cached(entries: tuple[int, ...]) -> int:
             runs[-1][2] += 1
         else:
             runs.append([a, i, 1])
+    if width > len(entries):  # the padding zeros: one run, or the end of the last
+        if entries and not entries[-1]:
+            runs[-1][2] += width - len(entries)
+        else:
+            runs.append([0, len(entries), width - len(entries)])
     num = den = 1
     for r, (a, s, length) in enumerate(runs):
         for b, t, m in runs[r + 1 :]:

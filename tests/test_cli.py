@@ -198,6 +198,29 @@ def test_large_power_of_a_repeated_summand_is_refused_before_it_starts(capsys):
     )
 
 
+def test_sym_of_many_copies_is_fast(capsys):
+    # the GL(m) dimensions are taken without padding the partitions to length m
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["cohomology", "sym(2, 1000000000*T) on P^2"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert "O(3) x499999999500000000 (dim 10)" in out
+    assert "S(2,0)Q(2) x500000000500000000 (dim 27)" in out
+
+
+@pytest.mark.parametrize(
+    "expr, k",
+    [("sym(20000, 20000*O(1)) on P^1", 20000), (f"sym(2, 1{'0' * 4000}*T) on P^2", 2)],
+)
+def test_power_with_huge_multiplicities_is_refused_before_it_starts(capsys, expr, k):
+    # multiplicities are bounded by the rank; ints above 4300 digits do not print
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["cohomology", expr])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == f"error: sym^{k} has rank above 10^1000, the bound\n"
+
+
 @pytest.mark.parametrize("n", ["100001", "99999999999"])
 def test_cohomology_refuses_a_huge_ambient_before_it_starts(capsys, n):
     start = time.perf_counter()

@@ -9,7 +9,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from pnsheaf import Degenerate, InputError, Weight, dotted_weyl_reduce, lr_product, weyl_dim
-from pnsheaf.weights import binom, conjugate, partitions, rho_weight
+from pnsheaf.weights import binom, conjugate, partitions, rho_weight, schur_dim
 
 from helpers import weights_in_box
 
@@ -139,6 +139,19 @@ def test_weyl_dim_on_a_large_ambient_is_fast():
     assert weyl_dim((0,) * 20000 + (-1,), 20001) == 20001
     assert weyl_dim((2, 1) + (0,) * 19999, 20001) == 2 * binom(20002, 3)
     assert time.perf_counter() - start < 1.0
+
+
+def test_schur_dim_is_the_padded_weyl_dim():
+    for m in range(1, 6):
+        for size in range(7):
+            for nu in partitions(size, min(m, size), size):
+                assert schur_dim(nu, m) == weyl_dim(nu + (0,) * (m - len(nu)), m), (nu, m)
+    start = time.perf_counter()
+    assert schur_dim((2,), 10**9) == binom(10**9 + 1, 2)
+    assert schur_dim((1, 1, 1), 10**9) == binom(10**9, 3)
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(InputError):
+        schur_dim((1, 1, 1), 2)
 
 
 def test_weyl_dim_length_mismatch():
