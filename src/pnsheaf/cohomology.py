@@ -78,9 +78,10 @@ def cohomology_table(e: BundleExpr) -> CohomologyTable:
     contributions = []
     for b, mult in normalize(e).terms:
         g = bwb_cohomology(b)
-        if g is not None:
-            dims[g.degree] += mult * g.dim
-            contributions.append(Contribution(g.degree, b, mult, g.dim))
+        if g is None:
+            continue
+        dims[g.degree] += mult * g.dim
+        contributions.append(Contribution(g.degree, b, mult, g.dim))
     contributions.sort(key=lambda c: (c.degree, c.summand.lam, c.summand.twist))
     return CohomologyTable(n, tuple(dims), e, tuple(contributions))
 
