@@ -15,8 +15,9 @@ pfaff SUB ...          concrete twisted 1-forms: uniqueness, singular,
                        sections, annihilator, random-pencil
 sweep SUB ...          parameter sweeps across a worker pool
 
-The parser is declared once, in the table COMMANDS, and main builds only the
-part of it that argv names: the top level and the one command requested.
+The command line is declared once, in the table COMMANDS.  main reads a
+well-formed argv straight from it and builds the argparse parser only for
+help and errors, so argparse writes every help and error text.
 
 Expressions follow the grammar "O(d) | T | Omega^p | wedge(k, e) | sym(k, e)
 | dual(e) | e (x) e | e (+) e | m*e" with the ambient given either as a
@@ -32,11 +33,12 @@ to the CPU count.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
+from fractions import Fraction
+from types import SimpleNamespace
 
 from .bundles import BundleExpr, o, rank, tensor
 from .checkers import (
@@ -67,6 +69,10 @@ from .pfaff import (
     singular_sections,
     uniqueness_report,
 )
+
+# CPython turns no int of more than 4,300 digits into text (its default
+# int-to-str limit); an int of at most 14,284 bits has at most 4,300 digits
+MAX_OUTPUT_BITS = 14_284
 
 CHECK_ALIASES = {
     "map": "thm-1-1",
@@ -101,6 +107,23 @@ def _warn_zero(e: BundleExpr) -> None:
             "warning: expression is the zero bundle (a wedge power exceeds the rank)",
             file=sys.stderr,
         )
+
+
+def _check_size(*values) -> None:
+    """ScaleExceeded if an int or Fraction in values, which may nest in lists,
+    tuples and dicts, has a numerator or denominator above MAX_OUTPUT_BITS."""
+    for value in values:
+        if isinstance(value, dict):
+            _check_size(*value.values())
+        elif isinstance(value, (list, tuple)):
+            _check_size(*value)
+        elif isinstance(value, (int, Fraction)):
+            bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+            if bits > MAX_OUTPUT_BITS:
+                raise ScaleExceeded(
+                    f"a result has {bits} bits; the output bound is {MAX_OUTPUT_BITS}"
+                    " bits (4300 digits)"
+                )
 
 
 def _emit(args, payload: dict, lines: list[str]) -> None:
@@ -190,6 +213,7 @@ def _cmd_cohomology(args) -> int:
             for c in table.contributions
         ],
     }
+    _check_size(payload)
     lines = [f"P^{table.ambient}: {text}"]
     for p, d in enumerate(table.dims):
         contribs = [c for c in table.contributions if c.degree == p]
@@ -209,17 +233,19 @@ def _cmd_chern(args) -> int:
     _warn_zero(e)
     ch = chern_character(e)
     c = total_chern(e)
+    r = rank(e)
+    _check_size(r, ch.coeffs, c.coeffs)
     text = render_expression(e)
     payload = {
         "ambient": e.ambient,
         "expression": text,
-        "rank": rank(e),
+        "rank": r,
         "chern_character": [str(x) for x in ch.coeffs],
         "total_chern": [int(x) for x in c.coeffs],
     }
     lines = [
         f"P^{e.ambient}: {text}",
-        f"rank = {rank(e)}",
+        f"rank = {r}",
         f"ch = {_chow_text(ch)}",
         f"c  = {_chow_text(c)}",
     ]
@@ -243,6 +269,7 @@ def _cmd_chi(args) -> int:
         "chi": chi,
         "h": list(table.dims),
     }
+    _check_size(payload)
     lines = [
         f"P^{e.ambient}: {text}",
         f"chi = {chi} (Riemann-Roch and cohomology agree)",
@@ -272,6 +299,7 @@ def _cmd_en_resolution(args) -> int:
         "twisted": report.twisted,
         "terms": terms,
     }
+    _check_size(payload)
     lines = [
         f"resolution on P^{E.ambient}: E = {render_expression(E)}, "
         f"G = {render_expression(G)} (e = {report.e}, g = {report.g}, "
@@ -287,7 +315,9 @@ def _cmd_certificate(args) -> int:
     E = _load_expr(args.E, args.n)
     G = _load_expr(args.G, args.n)
     cert = vanishing_certificate(E, G)
-    _emit(args, cert.to_json_dict(), cert.text_lines())
+    payload = cert.to_json_dict()
+    _check_size(payload, cert.endomorphism_dim)
+    _emit(args, payload, cert.text_lines())
     return 0 if cert.verdict else 1
 
 
@@ -306,6 +336,7 @@ def _cmd_porteous(args) -> int:
         "degree": result.degree,
         "class": [int(x) for x in result.cls.coeffs],
     }
+    _check_size(payload)
     lines = [
         f"degeneracy locus on P^{n}: E = {render_expression(E)}, "
         f"G = {render_expression(G)}",
@@ -360,7 +391,9 @@ def _cmd_check(args) -> int:
     if unused:
         raise InputError(f"check {ident} does not take {', '.join(unused)}")
     report = build(args)
-    _emit(args, report.to_json_dict(), report.text_lines())
+    payload = report.to_json_dict()
+    _check_size(payload)
+    _emit(args, payload, report.text_lines())
     return 0 if report.verdict == HOLD else 1
 
 
@@ -641,37 +674,102 @@ COMMANDS = {
 }
 
 
-def _add_commands(parser, table: dict, dest: str, argv) -> None:
-    """Register the command argv's first word names, or every command if none.
+# every command also takes these
+_COMMON = [
+    ("--format", {"choices": ("text", "json"), "default": "text", "help": "output format"}),
+    ("--seed", {"type": int, "help": "seed echoed in output"}),
+]
 
-    With a single command registered, the metavar keeps the full choice list
-    in the usage line argparse prints for an unrecognized trailing word.
-    """
-    chosen = {argv[0]: table[argv[0]]} if argv and argv[0] in table else table
-    metavar = None if chosen is table else "{" + ",".join(table) + "}"
-    sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
-    for name, (help_text, *entry) in chosen.items():
+
+def _add_commands(parser, table: dict, dest: str) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_text, *entry) in table.items():
         p = sub.add_parser(name, help=help_text)
         if len(entry) == 1:
-            _add_commands(p, entry[0], f"{name}_command", argv[1:])
+            _add_commands(p, entry[0], f"{name}_command")
             continue
         handler, arguments = entry
-        p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
-        p.add_argument("--seed", type=int, help="seed echoed in output")
-        for flag, kwargs in arguments:
+        for flag, kwargs in _COMMON + arguments:
             p.add_argument(flag, **kwargs)
         p.set_defaults(func=handler)
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser for argv; with no argv, the parser of every command."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every command; main builds it only for help and errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="pnsheaf",
         description="Exact sheaf cohomology, degeneracy loci, and twisted "
         "1-forms on projective space.",
     )
-    _add_commands(parser, COMMANDS, "command", argv)
+    _add_commands(parser, COMMANDS, "command")
     return parser
+
+
+def _table_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a well-formed argv, read straight from COMMANDS.
+
+    Accepted: the command path, then its positionals in order and its exact
+    flags, each at most once, as '--flag value' (a value not starting with
+    '-') or '--flag=value'.  Values go through the table's type, choices,
+    default and required.  Anything else (help, an abbreviated or unknown
+    flag, '--', a repeated or missing flag, a bad value, a stray word) gives
+    None, and argparse decides that argv and writes its help or error.
+    """
+    values, table, dest = {}, COMMANDS, "command"
+    while True:
+        if not argv or argv[0] not in table:
+            return None
+        command, argv = argv[0], argv[1:]
+        values[dest] = command
+        _, *entry = table[command]
+        if len(entry) == 2:
+            break
+        table, dest = entry[0], f"{command}_command"
+    values["func"], arguments = entry
+    arguments = dict(_COMMON + arguments)
+    words, given = [], {}
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-"):
+            words.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        kwargs = arguments.get(flag)
+        if kwargs is None or flag in given:
+            return None
+        if kwargs.get("action") == "store_true":
+            if eq:
+                return None
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+        given[flag] = value
+    positionals = [name for name in arguments if not name.startswith("-")]
+    if len(words) != len(positionals):
+        return None
+    given.update(zip(positionals, words))
+    for name, kwargs in arguments.items():
+        if name in given:
+            value = given[name]
+            if "type" in kwargs:
+                try:
+                    value = kwargs["type"](value)
+                except (TypeError, ValueError):
+                    return None
+            if value not in kwargs.get("choices", (value,)):
+                return None
+        elif kwargs.get("required"):
+            return None
+        elif kwargs.get("action") == "store_true":
+            value = False
+        else:
+            value = kwargs.get("default")
+        values[name.lstrip("-").replace("-", "_")] = value
+    return SimpleNamespace(**values)
 
 
 _NEGATIVE_VALUE = re.compile(r"^-\d")
@@ -699,10 +797,12 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = _join_negative_values(list(sys.argv[1:]) if argv is None else list(argv))
-    try:
-        args = build_parser(argv).parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _table_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
     except (UnsupportedPlethysm, ScaleExceeded) as exc:

@@ -98,24 +98,25 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
 def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
     """Basis of the right kernel of the matrix (list of coefficient rows)."""
     _check_width(rows, ncols)
-    return _kernel(map(_int_row, rows), ncols)
+    return [
+        tuple(vec.get(c, _ZERO) for c in range(ncols))
+        for vec in _kernel(map(_int_row, rows), ncols)
+    ]
 
 
-def _kernel(rows, ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel of sparse integer rows over ncols columns,
-    one vector per free column, with 1 there and 0 at the other free ones."""
+def _kernel(rows, ncols: int) -> list[dict[int, Fraction]]:
+    """Basis of the right kernel of sparse integer rows over ncols columns, as
+    sparse vectors {column: entry} in increasing column order: one per free
+    column, with 1 there and 0 at the other free ones."""
     reduced = _reduced(rows)
     pivot_set = {col for col, _ in reduced}
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [_ZERO] * ncols
+        vec = {col: Fraction(-row[free], row[col]) for col, row in reduced if free in row}
         vec[free] = _ONE
-        for col, row in reduced:
-            if free in row:
-                vec[col] = Fraction(-row[free], row[col])
-        basis.append(tuple(vec))
+        basis.append(dict(sorted(vec.items())))
     return basis
 
 

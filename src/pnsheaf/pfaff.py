@@ -18,7 +18,9 @@ from math import lcm
 
 from .checkers import TheoremReport, check_codim1_generic
 from .errors import EulerViolation, InputError, ScaleExceeded
-from .linalg import _kernel, in_row_span, kernel_basis
+# kernel_basis is unused here but stays a pfaff attribute: perfbench's traced
+# test reads pnsheaf.pfaff.kernel_basis
+from .linalg import _kernel, in_row_span, kernel_basis  # noqa: F401
 from .polyideal import (
     MAX_CHART_VARS,
     MAX_GENERATOR_DEGREE,
@@ -214,13 +216,14 @@ def _guard_unknowns(n: int, degree: int) -> None:
         )
 
 
-def _slot_polys(vec, nvars: int, monos) -> tuple[Poly, ...]:
-    """Split a flat vector, slot-major over monos, into one Poly per slot."""
-    width = len(monos)
-    return tuple(
-        Poly(nvars, {m: c for m, c in zip(monos, vec[slot * width:(slot + 1) * width]) if c})
-        for slot in range(nvars)
-    )
+def _slot_polys(vec: dict[int, Fraction], nvars: int, monos) -> tuple[Poly, ...]:
+    """Split a sparse vector {column: entry}, slot-major over monos, into one
+    Poly per slot."""
+    slots: list[dict] = [{} for _ in range(nvars)]
+    for col, c in vec.items():
+        slot, j = divmod(col, len(monos))
+        slots[slot][monos[j]] = c
+    return tuple(Poly(nvars, terms) for terms in slots)
 
 
 def singular_scheme(w: TwistedOneForm) -> SingularScheme:
@@ -316,21 +319,22 @@ def annihilator_distribution(w: TwistedOneForm, bound: int) -> list[AnnihilatorS
         raise InputError("bound must be nonnegative")
     _guard_unknowns(w.ambient, bound)
     nvars = w.ambient + 1
+    # the form over its common denominator: the kernel does not change
+    den = lcm(*(c.denominator for a in w.coeffs for c in a.terms.values()))
+    terms = [
+        [(e, c.numerator * (den // c.denominator)) for e, c in a.terms.items()] for a in w.coeffs
+    ]
     slices = []
     for t in range(bound + 1):
         monos = monomials_of_degree(nvars, t)
-        index = {m: i for i, m in enumerate(monos)}
-        ncols = nvars * len(monos)
-        target = {}
-        for slot in range(nvars):
-            a = w.coeffs[slot]
-            for m in monos:
-                for e, c in a.terms.items():
-                    key = tuple(x + y for x, y in zip(e, m))
-                    row = target.setdefault(key, [Fraction(0)] * ncols)
-                    row[slot * len(monos) + index[m]] += c
-        rows = list(target.values())
-        kernel = kernel_basis(rows, ncols)
+        # sparse integer rows {column: entry}, one per monomial of sum A_i B_i;
+        # column slot * len(monos) + j holds the coefficient of monos[j] in B_slot
+        rows: dict[tuple[int, ...], dict[int, int]] = {}
+        for slot, slot_terms in enumerate(terms):
+            for col, m in enumerate(monos, slot * len(monos)):
+                for e, c in slot_terms:
+                    rows.setdefault(tuple(x + y for x, y in zip(e, m)), {})[col] = c
+        kernel = _kernel(rows.values(), nvars * len(monos))
         gens = tuple(_slot_polys(vec, nvars, monos) for vec in kernel)
         slices.append(AnnihilatorSlice(t, len(kernel), gens))
     return slices

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -21,6 +22,7 @@ from pnsheaf import (
     Dual,
     LineBundle,
     Poly,
+    ScaleExceeded,
     Tangent,
     Tensor,
     TheoremReport,
@@ -238,6 +240,33 @@ def test_cohomology_on_a_large_ambient_is_fast(capsys):
         assert (code, err) == (0, "")
         assert out.splitlines()[1] == f"h^0 = {n + 1}   from O(1) x1 (dim {n + 1})"
         assert out.splitlines()[-1] == f"chi = {n + 1}"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv, bits",
+    [
+        (["cohomology", "O(20000) on P^20000"], 39993),
+        (["cohomology", f"O({10**80}) on P^64"], 16713),
+        (["chi", f"O({10**80}) on P^64"], 16713),
+        (["chern", f"O({10**80}) on P^64"], 14537),
+        (["certificate", "Omega^1", f"O({10**80})", "--n", "64"], 16730),
+    ],
+)
+def test_results_too_long_to_print_are_refused(capsys, argv, bits, fmt):
+    code, out, err = _run(capsys, argv + ["--format", fmt])
+    assert (code, out) == (3, "")
+    assert err == f"error: a result has {bits} bits; the output bound is 14284 bits (4300 digits)\n"
+
+
+def test_output_bound_is_the_longest_int_python_prints():
+    from pnsheaf.cli import MAX_OUTPUT_BITS, _check_size
+
+    largest = 2**MAX_OUTPUT_BITS - 1
+    assert len(str(largest)) == 4300
+    _check_size([{"h": [largest, -largest, Fraction(1, largest)]}])
+    with pytest.raises(ScaleExceeded):
+        _check_size({"h": [Fraction(1, largest + 1)]})
 
 
 @pytest.mark.parametrize(

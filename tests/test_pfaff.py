@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from pnsheaf import (
     annihilator_distribution,
     bott_closed_form,
     form_coefficient_vector,
+    kernel_basis,
     log_form,
     parse_form_file,
     parse_poly,
@@ -30,6 +33,10 @@ from pnsheaf import (
     vanishing_section_space,
 )
 from pnsheaf import pfaff
+
+CORPUS = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "cli_corpus.json").read_text(encoding="utf-8")
+)
 
 
 def _p(text: str, nvars: int) -> Poly:
@@ -231,6 +238,41 @@ def test_annihilator_degree_one_contains_euler_field():
     from pnsheaf import in_row_span
 
     assert in_row_span(rows, euler_flat)
+
+
+def _dense_annihilator(w: TwistedOneForm, bound: int) -> list[tuple[int, list]]:
+    """The annihilator by dense Fraction rows and kernel_basis, slice by slice."""
+    nvars = w.ambient + 1
+    out = []
+    for t in range(bound + 1):
+        monos = pfaff.monomials_of_degree(nvars, t)
+        ncols = nvars * len(monos)
+        target = {}
+        for slot, a in enumerate(w.coeffs):
+            for j, m in enumerate(monos):
+                for e, c in a.terms.items():
+                    key = tuple(x + y for x, y in zip(e, m))
+                    target.setdefault(key, [Fraction(0)] * ncols)[slot * len(monos) + j] += c
+        kernel = kernel_basis(list(target.values()), ncols)
+        width = len(monos)
+        out.append((t, [
+            tuple(Poly(nvars, dict(zip(monos, vec[s * width:(s + 1) * width]))) for s in range(nvars))
+            for vec in kernel
+        ]))
+    return out
+
+
+GOLDEN_FORMS = [CORPUS["form_file"], *CORPUS["extra_form_files"].values()]
+
+
+@pytest.mark.parametrize("w", [
+    *(parse_form_file(text) for text in GOLDEN_FORMS),
+    _coordinate_log((1, Fraction(1, 2), Fraction(-3, 2))),
+])
+def test_annihilator_matches_dense_kernel_basis(w):
+    slices = annihilator_distribution(w, 4)
+    assert [(s.degree, list(s.generators)) for s in slices] == _dense_annihilator(w, 4)
+    assert all(s.dim == len(s.generators) for s in slices)
 
 
 def test_annihilator_rejects_negative_bound():
