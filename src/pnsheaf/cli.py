@@ -299,7 +299,6 @@ def _cmd_en_resolution(args) -> int:
         "twisted": report.twisted,
         "terms": terms,
     }
-    _check_size(payload)
     lines = [
         f"resolution on P^{E.ambient}: E = {render_expression(E)}, "
         f"G = {render_expression(G)} (e = {report.e}, g = {report.g}, "
@@ -391,9 +390,7 @@ def _cmd_check(args) -> int:
     if unused:
         raise InputError(f"check {ident} does not take {', '.join(unused)}")
     report = build(args)
-    payload = report.to_json_dict()
-    _check_size(payload)
-    _emit(args, payload, report.text_lines())
+    _emit(args, report.to_json_dict(), report.text_lines())
     return 0 if report.verdict == HOLD else 1
 
 

@@ -251,6 +251,7 @@ def test_cohomology_on_a_large_ambient_is_fast(capsys):
         (["chi", f"O({10**80}) on P^64"], 16713),
         (["chern", f"O({10**80}) on P^64"], 14537),
         (["certificate", "Omega^1", f"O({10**80})", "--n", "64"], 16730),
+        (["porteous", f"8*O(-{10**600})", "O(1)", "--n", "8"], 15946),
     ],
 )
 def test_results_too_long_to_print_are_refused(capsys, argv, bits, fmt):
