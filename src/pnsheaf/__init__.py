@@ -117,14 +117,7 @@ from .polyideal import (
     staircase_dimension,
     unit_ideal,
 )
-from .weights import (
-    Degenerate,
-    LRExpansion,
-    Weight,
-    dotted_weyl_reduce,
-    lr_product,
-    weyl_dim,
-)
+from .weights import dotted_weyl_reduce, lr_product, weyl_dim
 
 __version__ = "0.1.0"
 

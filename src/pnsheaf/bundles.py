@@ -366,8 +366,8 @@ def _tensor_into(acc: dict, a: Terms, b: Terms) -> dict:
                 key = (ly, dx + dy)
                 acc[key] = acc.get(key, 0) + mx * my
             else:
-                for nu, c in lr_product(lx, ly).terms:
-                    key = _canon_summand(nu.entries, dx + dy)
+                for nu, c in lr_product(lx, ly):
+                    key = _canon_summand(nu, dx + dy)
                     acc[key] = acc.get(key, 0) + mx * my * c
     return acc
 

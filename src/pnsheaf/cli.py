@@ -57,6 +57,7 @@ from .errors import (
     InputError,
     ScaleExceeded,
     UnsupportedPlethysm,
+    read_int,
 )
 from .grammar import parse_expression, render_expression, split_ambient
 from .pfaff import (
@@ -89,7 +90,7 @@ CHECK_ALIASES = {
 
 def _load_expr(text: str, n: int | None) -> BundleExpr:
     """Parse an expression whose ambient comes from 'on P^n' or --n."""
-    body, amb = split_ambient(text)
+    _, amb = split_ambient(text)
     if amb is None:
         if n is None:
             raise InputError(
@@ -98,7 +99,9 @@ def _load_expr(text: str, n: int | None) -> BundleExpr:
         amb = n
     elif n is not None and n != amb:
         raise InputError(f"--n {n} disagrees with 'on P^{amb}' in {text!r}")
-    return parse_expression(body, amb)
+    # the whole text, so that parse_expression splits one 'on P^m' off and a
+    # second one is a parse error
+    return parse_expression(text, amb)
 
 
 def _warn_zero(e: BundleExpr) -> None:
@@ -167,8 +170,8 @@ def _parse_range(text: str) -> range:
     m = _RANGE_RE.match(text.strip())
     if not m:
         raise InputError(f"bad range {text!r}; expected 'a' or 'a:b'")
-    lo = int(m.group(1))
-    hi = int(m.group(2)) if m.group(2) is not None else lo
+    lo = read_int(m.group(1), m.start(1))
+    hi = read_int(m.group(2), m.start(2)) if m.group(2) is not None else lo
     if hi < lo:
         raise InputError(f"empty range {text!r}")
     return range(lo, hi + 1)

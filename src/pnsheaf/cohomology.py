@@ -22,7 +22,7 @@ from .bundles import (
     tensor,
 )
 from .errors import InputError
-from .weights import Degenerate, Weight, binom, dotted_weyl_reduce, rho_weight, weyl_dim
+from .weights import binom, dotted_weyl_reduce, rho_weight, weyl_dim
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,6 @@ class BWBGroup:
     """The single nonzero cohomology group of an irreducible summand."""
 
     degree: int
-    weight: Weight
     dim: int
 
 
@@ -65,10 +64,10 @@ def bwb_cohomology(b: IrreducibleBundle) -> BWBGroup | None:
     n = b.ambient
     seq = b.lam + (-b.twist,)
     res = dotted_weyl_reduce(seq, rho_weight(n + 1))
-    if isinstance(res, Degenerate):
+    if res is None:
         return None
     inversions, reduced = res
-    return BWBGroup(inversions, reduced, weyl_dim(reduced, n + 1))
+    return BWBGroup(inversions, weyl_dim(reduced, n + 1))
 
 
 def cohomology_table(e: BundleExpr) -> CohomologyTable:

@@ -25,6 +25,17 @@ class ParseError(InputError):
         super().__init__(detail)
 
 
+def read_int(digits: str, position: int) -> int:
+    """int(digits), or a ParseError at position when digits is longer than
+    Python turns into an int (4,300 digits by default)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"integer literal of {len(digits)} characters is too long", position
+        ) from None
+
+
 class UnsupportedPlethysm(PnsheafError):
     """wedge/sym applied to a summand outside the supported classes (exit code 3)."""
 

@@ -28,7 +28,7 @@ from .bundles import (
     Wedge,
     direct_sum,
 )
-from .errors import ParseError
+from .errors import ParseError, read_int
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<OPLUS>\(\+\))|(?P<OTIMES>\(x\))|(?P<INT>-?\d+)|(?P<OMEGA>Omega\^)"
@@ -69,6 +69,10 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def take_int(self) -> int:
+        _, value, pos = self.take("INT")
+        return read_int(value, pos)
+
     def expr(self) -> BundleExpr:
         terms = [self.term()]
         while self.peek()[0] in ("PLUS", "OPLUS"):
@@ -88,7 +92,7 @@ class _Parser:
         if kind == "O":
             self.pos += 1
             self.take("LPAREN")
-            d = int(self.take("INT")[1])
+            d = self.take_int()
             self.take("RPAREN")
             return LineBundle(self.n, d)
         if kind == "T":
@@ -96,14 +100,14 @@ class _Parser:
             return Tangent(self.n)
         if kind == "OMEGA":
             self.pos += 1
-            p = int(self.take("INT")[1])
+            p = self.take_int()
             if p == 0:
                 return LineBundle(self.n, 0)
             return Cotangent(self.n, p)
         if kind in ("WEDGE", "SYM"):
             self.pos += 1
             self.take("LPAREN")
-            k = int(self.take("INT")[1])
+            k = self.take_int()
             self.take("COMMA")
             inner = self.expr()
             self.take("RPAREN")
@@ -121,7 +125,7 @@ class _Parser:
             return inner
         if kind == "INT":
             self.pos += 1
-            mult = int(value)
+            mult = read_int(value, pos)
             if mult < 1:
                 raise ParseError(f"multiplicity must be positive, got {mult}", pos)
             self.take("STAR")
@@ -138,11 +142,23 @@ class _Parser:
 
 
 def split_ambient(text: str) -> tuple[str, int | None]:
-    """Split a trailing 'on P^n' off an expression string."""
-    m = re.search(r"\bon\s+P\^(\d+)\s*$", text)
-    if not m:
+    """Split a trailing 'on P^n' off an expression string.
+
+    The suffix is the word 'on', whitespace, 'P^', decimal digits and
+    optional whitespace; without it the text comes back unchanged.
+    """
+    head, hat, digits = text.rstrip().rpartition("P^")
+    body = head.rstrip()
+    before = body[-3:-2]
+    if not (
+        hat
+        and digits.isdecimal()
+        and len(body) < len(head)
+        and body.endswith("on")
+        and not (before.isalnum() or before == "_")
+    ):
         return text, None
-    return text[: m.start()].strip(), int(m.group(1))
+    return body[:-2].strip(), read_int(digits, len(head) + 2)
 
 
 def parse_expression(text: str, n: int) -> BundleExpr:

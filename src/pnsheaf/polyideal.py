@@ -24,7 +24,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 
-from .errors import InputError, ParseError, ScaleExceeded
+from .errors import InputError, ParseError, ScaleExceeded, read_int
 
 MAX_CHART_VARS = 4
 MAX_GENERATOR_DEGREE = 8
@@ -281,14 +281,16 @@ def parse_poly(text: str, nvars: int) -> Poly:
             if plus or minus or caret:
                 break
             if number is not None:
+                num, _, den = number.partition("/")
+                start = m.start(1)
                 try:
-                    coeff *= Fraction(number)
+                    coeff *= Fraction(read_int(num, start), read_int(den or "1", start))
                 except ZeroDivisionError:
-                    raise ParseError(f"zero denominator in {number}", m.start(1)) from None
+                    raise ParseError(f"zero denominator in {number}", start) from None
                 saw_factor = True
                 pos = m.end()
             elif var is not None:
-                idx = int(var)
+                idx = read_int(var, pos)
                 if idx >= nvars:
                     raise ParseError(f"variable x{idx} out of range (have x0..x{nvars - 1})", pos)
                 pos = m.end()
@@ -299,7 +301,7 @@ def parse_poly(text: str, nvars: int) -> Poly:
                     m3 = _TOKEN_RE.match(text, pos)
                     if not m3 or m3.group(1) is None or "/" in m3.group(1):
                         raise ParseError("expected integer exponent", pos, ("integer",))
-                    power = int(m3.group(1))
+                    power = read_int(m3.group(1), pos)
                     pos = m3.end()
                 expo[idx] += power
                 saw_factor = True

@@ -2,7 +2,10 @@
 
 Dimensions via the Weyl product formula, Littlewood-Richardson products by
 direct enumeration of LR skew tableaux, and the shifted sort-and-count
-reduction used by the cohomology engine.
+reduction used by the cohomology engine.  A weight is a plain tuple of ints,
+weakly decreasing, whose length is the ambient size N; products return
+(weight, multiplicity) pairs and the reduction returns (inversions, weight),
+or None when every cohomology group vanishes.
 """
 
 from __future__ import annotations
@@ -10,59 +13,17 @@ from __future__ import annotations
 import math
 from bisect import bisect_right, insort
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class Weight:
-    """Weakly decreasing integer vector; its length is the ambient size N."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
-        for a, b in zip(self.entries, self.entries[1:]):
-            if a < b:
-                raise InputError(f"weight {self.entries} is not weakly decreasing")
-
-    @property
-    def length(self) -> int:
-        return len(self.entries)
-
-    def size(self) -> int:
-        """Sum of the entries (the number of boxes when nonnegative)."""
-        return sum(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __str__(self):
-        return "(" + ",".join(str(x) for x in self.entries) + ")"
-
-
-@dataclass(frozen=True)
-class Degenerate:
-    """Sort-and-count hit a repeated entry: every cohomology group vanishes."""
-
-    entries: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class LRExpansion:
-    """Multiplicity-tagged terms of a Littlewood-Richardson product."""
-
-    terms: tuple[tuple[Weight, int], ...]
-
-
-def weyl_dim(mu: Weight | tuple[int, ...], n_amb: int) -> int:
+def weyl_dim(mu: tuple[int, ...], n_amb: int) -> int:
     """Dimension of the irreducible GL(n_amb) module of highest weight mu.
 
     Weyl's formula: prod_{i<j} (mu_i - mu_j + j - i) / (j - i).
     """
-    entries = tuple(mu.entries if isinstance(mu, Weight) else mu)
+    entries = tuple(mu)
     if len(entries) != n_amb:
         raise InputError(f"weight {entries} has length {len(entries)}, ambient is {n_amb}")
     return _weyl_dim_cached(entries, n_amb)
@@ -116,21 +77,24 @@ def _weyl_dim_cached(entries: tuple[int, ...], width: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def lr_product(lam: Weight | tuple[int, ...], mu: Weight | tuple[int, ...]) -> LRExpansion:
+def lr_product(
+    lam: tuple[int, ...], mu: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Expand the product of two Schur functors inside GL(N), N = len(lam).
 
-    Each weight is a Weight or a tuple of ints.  Both must be nonnegative and
-    of equal length; terms with more than N rows are dropped (they vanish
-    for rank-N bundles).  Terms come back sorted lexicographically
-    descending.
+    Both weights must be weakly decreasing, nonnegative and of equal length.
+    Returns (weight, multiplicity) pairs, sorted lexicographically
+    descending; terms with more than N rows are dropped (they vanish for
+    rank-N bundles).
     """
-    lam, mu = Weight(tuple(lam)), Weight(tuple(mu))
-    if lam.length != mu.length:
+    for w in (lam, mu):
+        if any(a < b for a, b in zip(w, w[1:])):
+            raise InputError(f"weight {w} is not weakly decreasing")
+    if len(lam) != len(mu):
         raise InputError(f"length mismatch: {lam} vs {mu}")
-    if (lam.entries and lam.entries[-1] < 0) or (mu.entries and mu.entries[-1] < 0):
+    if (lam and lam[-1] < 0) or (mu and mu[-1] < 0):
         raise InputError("lr_product needs nonnegative weights; absorb twists first")
-    raw = _lr_terms(lam.entries, mu.entries)
-    return LRExpansion(tuple((Weight(entries), mult) for entries, mult in raw))
+    return _lr_terms(lam, mu)
 
 
 def _lr_terms(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -173,26 +137,26 @@ def _lr_terms(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[tuple[tuple[in
     return tuple(ordered)
 
 
-def dotted_weyl_reduce(w: tuple[int, ...] | Weight, rho: tuple[int, ...]):
+def dotted_weyl_reduce(
+    w: tuple[int, ...], rho: tuple[int, ...]
+) -> tuple[int, tuple[int, ...]] | None:
     """Sort w + rho strictly decreasing, counting the swaps.
 
-    Returns (inversions, Weight(sorted - rho)), or a Degenerate carrying
-    w + rho when that vector has a repeated entry.
+    Returns (inversions, sorted - rho), or None when w + rho has a repeated
+    entry.
     """
-    entries = tuple(w.entries if isinstance(w, Weight) else w)
-    if len(entries) != len(rho):
-        raise InputError(f"length mismatch: {entries} vs rho {rho}")
-    shifted = tuple(a + b for a, b in zip(entries, rho))
+    if len(w) != len(rho):
+        raise InputError(f"length mismatch: {w} vs rho {rho}")
+    shifted = tuple(a + b for a, b in zip(w, rho))
     if len(set(shifted)) < len(shifted):
-        return Degenerate(shifted)
+        return None
     # pairs i < j with shifted[i] < shifted[j], counted from the right
     inversions, seen = 0, []
     for x in reversed(shifted):
         inversions += len(seen) - bisect_right(seen, x)
         insort(seen, x)
     ordered = sorted(shifted, reverse=True)
-    reduced = tuple(a - b for a, b in zip(ordered, rho))
-    return inversions, Weight(reduced)
+    return inversions, tuple(a - b for a, b in zip(ordered, rho))
 
 
 def rho_weight(n_amb: int) -> tuple[int, ...]:

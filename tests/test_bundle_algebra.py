@@ -307,8 +307,8 @@ def _ref_unit(n):
 def _ref_tensor_into(acc, a, b):
     for x, mx in a.terms:
         for y, my in b.terms:
-            for nu, c in lr_product(x.lam, y.lam).terms:
-                key = _ref_canon(nu.entries, x.twist + y.twist)
+            for nu, c in lr_product(x.lam, y.lam):
+                key = _ref_canon(nu, x.twist + y.twist)
                 acc[key] = acc.get(key, 0) + mx * my * c
     return acc
 

@@ -299,6 +299,34 @@ def test_chern_refuses_large_skew_solves_before_they_start(capsys):
     )
 
 
+BIG = "1" + "0" * 5000  # 5,001 digits, past Python's 4,300-digit int limit
+
+
+@pytest.mark.parametrize(
+    "argv, form",
+    [
+        (["chi", f"O({BIG}) on P^2"], None),
+        (["chi", f"O(1) on P^{BIG}"], None),
+        (["cohomology", f"wedge({BIG}, T) on P^2"], None),
+        (["sweep", "codim1", "--n", BIG, "--r", "3"], None),
+        (["sweep", "codim1", "--n", "2", "--r", f"1:{BIG}"], None),
+        (["pfaff", "singular", "--file"], f"A_0: {BIG}*x1"),
+        (["pfaff", "singular", "--file"], f"A_0: 1/{BIG}*x1"),
+        (["pfaff", "singular", "--file"], f"A_0: x{BIG}"),
+        (["pfaff", "singular", "--file"], f"A_0: x1^{BIG}"),
+    ],
+)
+def test_integer_literals_past_the_int_limit_are_bad_input(tmp_path, capsys, argv, form):
+    if form is not None:
+        path = tmp_path / "big.form"
+        path.write_text(f"P^2 twist 3\n{form}\nA_1: x2\nA_2: x0\n", encoding="utf-8")
+        argv = argv + [str(path)]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err[:200]
+    assert "5001 characters is too long" in err
+
+
 def test_bad_form_label_is_two(tmp_path, capsys):
     path = tmp_path / "bad.form"
     path.write_text("P^2 twist 2\nA_x: x0\n", encoding="utf-8")

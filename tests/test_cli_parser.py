@@ -143,3 +143,18 @@ def test_fresh_interpreter_imports_neither_argparse_nor_locale():
     done = subprocess.run([sys.executable, "-I", "-c", code],
                           capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "0 []"
+
+
+def test_well_formed_requests_compile_no_regular_expression(tmp_path):
+    # each CLI process starts with an empty re cache, so a pattern compiled
+    # per request is paid by every request; the module-level patterns are not
+    cases = [c for c in COMPUTING if c["argv"][0] in ("chi", "cohomology", "porteous")
+             or c["argv"][:2] == ["sweep", "certificate"]]
+    assert {c["argv"][0] for c in cases} == {"chi", "cohomology", "porteous", "sweep"}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"re._compile{args}")
+
+    with mock.patch("re._compile", refuse):
+        for case in cases:
+            assert _run(case["argv"], tmp_path)[0] == case["exit"], case["argv"]
