@@ -31,6 +31,11 @@ MAX_CHOW_AMBIENT = 64
 # nonzero parts, exceeds the cost of one solve of the largest size at the
 # ambient bound; that one solve takes 0.3-1.9 s on P^64 (2 CPUs, Python 3.11).
 MAX_SKEW_WORK = MAX_CHOW_AMBIENT**3
+# A Porteous determinant of size l whose entries have at most b bits has
+# Bareiss intermediates of about l * (b + log2 l) bits (Hadamard's bound);
+# above this bound, with l.bit_length() for log2 l, it is refused before the
+# solve.  At the bound a 64 x 64 solve takes about 1 s (2 CPUs, Python 3.11).
+MAX_PORTEOUS_BITS = 2**17
 
 
 def _check_ambient(n: int) -> None:
@@ -266,7 +271,9 @@ def porteous_class(E: BundleExpr, G: BundleExpr) -> PorteousResult:
 
     Expected codimension is e - g + 1; the class is the determinant of the
     (e-g+1) x (e-g+1) matrix with (i, j) entry c_(1+j-i)(G - E).  When the
-    codimension exceeds n the zero class is returned and flagged.
+    codimension exceeds n the zero class is returned and flagged.  A matrix
+    whose entries are too long for MAX_PORTEOUS_BITS is refused before the
+    solve.
     """
     e = rank(E)
     g = rank(G)
@@ -281,6 +288,12 @@ def porteous_class(E: BundleExpr, G: BundleExpr) -> PorteousResult:
         if x.denominator != 1:
             raise ConsistencyError(f"c_{m}(G - E) came out non-integral: {x}")
     # the entries c_(1+j-i) reach at most c_codim, and codim <= n
+    bits = max(abs(x.numerator).bit_length() for x in diff[: codim + 1])
+    if (size_bits := codim * (bits + codim.bit_length())) > MAX_PORTEOUS_BITS:
+        raise ScaleExceeded(
+            f"the Porteous determinant of size {codim} has entries of up to {bits} bits, so"
+            f" its solve needs about {size_bits} bits; the bound is {MAX_PORTEOUS_BITS}"
+        )
     rows = [[int(diff[1 + j - i]) if j + 1 >= i else 0 for j in range(codim)] + [0] for i in range(codim)]
     det, _ = _solve(rows)
     return PorteousResult(n, codim, hyperplane_power(n, codim, det), det, True)

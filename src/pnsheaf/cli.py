@@ -129,13 +129,15 @@ def _check_size(*values) -> None:
                 )
 
 
-def _emit(args, payload: dict, lines: list[str]) -> None:
+def _emit(args, payload: dict, text_lines) -> None:
+    """Print the payload as JSON, or the list text_lines() returns as text;
+    the text is built only when it is printed."""
     if args.format == "json":
         if args.seed is not None:
             payload = {**payload, "seed": args.seed}
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        print("\n".join(lines))
+        print("\n".join(text_lines()))
 
 
 def _chow_text(c: ChowClass) -> str:
@@ -217,16 +219,20 @@ def _cmd_cohomology(args) -> int:
         ],
     }
     _check_size(payload)
-    lines = [f"P^{table.ambient}: {text}"]
-    for p, d in enumerate(table.dims):
-        contribs = [c for c in table.contributions if c.degree == p]
-        suffix = ""
-        if contribs:
-            suffix = "   from " + ", ".join(
-                f"{c.summand} x{c.multiplicity} (dim {c.dim})" for c in contribs
-            )
-        lines.append(f"h^{p} = {d}{suffix}")
-    lines.append(f"chi = {table.euler_characteristic()}")
+
+    def lines():
+        out = [f"P^{table.ambient}: {text}"]
+        for p, d in enumerate(table.dims):
+            contribs = [c for c in table.contributions if c.degree == p]
+            suffix = ""
+            if contribs:
+                suffix = "   from " + ", ".join(
+                    f"{c.summand} x{c.multiplicity} (dim {c.dim})" for c in contribs
+                )
+            out.append(f"h^{p} = {d}{suffix}")
+        out.append(f"chi = {table.euler_characteristic()}")
+        return out
+
     _emit(args, payload, lines)
     return 0
 
@@ -246,13 +252,12 @@ def _cmd_chern(args) -> int:
         "chern_character": [str(x) for x in ch.coeffs],
         "total_chern": [int(x) for x in c.coeffs],
     }
-    lines = [
+    _emit(args, payload, lambda: [
         f"P^{e.ambient}: {text}",
         f"rank = {r}",
         f"ch = {_chow_text(ch)}",
         f"c  = {_chow_text(c)}",
-    ]
-    _emit(args, payload, lines)
+    ])
     return 0
 
 
@@ -273,12 +278,11 @@ def _cmd_chi(args) -> int:
         "h": list(table.dims),
     }
     _check_size(payload)
-    lines = [
+    _emit(args, payload, lambda: [
         f"P^{e.ambient}: {text}",
         f"chi = {chi} (Riemann-Roch and cohomology agree)",
         "h = (" + ", ".join(str(d) for d in table.dims) + ")",
-    ]
-    _emit(args, payload, lines)
+    ])
     return 0
 
 
@@ -302,14 +306,12 @@ def _cmd_en_resolution(args) -> int:
         "twisted": report.twisted,
         "terms": terms,
     }
-    lines = [
+    _emit(args, payload, lambda: [
         f"resolution on P^{E.ambient}: E = {render_expression(E)}, "
         f"G = {render_expression(G)} (e = {report.e}, g = {report.g}, "
-        f"{'twisted' if report.twisted else 'untwisted'})"
-    ]
-    for term in terms:
-        lines.append(f"M_{term['i']}: {term['expr']}  (rank {term['rank']})")
-    _emit(args, payload, lines)
+        f"{'twisted' if report.twisted else 'untwisted'})",
+        *(f"M_{term['i']}: {term['expr']}  (rank {term['rank']})" for term in terms),
+    ])
     return 0
 
 
@@ -319,7 +321,7 @@ def _cmd_certificate(args) -> int:
     cert = vanishing_certificate(E, G)
     payload = cert.to_json_dict()
     _check_size(payload, cert.endomorphism_dim)
-    _emit(args, payload, cert.text_lines())
+    _emit(args, payload, cert.text_lines)
     return 0 if cert.verdict else 1
 
 
@@ -339,17 +341,21 @@ def _cmd_porteous(args) -> int:
         "class": [int(x) for x in result.cls.coeffs],
     }
     _check_size(payload)
-    lines = [
-        f"degeneracy locus on P^{n}: E = {render_expression(E)}, "
-        f"G = {render_expression(G)}",
-        f"expected codimension = {result.codim}",
-    ]
-    if result.within_ambient:
-        lines.append(f"expected dimension = {n - result.codim}")
-        lines.append(f"class = {_chow_text(result.cls)}")
-        lines.append(f"degree = {result.degree}")
-    else:
-        lines.append("codimension exceeds the ambient: empty expected locus")
+
+    def lines():
+        out = [
+            f"degeneracy locus on P^{n}: E = {render_expression(E)}, "
+            f"G = {render_expression(G)}",
+            f"expected codimension = {result.codim}",
+        ]
+        if result.within_ambient:
+            out.append(f"expected dimension = {n - result.codim}")
+            out.append(f"class = {_chow_text(result.cls)}")
+            out.append(f"degree = {result.degree}")
+        else:
+            out.append("codimension exceeds the ambient: empty expected locus")
+        return out
+
     _emit(args, payload, lines)
     return 0
 
@@ -393,7 +399,7 @@ def _cmd_check(args) -> int:
     if unused:
         raise InputError(f"check {ident} does not take {', '.join(unused)}")
     report = build(args)
-    _emit(args, report.to_json_dict(), report.text_lines())
+    _emit(args, report.to_json_dict(), report.text_lines)
     return 0 if report.verdict == HOLD else 1
 
 
@@ -423,15 +429,14 @@ def _cmd_pfaff_uniqueness(args) -> int:
         "cross_check": report.cross_check.to_json_dict(),
         "notes": list(report.notes),
     }
-    lines = [
+    _emit(args, payload, lambda: [
         f"form on P^{w.ambient}, twist {w.twist}: {w}",
         f"singular scheme dimension = {report.scheme.dimension}",
         f"twist-{w.twist} forms vanishing on it: dimension = {report.sections.dim}",
         f"verdict: {report.verdict}",
         f"cross-check {report.cross_check.theorem}: {report.cross_check.verdict}",
-    ]
-    lines.extend(f"note: {note}" for note in report.notes)
-    _emit(args, payload, lines)
+        *(f"note: {note}" for note in report.notes),
+    ])
     return 0 if report.verdict == "unique-up-to-scalar" else 1
 
 
@@ -448,15 +453,13 @@ def _cmd_pfaff_singular(args) -> int:
             for i, basis in enumerate(scheme.ideal.charts)
         ],
     }
-    lines = [
+    _emit(args, payload, lambda: [
         f"form on P^{w.ambient}, twist {w.twist}: {w}",
         f"singular scheme dimension = {scheme.dimension}",
-        "generators: " + "; ".join(str(g) for g in scheme.ideal.generators),
-    ]
-    for i, basis in enumerate(scheme.ideal.charts):
-        body = "; ".join(str(g) for g in basis) if basis else "(zero ideal)"
-        lines.append(f"chart x{i} = 1 basis: {body}")
-    _emit(args, payload, lines)
+        "generators: " + "; ".join(payload["generators"]),
+        *(f"chart x{chart['chart']} = 1 basis: {'; '.join(chart['basis']) or '(zero ideal)'}"
+          for chart in payload["charts"]),
+    ])
     return 0
 
 
@@ -471,13 +474,11 @@ def _cmd_pfaff_sections(args) -> int:
         "dim": space.dim,
         "basis": [[str(c) for c in form.coeffs] for form in space.basis],
     }
-    lines = [
+    _emit(args, payload, lambda: [
         f"forms of twist {twist} vanishing on the singular scheme of {w}",
         f"dimension = {space.dim}",
-    ]
-    for idx, form in enumerate(space.basis):
-        lines.append(f"basis[{idx}]: {form}")
-    _emit(args, payload, lines)
+        *(f"basis[{idx}]: {form}" for idx, form in enumerate(space.basis)),
+    ])
     return 0
 
 
@@ -496,19 +497,18 @@ def _cmd_pfaff_annihilator(args) -> int:
             for s in slices
         ],
     }
-    lines = [f"annihilator of {w} by vector-field degree"]
-    for s in slices:
-        lines.append(f"degree {s.degree}: kernel dimension {s.dim}")
-    _emit(args, payload, lines)
+    _emit(args, payload, lambda: [
+        f"annihilator of {w} by vector-field degree",
+        *(f"degree {s.degree}: kernel dimension {s.dim}" for s in slices),
+    ])
     return 0
 
 
 def _cmd_pfaff_random_pencil(args) -> int:
     w = random_pencil_form(args.n, args.degree, args.seed)
-    text = render_form_file(w)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.write(render_form_file(w))
     if args.format == "json":
         payload = {**_form_summary(w), "degree": args.degree, "seed": args.seed}
         if args.out:
@@ -517,7 +517,7 @@ def _cmd_pfaff_random_pencil(args) -> int:
     elif args.out:
         print(f"wrote twist-{w.twist} form on P^{w.ambient} to {args.out}")
     else:
-        print(text, end="")
+        print(render_form_file(w), end="")
     return 0
 
 
@@ -563,11 +563,15 @@ def _sweep(args, task, grid: list[tuple]) -> int:
         "failures": failures,
         "results": results,
     }
-    lines = []
-    for r in results:
-        inputs = " ".join(f"{k}={v}" for k, v in r.items() if k != "verdict")
-        lines.append(f"{inputs} -> {r['verdict']}")
-    lines.append(f"{len(results)} entries, {failures} failures")
+
+    def lines():
+        out = []
+        for r in results:
+            inputs = " ".join(f"{k}={v}" for k, v in r.items() if k != "verdict")
+            out.append(f"{inputs} -> {r['verdict']}")
+        out.append(f"{len(results)} entries, {failures} failures")
+        return out
+
     _emit(args, payload, lines)
     return 0 if failures == 0 else 1
 

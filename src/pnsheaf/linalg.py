@@ -33,8 +33,13 @@ def _check_width(rows, width: int | None = None) -> None:
 def _int_row(row) -> dict[int, int]:
     """A row times the lcm of its denominators, sparse; {} for a zero row."""
     row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    den = lcm(*(x.denominator for x in row))
-    return {c: x.numerator * (den // x.denominator) for c, x in enumerate(row) if x}
+    return _cleared({c: x for c, x in enumerate(row) if x})
+
+
+def _cleared(vec: dict[int, Fraction]) -> dict[int, int]:
+    """A sparse vector of nonzero entries times the lcm of their denominators."""
+    den = lcm(*(x.denominator for x in vec.values()))
+    return {c: x.numerator * (den // x.denominator) for c, x in vec.items()}
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -118,6 +123,19 @@ def _kernel(rows, ncols: int) -> list[dict[int, Fraction]]:
         vec[free] = _ONE
         basis.append(dict(sorted(vec.items())))
     return basis
+
+
+def _last_pivot_basis(vectors, ncols: int) -> list[dict[int, Fraction]]:
+    """The reduced basis of the span of sparse integer vectors over ncols
+    columns that pivots each vector on its last nonzero column, with 1 there
+    and 0 at the other pivots; in increasing pivot order.  It depends only on
+    the span, and for a kernel it is the basis ``_kernel`` returns."""
+    last = ncols - 1
+    reduced = _reduced({last - c: v for c, v in vec.items()} for vec in vectors)
+    return [
+        {last - c: Fraction(v, row[col]) for c, v in sorted(row.items(), reverse=True)}
+        for col, row in reversed(reduced)
+    ]
 
 
 def row_rank(rows: list[list[Fraction]]) -> int:

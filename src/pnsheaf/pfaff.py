@@ -20,7 +20,7 @@ from .checkers import TheoremReport, check_codim1_generic
 from .errors import EulerViolation, InputError, ScaleExceeded
 # kernel_basis is unused here but stays a pfaff attribute: perfbench's traced
 # test reads pnsheaf.pfaff.kernel_basis
-from .linalg import _kernel, in_row_span, kernel_basis  # noqa: F401
+from .linalg import _cleared, _kernel, _last_pivot_basis, in_row_span, kernel_basis  # noqa: F401
 from .polyideal import (
     MAX_CHART_VARS,
     MAX_GENERATOR_DEGREE,
@@ -67,11 +67,14 @@ class TwistedOneForm:
                 raise InputError(
                     f"coefficient {c} is not homogeneous of degree {self.twist - 1}"
                 )
-        residual = Poly.zero(n + 1)
+        # sum x_i A_i, term by term
+        residual: dict[tuple[int, ...], Fraction] = {}
         for i, c in enumerate(self.coeffs):
-            residual = residual + Poly.variable(i, n + 1) * c
-        if residual:
-            raise EulerViolation(residual)
+            for e, v in c.terms.items():
+                e = e[:i] + (e[i] + 1,) + e[i + 1:]
+                residual[e] = residual.get(e, 0) + v
+        if any(residual.values()):
+            raise EulerViolation(Poly(n + 1, residual))
 
     def __str__(self):
         parts = [f"({c}) dx{i}" for i, c in enumerate(self.coeffs) if c]
@@ -85,9 +88,6 @@ class SingularScheme:
 
     def is_zero_dimensional(self) -> bool:
         return self.dimension == 0
-
-    def is_empty(self) -> bool:
-        return self.dimension == -1
 
 
 @dataclass(frozen=True)
@@ -226,6 +226,15 @@ def _slot_polys(vec: dict[int, Fraction], nvars: int, monos) -> tuple[Poly, ...]
     return tuple(Poly(nvars, terms) for terms in slots)
 
 
+def _combination(coeffs: dict[int, int], vectors) -> dict[int, int]:
+    """sum_j coeffs[j] * vectors[j] for sparse integer vectors, without zeros."""
+    out: dict[int, int] = {}
+    for j, c in coeffs.items():
+        for col, v in vectors[j].items():
+            out[col] = out.get(col, 0) + c * v
+    return {col: v for col, v in out.items() if v}
+
+
 def singular_scheme(w: TwistedOneForm) -> SingularScheme:
     gens = [c for c in w.coeffs if c]
     ideal = ideal_presentation(gens)
@@ -235,9 +244,19 @@ def singular_scheme(w: TwistedOneForm) -> SingularScheme:
 def vanishing_section_space(n: int, r: int, z) -> SectionSpace:
     """Exact basis of twist-r forms vanishing on the subscheme z.
 
-    Unknowns are the monomial coefficients of (A_0, ..., A_n) in degree r-1;
-    the linear conditions are the Euler relation plus, chart by chart, the
-    normal form of every dehomogenized coefficient against z's chart basis.
+    Unknowns are the monomial coefficients of (A_0, ..., A_n) in degree r-1,
+    slot-major.  Every A_i lies in the space V of degree-(r-1) polynomials
+    whose dehomogenizations reduce to zero against z's chart bases, so the
+    solve has two stages.  First V, over one slot's columns: it starts as
+    every polynomial, and each chart keeps the combinations of its basis
+    V_1, ..., V_k whose normal forms vanish.  Then the Euler relation
+    sum x_i A_i = 0, over the (n+1)k coefficients c_(i,j) of
+    A_i = sum_j c_(i,j) V_j.  The kernel, mapped back, is returned in the
+    reduced basis that pivots each vector on its last nonzero column.  That
+    basis depends only on the kernel, and it is the one _kernel gives for the
+    single system of Euler rows and per-slot membership rows: there, vector f
+    is 1 at free column f and 0 at the other free columns, and f is the last
+    column where it is nonzero.
     """
     ideal = z.ideal if isinstance(z, SingularScheme) else z
     if not isinstance(ideal, IdealPresentation):
@@ -251,32 +270,51 @@ def vanishing_section_space(n: int, r: int, z) -> SectionSpace:
     monos = monomials_of_degree(nvars, r - 1)
     width = len(monos)
     index = {m: i for i, m in enumerate(monos)}
-    # sparse integer rows {column: entry}; column slot * width + index[m]
-    # holds the coefficient of the monomial m in A_slot
-    rows: list[dict[int, int]] = []
-    # Euler relation: coefficient of every degree-r monomial in sum x_i A_i
-    for m in monomials_of_degree(nvars, r):
-        rows.append({
-            i * width + index[m[:i] + (m[i] - 1,) + m[i + 1:]]: 1 for i in range(nvars) if m[i]
-        })
-    # chart-wise membership of every coefficient
+    # V, the degree-(r-1) polynomials whose dehomogenizations reduce to zero
+    # on every chart, as integer vectors {index[m]: entry}; it starts as every
+    # polynomial and is cut down chart by chart
+    space = [{i: 1} for i in range(width)]
     for chart in range(nvars):
-        # the chart basis is converted to integer reducers once, not per monomial
+        if not space:
+            break
+        # the chart basis is converted to integer reducers once, not per polynomial
         reducers = _reducers(ideal.charts[chart], n)
-        # the pseudo-remainder (rem, s) of a monomial is s times its normal
-        # form; over the chart's common denominator every normal form is an
-        # integer vector
-        nfs = [_divide({_pack(m[:chart] + m[chart + 1:]): 1}, reducers, n) for m in monos]
+        keys = [_pack(m[:chart] + m[chart + 1:]) for m in monos]
+        # the pseudo-remainder (rem, s) of V_j is s times its normal form; over
+        # the common denominator every normal form is an integer vector
+        nfs = [_divide({keys[i]: c for i, c in vec.items()}, reducers, n) for vec in space]
         den = lcm(*(s for _, s in nfs))
+        # one row per remainder monomial mu: its coefficient in the normal
+        # form of sum_j c_j V_j
         by_mu: dict[int, dict[int, int]] = {}
-        for m_idx, (rem, s) in enumerate(nfs):
+        for j, (rem, s) in enumerate(nfs):
             for mu, c in rem.items():
-                by_mu.setdefault(mu, {})[m_idx] = c * (den // s)
-        # one row per slot and remainder monomial mu: the coefficient of mu
-        # in the normal form of A_slot
-        for shift in range(0, nvars * width, width):
-            rows.extend({shift + m_idx: c for m_idx, c in row.items()} for row in by_mu.values())
-    kernel = _kernel(rows, nvars * width)
+                by_mu.setdefault(mu, {})[j] = c * (den // s)
+        if by_mu:
+            kernel = _kernel(by_mu.values(), len(space))
+            space = [_combination(_cleared(vec), space) for vec in kernel]
+    k = len(space)
+    # (j, entry of V_j) at each monomial index
+    at_index: list[list[tuple[int, int]]] = [[] for _ in range(width)]
+    for j, vec in enumerate(space):
+        for m_idx, c in vec.items():
+            at_index[m_idx].append((j, c))
+    # Euler relation: coefficient of every degree-r monomial in sum x_i A_i,
+    # over column slot * k + j for c_(slot,j) in A_slot = sum_j c_(slot,j) V_j
+    euler = []
+    for m in monomials_of_degree(nvars, r):
+        row = {}
+        for i in range(nvars):
+            if m[i]:
+                below = index[m[:i] + (m[i] - 1,) + m[i + 1:]]
+                row.update((i * k + j, c) for j, c in at_index[below])
+        euler.append(row)
+    # blocks[slot * k + j] is V_j in slot's columns, for column slot * k + j above
+    blocks = [
+        {slot * width + m_idx: c for m_idx, c in vec.items()} for slot in range(nvars) for vec in space
+    ]
+    forms = [_combination(_cleared(vec), blocks) for vec in _kernel(euler, nvars * k)]
+    kernel = _last_pivot_basis(forms, nvars * width)
     basis_forms = tuple(TwistedOneForm(n, r, _slot_polys(vec, nvars, monos)) for vec in kernel)
     return SectionSpace(n, r, len(kernel), basis_forms)
 

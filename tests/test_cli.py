@@ -26,6 +26,7 @@ from pnsheaf import (
     Tangent,
     Tensor,
     TheoremReport,
+    TwistedOneForm,
     Wedge,
     parse_expression,
     parse_form_file,
@@ -286,6 +287,18 @@ def test_chow_commands_refuse_large_ambients_before_they_start(capsys, argv):
     n = argv[-1] if argv[-2] == "--n" else argv[1].rpartition("^")[2]
     assert (code, out) == (3, "")
     assert err == f"error: Chow-ring arithmetic on P^{n} is refused; the bound is P^64\n"
+
+
+def test_porteous_refuses_large_entries_before_the_solve(capsys):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["porteous", f"64*O(-{10**80})", "O(1)", "--n", "64"])
+    # the solve ran 38 s before the output bound refused its determinant
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: the Porteous determinant of size 64 has entries of up to 17132 bits, so"
+        " its solve needs about 1096896 bits; the bound is 131072\n"
+    )
 
 
 def test_chern_refuses_large_skew_solves_before_they_start(capsys):
@@ -695,6 +708,28 @@ def test_pfaff_sections_match_unconstrained_count(tmp_path, capsys):
     assert code == 0
     assert payload["twist"] == 2
     assert payload["dim"] >= 1
+
+
+def test_json_output_renders_no_form_text(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "pencil.form"
+    w = pencil_form(parse_poly("x0^2 + x1*x2", 3), parse_poly("x1^2", 3))
+    path.write_text(render_form_file(w), encoding="utf-8")
+
+    def no_text(self):
+        raise AssertionError("a form was rendered as text")
+
+    monkeypatch.setattr(TwistedOneForm, "__str__", no_text)
+    for flags in (["uniqueness"], ["singular"], ["sections"], ["annihilator", "--bound", "1"]):
+        code, payload = _run_json(capsys, ["pfaff", *flags, "--file", str(path)])
+        assert code in (0, 1) and payload, flags
+
+
+def test_form_file_failing_the_euler_relation_is_two(tmp_path, capsys):
+    path = tmp_path / "bad.form"
+    path.write_text("P^2 twist 3\nA_0: x1*x2\nA_1: x0*x2\nA_2: x0*x1\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["pfaff", "uniqueness", "--file", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: Euler relation violated, residual 3*x0*x1*x2\n"
 
 
 # ---------------------------------------------------------------------------

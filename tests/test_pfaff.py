@@ -66,6 +66,15 @@ def test_euler_violation_carries_residual():
     with pytest.raises(EulerViolation) as exc:
         TwistedOneForm(2, 3, (_p("x1*x2", 3), _p("x0*x2", 3), _p("x0*x1", 3)))
     assert exc.value.residual == _p("3*x0*x1*x2", 3)
+    assert str(exc.value) == "Euler relation violated, residual 3*x0*x1*x2"
+
+
+def test_euler_relation_holds_across_fraction_coefficients():
+    w = TwistedOneForm(2, 3, (_p("1/2*x1*x2", 3), _p("1/3*x0*x2", 3), _p("-5/6*x0*x1", 3)))
+    assert w.coeffs[2].terms == {(1, 1, 0): Fraction(-5, 6)}
+    with pytest.raises(EulerViolation) as exc:
+        TwistedOneForm(2, 3, (_p("1/2*x1*x2", 3), _p("1/3*x0*x2", 3), _p("-x0*x1", 3)))
+    assert exc.value.residual == _p("-1/6*x0*x1*x2", 3)
 
 
 def test_form_validation():
