@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InputError, ScaleExceeded, UnsupportedPlethysm
+from .errors import ConsistencyError, InputError, ScaleExceeded, UnsupportedPlethysm
 from .weights import conjugate, lr_product, partitions, schur_dim, weyl_dim
 
 # A wedge/sym power is refused when its expansion would take more than this
@@ -490,6 +490,6 @@ def det_bundle(e: BundleExpr) -> IrreducibleBundle:
         r = b.rank
         boxes = sum(b.lam)
         if (boxes * r) % n:
-            raise InputError(f"determinant exponent of {b} is not integral")
+            raise ConsistencyError(f"determinant exponent of {b} is not integral")
         total += mult * ((boxes * r) // n + r * b.twist)
     return IrreducibleBundle(n, (0,) * n, total)

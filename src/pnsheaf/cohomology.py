@@ -1,16 +1,19 @@
 """Sheaf cohomology of homogeneous bundle expressions on P^n.
 
-The engine runs one sort-and-count reduction per irreducible summand: append
-minus the twist to the weight, add the staircase rho = (n, ..., 1, 0), and
-either hit a repeated entry (no cohomology at all) or sort and count swaps
-(one nonzero group, in that degree, of Weyl dimension).  The classical
+Bott's theorem in closed form, per irreducible summand S_lam(Q)(t): with
+a_k = lam_k + n + 1 - k and x = -t, the summand has no cohomology when x is
+some a_k, and otherwise one nonzero group, in degree #{k : a_k < x}, of
+dimension rank(S_lam(Q)) * prod_k |a_k - x| / n! (the Weyl dimension of
+the dotted-Weyl reduction of (lam, x), without sorting it).  The classical
 closed form for twisted p-forms is kept alongside as an independent oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
 
 from .bundles import (
     BundleExpr,
@@ -21,8 +24,8 @@ from .bundles import (
     omega,
     tensor,
 )
-from .errors import InputError
-from .weights import binom, dotted_weyl_reduce, rho_weight, weyl_dim
+from .errors import ConsistencyError, InputError
+from .weights import binom
 
 
 @dataclass(frozen=True)
@@ -61,13 +64,28 @@ class CohomologyTable:
 @lru_cache(maxsize=None)
 def bwb_cohomology(b: IrreducibleBundle) -> BWBGroup | None:
     """Cohomology of one summand; None when every group vanishes."""
-    n = b.ambient
-    seq = b.lam + (-b.twist,)
-    res = dotted_weyl_reduce(seq, rho_weight(n + 1))
-    if res is None:
-        return None
-    inversions, reduced = res
-    return BWBGroup(inversions, weyl_dim(reduced, n + 1))
+    n, x = b.ambient, -b.twist
+    # Over a run of L equal entries, the a's are the L consecutive integers
+    # lo..lo+L-1, so prod |a - x| = L! * comb(top, L), and the L!'s turn n!
+    # into the multinomial prod comb(rows so far, L).
+    degree, num, den, rows = 0, 1, 1, 0
+    for v, run in groupby(b.lam):
+        length = len(list(run))
+        rows += length
+        lo = v + n + 1 - rows
+        if x < lo:
+            top = lo + length - 1 - x
+        elif x >= lo + length:
+            degree += length
+            top = x - lo
+        else:
+            return None
+        num *= math.comb(top, length)
+        den *= math.comb(rows, length)
+    num *= b.rank  # only a summand with cohomology pays its Weyl dimension
+    if num % den:
+        raise ConsistencyError(f"Bott's formula produced a non-integer for {b}")
+    return BWBGroup(degree, num // den)
 
 
 def cohomology_table(e: BundleExpr) -> CohomologyTable:

@@ -1,11 +1,14 @@
 """Dominant-weight combinatorics for GL(N).
 
-Dimensions via the Weyl product formula, Littlewood-Richardson products by
-direct enumeration of LR skew tableaux, and the shifted sort-and-count
-reduction used by the cohomology engine.  A weight is a plain tuple of ints,
-weakly decreasing, whose length is the ambient size N; products return
-(weight, multiplicity) pairs and the reduction returns (inversions, weight),
-or None when every cohomology group vanishes.
+Dimensions via the Weyl product formula, taken over runs of equal entries.
+Littlewood-Richardson products use Pieri's rule when either factor is a
+column 1^b (the vertical strips of size b on the other factor; Macdonald,
+Symmetric Functions, I.5) and enumerate LR skew tableaux otherwise.  The
+shifted sort-and-count reduction of the dotted Weyl action is kept as the
+reference for the closed form in the cohomology engine.  A weight is a plain
+tuple of ints, weakly decreasing, whose length is the ambient size N;
+products return (weight, multiplicity) pairs and the reduction returns
+(inversions, weight), or None when every cohomology group vanishes.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ import math
 from bisect import bisect_right, insort
 from collections import Counter
 from functools import lru_cache
+from itertools import groupby
 
-from .errors import InputError
+from .errors import ConsistencyError, InputError
 
 
 def weyl_dim(mu: tuple[int, ...], n_amb: int) -> int:
@@ -72,7 +76,7 @@ def _weyl_dim_cached(entries: tuple[int, ...], width: int) -> int:
                 num *= math.perm(u + q - 1 + d, k)
                 den *= math.perm(u + k - 1, k)
     if num % den:
-        raise InputError(f"Weyl formula produced a non-integer for {entries}")
+        raise ConsistencyError(f"Weyl formula produced a non-integer for {entries}")
     return num // den
 
 
@@ -98,6 +102,37 @@ def lr_product(
 
 
 def _lr_terms(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    if not mu or mu[0] <= 1:
+        return _vertical_strips(lam, sum(mu))
+    if lam[0] <= 1:
+        return _vertical_strips(mu, sum(lam))
+    return _lr_tableaux(lam, mu)
+
+
+def _vertical_strips(lam: tuple[int, ...], b: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Pieri's rule for lam times the column 1^b: every vertical strip of b
+    boxes on lam, with at most len(lam) rows, once each.
+
+    A strip adds one box to each of the top c rows of a run of equal entries
+    (the trailing zeros are a run too); the runs' c sum to b.  Taking each
+    run's c from high to low lists the terms lexicographically descending.
+    """
+    partial: list[tuple[tuple[int, ...], int]] = [((), b)]
+    below = len(lam)
+    for a, run in groupby(lam):
+        length = len(list(run))
+        below -= length  # the rows after this run take at most below boxes
+        partial = [
+            (head + (a + 1,) * c + (a,) * (length - c), left - c)
+            for head, left in partial
+            for c in range(min(length, left), max(left - below, 0) - 1, -1)
+        ]
+    return tuple((w, 1) for w, _ in partial)
+
+
+def _lr_tableaux(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The LR expansion by enumerating LR skew tableaux of shape nu / lam and
+    content mu, sorted lexicographically descending."""
     n_rows = len(lam)
     sizes = [m for m in mu if m > 0]
     found: Counter = Counter()

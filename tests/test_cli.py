@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import pathlib
 import random
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
@@ -20,6 +22,7 @@ from pnsheaf import (
     Cotangent,
     DirectSum,
     Dual,
+    IrreducibleBundle,
     LineBundle,
     Poly,
     ScaleExceeded,
@@ -381,6 +384,34 @@ def test_failed_cross_check_is_four(monkeypatch, capsys):
         "error: internal cross-check failed: "
         "Riemann-Roch chi -1 != alternating sum 8\n"
     )
+
+
+def test_non_integral_weyl_dimension_is_a_failed_cross_check(monkeypatch, capsys):
+    # no weakly decreasing weight reaches the exactness check, so force it:
+    # every falling factorial one too large makes (1, 0) come out 3/2
+    import pnsheaf.weights
+
+    fake = SimpleNamespace(perm=lambda a, k: math.perm(a, k) + 1, comb=math.comb)
+    monkeypatch.setattr(pnsheaf.weights, "math", fake)
+    pnsheaf.weights._weyl_dim_cached.cache_clear()
+    try:
+        code, out, err = _run(capsys, ["cohomology", "T on P^2"])
+    finally:
+        pnsheaf.weights._weyl_dim_cached.cache_clear()
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: internal cross-check failed: "
+        "Weyl formula produced a non-integer for (1, 0)\n"
+    )
+
+
+def test_non_integral_determinant_is_a_failed_cross_check(monkeypatch, capsys):
+    # Omega^1 on P^3 has |lam| = 2; a rank of 1 makes its det exponent 2/3
+    monkeypatch.setattr(IrreducibleBundle, "rank", property(lambda b: 1))
+    code, out, err = _run(capsys, ["en-resolution", "T", "T", "--n", "3"])
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal cross-check failed: determinant exponent of ")
+    assert err.endswith(" is not integral\n") and err.count("\n") == 1
 
 
 def test_help_exits_zero(capsys):

@@ -9,7 +9,15 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from pnsheaf import InputError, dotted_weyl_reduce, lr_product, weyl_dim
-from pnsheaf.weights import binom, conjugate, partitions, rho_weight, schur_dim
+from pnsheaf.weights import (
+    _lr_tableaux,
+    _lr_terms,
+    binom,
+    conjugate,
+    partitions,
+    rho_weight,
+    schur_dim,
+)
 
 from helpers import weights_in_box
 
@@ -212,6 +220,28 @@ def test_product_symmetry_and_dim_multiplicativity_exhaustive():
             assert forward == lr_product(mu, lam)
             total = sum(m * weyl_dim(w, n_amb) for w, m in forward)
             assert total == weyl_dim(lam, n_amb) * weyl_dim(mu, n_amb), (lam, mu)
+
+
+def test_pieri_rule_matches_the_tableau_enumeration():
+    # every pair in the box N <= 6, sizes <= 6, where one factor is a column
+    # 1^b (b = 0 is the zero weight), in both orders
+    pairs = capped = 0
+    for n_amb in range(7):
+        shapes = [w for size in range(7) for w in partitions(size, n_amb, size)]
+        for lam in shapes:
+            for b in range(n_amb + 1):
+                column = (1,) * b + (0,) * (n_amb - b)
+                for left, right in ((lam, column), (column, lam)):
+                    want = _lr_tableaux(left, right)
+                    assert _lr_terms(left, right) == want, (left, right)
+                    pairs += 1
+                # the strip below lam's last nonzero row has more than N rows
+                capped += sum(1 for x in lam if x) + b > n_amb
+    assert pairs == 1348 and capped > 100
+
+
+def test_pieri_rule_on_the_empty_weight():
+    assert lr_product((), ()) == (((), 1),)
 
 
 # ---------------------------------------------------------------------------
