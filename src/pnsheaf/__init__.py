@@ -84,7 +84,7 @@ from .errors import (
     UnsupportedPlethysm,
 )
 from .grammar import parse_expression, render_expression, split_ambient
-from .linalg import in_row_span, kernel_basis, row_rank, rref
+from .linalg import in_row_span, kernel_basis
 from .pfaff import (
     SATURATION_NOTE,
     AnnihilatorSlice,

@@ -202,23 +202,24 @@ def _cmd_cohomology(args) -> int:
     e = _load_expr(args.expr, args.n)
     _warn_zero(e)
     table = cohomology_table(e)
+    chi = table.euler_characteristic()
+    # only the ints are size-checked; each summand is rendered once, for the
+    # format that is printed
+    _check_size(chi, *table.dims,
+                *(x for c in table.contributions for x in (c.multiplicity, c.dim)))
     text = render_expression(e)
     payload = {
         "ambient": table.ambient,
         "expression": text,
         "h": list(table.dims),
-        "euler_characteristic": table.euler_characteristic(),
-        "contributions": [
-            {
-                "degree": c.degree,
-                "summand": str(c.summand),
-                "multiplicity": c.multiplicity,
-                "dim": c.dim,
-            }
-            for c in table.contributions
-        ],
+        "euler_characteristic": chi,
     }
-    _check_size(payload)
+    if args.format == "json":
+        payload["contributions"] = [
+            {"degree": c.degree, "summand": str(c.summand),
+             "multiplicity": c.multiplicity, "dim": c.dim}
+            for c in table.contributions
+        ]
 
     def lines():
         out = [f"P^{table.ambient}: {text}"]
@@ -230,7 +231,7 @@ def _cmd_cohomology(args) -> int:
                     f"{c.summand} x{c.multiplicity} (dim {c.dim})" for c in contribs
                 )
             out.append(f"h^{p} = {d}{suffix}")
-        out.append(f"chi = {table.euler_characteristic()}")
+        out.append(f"chi = {chi}")
         return out
 
     _emit(args, payload, lines)

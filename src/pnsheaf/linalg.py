@@ -1,14 +1,14 @@
-"""Exact linear algebra on integer rows: RREF, kernels, span tests.
+"""Exact linear algebra on integer rows: kernels and span tests.
 
 Each input row of Fractions is cleared to a sparse integer row
 ({column: entry}); callers that build integer rows themselves hand them to
 ``_kernel`` directly.  Every row is made primitive (content 1) before
-elimination.  Fraction-free forward elimination (in
-the spirit of Bareiss, Math. Comp. 1968) works on the rows not yet pivoted
-only; back substitution then clears each pivot column above its pivot, and
-Fractions come back only when the unique RREF is read off.  Rows of
-unequal widths, or a vector or column count of another width than the
-rows, raise InputError.
+elimination.  Fraction-free forward elimination (in the spirit of Bareiss,
+Math. Comp. 1968) works on the rows not yet pivoted only; back substitution
+then clears each pivot column above its pivot, and Fractions come back only
+when a kernel basis is read off the unique reduced form.  Rows of unequal
+widths, or a vector or column count of another width than the rows, raise
+InputError.
 """
 
 from __future__ import annotations
@@ -86,20 +86,6 @@ def _reduced(rows) -> list[tuple[int, dict[int, int]]]:
     return echelon
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    _check_width(rows)
-    ncols = len(rows[0]) if rows else 0
-    reduced = _reduced(map(_int_row, rows))
-    out = []
-    for col, row in reduced:
-        dense = [_ZERO] * ncols
-        for c, v in row.items():
-            dense[c] = Fraction(v, row[col])
-        out.append(dense)
-    return out, [col for col, _ in reduced]
-
-
 def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
     """Basis of the right kernel of the matrix (list of coefficient rows)."""
     _check_width(rows, ncols)
@@ -136,11 +122,6 @@ def _last_pivot_basis(vectors, ncols: int) -> list[dict[int, Fraction]]:
         {last - c: Fraction(v, row[col]) for c, v in sorted(row.items(), reverse=True)}
         for col, row in reversed(reduced)
     ]
-
-
-def row_rank(rows: list[list[Fraction]]) -> int:
-    _check_width(rows)
-    return len(_echelon(map(_int_row, rows)))
 
 
 def in_row_span(rows: list[list[Fraction]], vector: list[Fraction]) -> bool:

@@ -67,14 +67,11 @@ class TwistedOneForm:
                 raise InputError(
                     f"coefficient {c} is not homogeneous of degree {self.twist - 1}"
                 )
-        # sum x_i A_i, term by term
-        residual: dict[tuple[int, ...], Fraction] = {}
+        residual = Poly.zero(n + 1)
         for i, c in enumerate(self.coeffs):
-            for e, v in c.terms.items():
-                e = e[:i] + (e[i] + 1,) + e[i + 1:]
-                residual[e] = residual.get(e, 0) + v
-        if any(residual.values()):
-            raise EulerViolation(Poly(n + 1, residual))
+            residual = residual + c * Poly.variable(i, n + 1)
+        if residual:
+            raise EulerViolation(residual)
 
     def __str__(self):
         parts = [f"({c}) dx{i}" for i, c in enumerate(self.coeffs) if c]
@@ -190,8 +187,7 @@ def random_pencil_form(n: int, d: int, seed: int) -> TwistedOneForm:
 
     def rand_poly() -> Poly:
         while True:
-            terms = {m: Fraction(rng.randint(-5, 5)) for m in monos}
-            p = Poly(nvars, terms)
+            p = Poly(nvars, {m: rng.randint(-5, 5) for m in monos})
             if p:
                 return p
 
@@ -357,21 +353,21 @@ def annihilator_distribution(w: TwistedOneForm, bound: int) -> list[AnnihilatorS
         raise InputError("bound must be nonnegative")
     _guard_unknowns(w.ambient, bound)
     nvars = w.ambient + 1
-    # the form over its common denominator: the kernel does not change
-    den = lcm(*(c.denominator for a in w.coeffs for c in a.terms.values()))
-    terms = [
-        [(e, c.numerator * (den // c.denominator)) for e, c in a.terms.items()] for a in w.coeffs
-    ]
+    # the form times the lcm of its coefficients' denominators: the kernel does not change
+    den = lcm(*(a._den for a in w.coeffs))
+    terms = [[(k, c * (den // a._den)) for k, c in a._terms.items()] for a in w.coeffs]
     slices = []
     for t in range(bound + 1):
         monos = monomials_of_degree(nvars, t)
-        # sparse integer rows {column: entry}, one per monomial of sum A_i B_i;
-        # column slot * len(monos) + j holds the coefficient of monos[j] in B_slot
-        rows: dict[tuple[int, ...], dict[int, int]] = {}
+        keys = [_pack(m) for m in monos]
+        # sparse integer rows {column: entry}, one per packed monomial of
+        # sum A_i B_i; column slot * len(monos) + j holds the coefficient of
+        # monos[j] in B_slot
+        rows: dict[int, dict[int, int]] = {}
         for slot, slot_terms in enumerate(terms):
-            for col, m in enumerate(monos, slot * len(monos)):
-                for e, c in slot_terms:
-                    rows.setdefault(tuple(x + y for x, y in zip(e, m)), {})[col] = c
+            for col, m in enumerate(keys, slot * len(monos)):
+                for k, c in slot_terms:
+                    rows.setdefault(k + m, {})[col] = c
         kernel = _kernel(rows.values(), nvars * len(monos))
         gens = tuple(_slot_polys(vec, nvars, monos) for vec in kernel)
         slices.append(AnnihilatorSlice(t, len(kernel), gens))

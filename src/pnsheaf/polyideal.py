@@ -1,13 +1,18 @@
 """Multivariate polynomials, an integer Buchberger kernel, and chart membership.
 
-``Poly`` is the public polynomial type, with exact Fraction coefficients.
-Buchberger and multivariate division run underneath on primitive integer
-polynomials with packed monomials and a heap of pending terms, and go back
-to Fractions only at the boundary: the reduced basis is made monic when it
-is emitted, and ``normal_form`` divides out the scalar its pseudo-division
-carried.  Buchberger drops useless S-pairs by Gebauer and Moeller's
-criteria and reduces the pair of least lcm first.  Monomial order is
-degree-reverse-lexicographic with x0 > x1 > ... > x_n.
+A ``Poly`` stores its value once: a dict from packed monomial to int over
+one positive denominator coprime to the coefficients as a whole, so equal
+values compare and hash equal.  A packed monomial is one int,
+    key = (deg << span) - raw,   raw = sum_k e_k << (_BITS * k),   span = _BITS * nvars,
+so multiplying monomials adds keys and the degrevlex order (x0 > x1 > ...)
+is integer order (Monagan-Pearce, CASC 2007).  raw keeps each exponent in a
+_BITS-wide field whose top bit stays clear, so a difference of raws with no
+top bit set means divisibility; a monomial of degree 2**31 or more is
+refused with ScaleExceeded.  Buchberger and division run on the stored
+integer terms, pseudo-reducing with a heap of pending terms; Fractions
+appear only in ``terms``, rational inputs and rational literals.
+Buchberger drops useless S-pairs by Gebauer and Moeller's criteria and
+reduces the pair of least lcm first.
 Saturation-related questions are handled chart by chart: a homogeneous ideal
 is presented through the reduced Groebner bases of its dehomogenizations on
 every affine chart x_i = 1, and membership means reduction to zero on each
@@ -29,22 +34,44 @@ from .errors import InputError, ParseError, ScaleExceeded, read_int
 MAX_CHART_VARS = 4
 MAX_GENERATOR_DEGREE = 8
 
+_BITS = 32
+_MASK = (1 << _BITS) - 1
+_EXPONENT_LIMIT = 1 << (_BITS - 1)
+
+
+def _check_degree(deg: int) -> None:
+    if deg >= _EXPONENT_LIMIT:
+        raise ScaleExceeded(
+            f"a monomial of degree {deg} exceeds the polynomial degree bound {_EXPONENT_LIMIT - 1}"
+        )
+
+
+def _top_bits(nvars: int) -> int:
+    return sum(_EXPONENT_LIMIT << (_BITS * k) for k in range(nvars))
+
+
+def _pack(expo) -> int:
+    deg = sum(expo)
+    _check_degree(deg)
+    raw = 0
+    for e in reversed(expo):
+        raw = (raw << _BITS) + e
+    return (deg << (_BITS * len(expo))) - raw
+
+
+def _raw(key: int, span: int) -> int:
+    # 0 <= raw < 2**span, so the degree is key / 2**span rounded up
+    return (-(-key >> span) << span) - key
+
+
+def _unpack(key: int, nvars: int) -> tuple[int, ...]:
+    raw = _raw(key, _BITS * nvars)
+    return tuple((raw >> (_BITS * k)) & _MASK for k in range(nvars))
+
 
 def monomial_key(expo: tuple[int, ...]):
     """Sort key: larger key = larger monomial in degrevlex."""
     return (sum(expo), tuple(-e for e in reversed(expo)))
-
-
-def monomial_div(b: tuple[int, ...], a: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(y - x for x, y in zip(a, b))
-
-
-def monomial_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def monomial_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def monomials_of_degree(nvars: int, d: int) -> list[tuple[int, ...]]:
@@ -55,31 +82,52 @@ def monomials_of_degree(nvars: int, d: int) -> list[tuple[int, ...]]:
         for v in combo:
             expo[v] += 1
         out.append(tuple(expo))
-    out.sort(key=monomial_key, reverse=True)
+    out.sort(key=_pack, reverse=True)
     return out
 
 
 class Poly:
-    """Immutable multivariate polynomial over Fraction.
+    """Immutable multivariate polynomial with rational coefficients.
 
-    Each exponent vector must be a tuple of nvars non-negative ints (else InputError).
+    Each exponent vector must be a tuple of nvars non-negative ints (else
+    InputError) of degree below 2**31 (else ScaleExceeded).
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_terms", "_den")
 
     def __init__(self, nvars: int, terms: dict | None = None):
-        self.nvars = nvars
-        clean: dict[tuple[int, ...], Fraction] = {}
+        coeffs = {}
         for expo, c in (terms or {}).items():
-            c = Fraction(c)
+            c = c if type(c) is int else Fraction(c)
             if not c:
                 continue
             if type(expo) is not tuple or len(expo) != nvars or not all(
                 type(x) is int and x >= 0 for x in expo
             ):
                 raise InputError(f"bad exponent vector {expo} for {nvars} variables")
-            clean[expo] = c
-        self.terms = clean
+            coeffs[_pack(expo)] = c
+        # reduced fractions over the lcm of their denominators are in lowest terms
+        self.nvars = nvars
+        self._den = den = lcm(*(c.denominator for c in coeffs.values()))
+        self._terms = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
+
+    @classmethod
+    def _of(cls, nvars: int, terms: dict[int, int], den: int) -> "Poly":
+        """The Poly (sum of the packed integer terms) / den, for den != 0."""
+        terms = {k: c for k, c in terms.items() if c}
+        g = gcd(den, *terms.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            terms = {k: c // g for k, c in terms.items()}
+        out = cls.__new__(cls)
+        out.nvars, out._terms, out._den = nvars, terms, den // g
+        return out
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """A fresh {exponent vector: coefficient} dict of the nonzero terms."""
+        return {_unpack(k, self.nvars): Fraction(c, self._den) for k, c in self._terms.items()}
 
     # construction helpers ---------------------------------------------------
 
@@ -89,62 +137,65 @@ class Poly:
 
     @classmethod
     def one(cls, nvars: int) -> "Poly":
-        return cls(nvars, {(0,) * nvars: Fraction(1)})
+        return cls(nvars, {(0,) * nvars: 1})
 
     @classmethod
     def variable(cls, i: int, nvars: int) -> "Poly":
         expo = [0] * nvars
         expo[i] = 1
-        return cls(nvars, {tuple(expo): Fraction(1)})
+        return cls(nvars, {tuple(expo): 1})
 
     @classmethod
     def constant(cls, c, nvars: int) -> "Poly":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     # ring operations --------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
+        return (
+            isinstance(other, Poly) and self.nvars == other.nvars
+            and self._den == other._den and self._terms == other._terms
+        )
 
     def __hash__(self):
-        return hash((self.nvars, tuple(sorted(self.terms.items()))))
+        return hash((self.nvars, self._den, frozenset(self._terms.items())))
 
     def __add__(self, other: "Poly") -> "Poly":
         self._match(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return Poly(self.nvars, out)
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        out = {k: a * c for k, c in self._terms.items()}
+        for k, c in other._terms.items():
+            out[k] = out.get(k, 0) + b * c
+        return Poly._of(self.nvars, out, den)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._match(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) - c
-        return Poly(self.nvars, out)
+        return self + -other
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._of(self.nvars, {k: -c for k, c in self._terms.items()}, self._den)
 
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            self._match(other)
-            out: dict = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    key = monomial_mul(e1, e2)
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2
-            return Poly(self.nvars, out)
-        return self.scale(other)
+        if not isinstance(other, Poly):
+            return self.scale(other)
+        self._match(other)
+        if self and other:
+            _check_degree(self.degree() + other.degree())
+        out: dict[int, int] = {}
+        for k1, c1 in self._terms.items():
+            for k2, c2 in other._terms.items():
+                out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+        return Poly._of(self.nvars, out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
+        c = c if type(c) is int else Fraction(c)
+        terms = {k: c.numerator * v for k, v in self._terms.items()}
+        return Poly._of(self.nvars, terms, self._den * c.denominator)
 
     def _match(self, other: "Poly"):
         if self.nvars != other.nvars:
@@ -152,88 +203,83 @@ class Poly:
 
     # structure --------------------------------------------------------------
 
+    def _lead(self) -> int:
+        """The packed leading monomial."""
+        if not self._terms:
+            raise InputError("zero polynomial has no leading monomial")
+        return max(self._terms)
+
+    def _check_variable(self, i: int) -> None:
+        if not 0 <= i < self.nvars:
+            raise InputError(f"no variable x{i} among {self.nvars}")
+
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return -(-max(self._terms) >> (_BITS * self.nvars))
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        if not self._terms:
+            return True
+        span = _BITS * self.nvars
+        return -(-min(self._terms) >> span) == -(-max(self._terms) >> span)
 
     def leading_monomial(self) -> tuple[int, ...]:
-        if not self.terms:
-            raise InputError("zero polynomial has no leading monomial")
-        return max(self.terms, key=monomial_key)
+        return _unpack(self._lead(), self.nvars)
 
     def leading_coefficient(self) -> Fraction:
-        return self.terms[self.leading_monomial()]
+        return Fraction(self._terms[self._lead()], self._den)
 
     def diff(self, i: int) -> "Poly":
-        out: dict = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                key = e[:i] + (e[i] - 1,) + e[i + 1:]
-                out[key] = out.get(key, Fraction(0)) + c * e[i]
-        return Poly(self.nvars, out)
+        self._check_variable(i)
+        span, shift = _BITS * self.nvars, _BITS * i
+        unit = (1 << span) - (1 << shift)  # the key of x_i
+        out = {}
+        for k, c in self._terms.items():
+            if e := (_raw(k, span) >> shift) & _MASK:
+                out[k - unit] = c * e
+        return Poly._of(self.nvars, out, self._den)
 
     def dehomogenize(self, i: int) -> "Poly":
         """Set x_i = 1 and drop the variable."""
-        out: dict = {}
-        for e, c in self.terms.items():
-            key = e[:i] + e[i + 1:]
-            out[key] = out.get(key, Fraction(0)) + c
-        return Poly(self.nvars - 1, out)
+        self._check_variable(i)
+        out: dict[int, int] = {}
+        for k, c in self._terms.items():
+            e = _unpack(k, self.nvars)
+            key = _pack(e[:i] + e[i + 1:])
+            out[key] = out.get(key, 0) + c
+        return Poly._of(self.nvars - 1, out, self._den)
 
     def monic(self) -> "Poly":
-        if not self.terms:
+        if not self._terms:
             return self
-        return self.scale(1 / self.leading_coefficient())
+        return Poly._of(self.nvars, self._terms, self._terms[self._lead()])
 
     def primitive(self) -> "Poly":
         """Clear denominators and divide by the content; leading coeff > 0."""
-        if not self.terms:
+        if not self._terms:
             return self
-        den_lcm = 1
-        for c in self.terms.values():
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        nums = [c.numerator * (den_lcm // c.denominator) for c in self.terms.values()]
-        g = 0
-        for v in nums:
-            g = gcd(g, abs(v))
-        scalar = Fraction(den_lcm, g)
-        out = self.scale(scalar)
-        if out.leading_coefficient() < 0:
-            out = -out
-        return out
+        content = gcd(*self._terms.values())
+        sign = 1 if self._terms[self._lead()] > 0 else -1
+        return Poly._of(self.nvars, self._terms, sign * content)
 
     def __str__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
-        bits = []
-        for expo in sorted(self.terms, key=monomial_key, reverse=True):
-            c = self.terms[expo]
-            factors = []
-            for i, e in enumerate(expo):
-                if e == 1:
-                    factors.append(f"x{i}")
-                elif e > 1:
-                    factors.append(f"x{i}^{e}")
-            body = "*".join(factors)
-            if not body:
-                piece = str(abs(c))
-            elif abs(c) == 1:
-                piece = body
-            else:
-                piece = f"{abs(c)}*{body}"
-            sign = "-" if c < 0 else "+"
-            bits.append((sign, piece))
-        first_sign, first_piece = bits[0]
-        text = ("-" if first_sign == "-" else "") + first_piece
-        for sign, piece in bits[1:]:
-            text += f" {sign} {piece}"
-        return text
+        den, bits = self._den, []
+        for key in sorted(self._terms, reverse=True):
+            c = self._terms[key]
+            body = "*".join(
+                f"x{i}" if e == 1 else f"x{i}^{e}"
+                for i, e in enumerate(_unpack(key, self.nvars)) if e
+            )
+            g = gcd(c, den)
+            size = str(abs(c) // g) if g == den else f"{abs(c) // g}/{den // g}"
+            piece = size if not body else body if abs(c) == den else f"{size}*{body}"
+            bits.append(("- " if c < 0 else "+ ") + piece)
+        text = " ".join(bits)
+        return ("-" if text[0] == "-" else "") + text[2:]
 
     __repr__ = __str__
 
@@ -269,7 +315,7 @@ def parse_poly(text: str, nvars: int) -> Poly:
         elif not first:
             raise ParseError("missing term separator", pos, ("+", "-"))
         first = False
-        coeff = Fraction(1)
+        coeff = 1
         expo = [0] * nvars
         saw_factor = False
         expect_factor = True
@@ -283,10 +329,12 @@ def parse_poly(text: str, nvars: int) -> Poly:
             if number is not None:
                 num, _, den = number.partition("/")
                 start = m.start(1)
-                try:
-                    coeff *= Fraction(read_int(num, start), read_int(den or "1", start))
-                except ZeroDivisionError:
-                    raise ParseError(f"zero denominator in {number}", start) from None
+                coeff *= read_int(num, start)
+                if den:
+                    try:
+                        coeff = Fraction(coeff, read_int(den, start))
+                    except ZeroDivisionError:
+                        raise ParseError(f"zero denominator in {number}", start) from None
                 saw_factor = True
                 pos = m.end()
             elif var is not None:
@@ -317,56 +365,17 @@ def parse_poly(text: str, nvars: int) -> Poly:
         if not saw_factor:
             raise ParseError("expected a term", pos, ("coefficient", "variable"))
         key = tuple(expo)
-        terms[key] = terms.get(key, Fraction(0)) + sign * coeff
+        terms[key] = terms.get(key, 0) + sign * coeff
         pos = skip_ws(pos)
     return Poly(nvars, terms)
 
 
 # ---------------------------------------------------------------------------
-# division and Buchberger on packed integer polynomials
+# division and Buchberger on the stored integer terms
 #
-# The engine works on primitive integer polynomials: a dict from packed
-# monomial to int.  A packed monomial is one int,
-#     key = (deg << span) - raw,   raw = sum_k e_k << (_BITS * k),   span = _BITS * nvars,
-# so multiplying monomials adds keys and the degrevlex order is integer order
-# (Monagan-Pearce, CASC 2007).  raw keeps each exponent in a _BITS-wide field
-# whose top bit stays clear, so a difference of raws with no top bit set
-# means divisibility.  A reducer is the tuple (raw of its leading monomial,
-# leading monomial, leading coefficient > 0, tail terms).
-
-_BITS = 32
-_EXPONENT_LIMIT = 1 << (_BITS - 1)
-
-
-def _top_bits(nvars: int) -> int:
-    return sum(_EXPONENT_LIMIT << (_BITS * k) for k in range(nvars))
-
-
-def _pack(expo: tuple[int, ...]) -> int:
-    deg = sum(expo)
-    if deg >= _EXPONENT_LIMIT:
-        raise ScaleExceeded(f"monomial degree {deg} exceeds the packed exponent range")
-    raw = 0
-    for e in reversed(expo):
-        raw = (raw << _BITS) + e
-    return (deg << (_BITS * len(expo))) - raw
-
-
-def _raw(key: int, span: int) -> int:
-    # 0 <= raw < 2**span, so the degree is key / 2**span rounded up
-    return (-(-key >> span) << span) - key
-
-
-def _unpack(key: int, nvars: int) -> tuple[int, ...]:
-    raw = _raw(key, _BITS * nvars)
-    mask = (1 << _BITS) - 1
-    return tuple((raw >> (_BITS * k)) & mask for k in range(nvars))
-
-
-def _int_terms(f: Poly) -> tuple[dict[int, int], int]:
-    """(packed terms of den * f, den) for the least common denominator den."""
-    den = lcm(*(c.denominator for c in f.terms.values()))
-    return {_pack(e): c.numerator * (den // c.denominator) for e, c in f.terms.items()}, den
+# Every intermediate polynomial is a primitive integer polynomial, a dict
+# from packed monomial to int.  A reducer is the tuple (raw of its leading
+# monomial, leading monomial, leading coefficient > 0, tail terms).
 
 
 def _reducer(terms: dict[int, int], nvars: int) -> tuple:
@@ -427,23 +436,38 @@ def _divide(terms: dict[int, int], reducers, nvars: int) -> tuple[dict[int, int]
 
 def _reducers(basis, nvars: int) -> list[tuple]:
     """The reducers of the nonzero members of an ordered basis, in order."""
-    return [_reducer(_int_terms(g)[0], nvars) for g in basis if g]
+    return [_reducer(g._terms, nvars) for g in basis if g]
 
 
 def normal_form(f: Poly, basis) -> Poly:
     """Remainder of f under multivariate division by an ordered basis."""
-    terms, den = _int_terms(f)
-    rem, scale = _divide(terms, _reducers(basis, f.nvars), f.nvars)
-    den *= scale
-    return Poly(f.nvars, {_unpack(k, f.nvars): Fraction(c, den) for k, c in rem.items()})
+    rem, scale = _divide(f._terms, _reducers(basis, f.nvars), f.nvars)
+    return Poly._of(f.nvars, rem, f._den * scale)
+
+
+def _s_pair(f: tuple, g: tuple, lcm_key: int) -> tuple[dict[int, int], int]:
+    """(terms, den): the S-polynomial of two reducers, whose packed leading
+    monomials have the lcm lcm_key, is terms / den."""
+    _, f_lm, f_lc, f_tail = f
+    _, g_lm, g_lc, g_tail = g
+    h = gcd(f_lc, g_lc)
+    terms: dict[int, int] = {}
+    for tail, shift, c in ((f_tail, lcm_key - f_lm, g_lc // h),
+                           (g_tail, lcm_key - g_lm, -f_lc // h)):
+        for k, v in tail:
+            k += shift
+            terms[k] = terms.get(k, 0) + c * v
+    return terms, f_lc * g_lc // h
 
 
 def s_polynomial(f: Poly, g: Poly) -> Poly:
-    lf, lg = f.leading_monomial(), g.leading_monomial()
-    lcm_fg = monomial_lcm(lf, lg)
-    left = f * Poly(f.nvars, {monomial_div(lcm_fg, lf): 1 / f.leading_coefficient()})
-    right = g * Poly(g.nvars, {monomial_div(lcm_fg, lg): 1 / g.leading_coefficient()})
-    return left - right
+    """(L / lt(f)) * f - (L / lt(g)) * g, L the lcm of the leading monomials."""
+    f._match(g)
+    nvars = f.nvars
+    # it does not change when f or g is scaled, so take their primitive reducers
+    lf, lg = _unpack(f._lead(), nvars), _unpack(g._lead(), nvars)
+    lcm_key = _pack(tuple(map(max, lf, lg)))
+    return Poly._of(nvars, *_s_pair(_reducer(f._terms, nvars), _reducer(g._terms, nvars), lcm_key))
 
 
 def _guard(polys, nvars: int):
@@ -508,19 +532,10 @@ def buchberger(gens) -> tuple[Poly, ...]:
         expos.append(h_expo)
 
     for g in gens:
-        update(_reducer(_int_terms(g)[0], nvars))
+        update(_reducer(g._terms, nvars))
     while pairs:
         lcm_key, i, j = heappop(pairs)
-        _, f_lm, f_lc, f_tail = basis[i]
-        _, g_lm, g_lc, g_tail = basis[j]
-        h = gcd(f_lc, g_lc)
-        s_poly = {}
-        for tail, shift, c in ((f_tail, lcm_key - f_lm, g_lc // h),
-                               (g_tail, lcm_key - g_lm, -f_lc // h)):
-            for k, v in tail:
-                k += shift
-                s_poly[k] = s_poly.get(k, 0) + c * v
-        rem, _ = _divide(s_poly, basis, nvars)
+        rem, _ = _divide(_s_pair(basis[i], basis[j], lcm_key)[0], basis, nvars)
         if rem:
             update(_reducer(rem, nvars))
     return _reduce_basis(basis, nvars)
@@ -539,10 +554,8 @@ def _reduce_basis(basis, nvars: int) -> tuple[Poly, ...]:
     for idx, (_, lm, lc, tail) in enumerate(kept):
         rem, _ = _divide({lm: lc, **dict(tail)}, kept[:idx] + kept[idx + 1:], nvars)
         kept[idx] = _reducer(rem, nvars)
-    return tuple(
-        Poly(nvars, {_unpack(k, nvars): Fraction(c, lc) for k, c in ((lm, lc), *tail)})
-        for _, lm, lc, tail in reversed(kept)
-    )
+    # monic: the primitive terms over the leading coefficient
+    return tuple(Poly._of(nvars, dict([(lm, lc), *tail]), lc) for _, lm, lc, tail in reversed(kept))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from pnsheaf import (
 )
 from pnsheaf import polyideal
 from pnsheaf.pfaff import parse_form_file
-from pnsheaf.polyideal import _divide, _int_terms, _pack, _reduce_basis, _reducer, _unpack
+from pnsheaf.polyideal import _divide, _pack, _reduce_basis, _reducer, _unpack
 
 CORPUS_PATH = pathlib.Path(__file__).parent / "golden" / "cli_corpus.json"
 
@@ -42,7 +42,7 @@ def _fifo_buchberger(gens) -> tuple[Poly, ...]:
     if not gens:
         return ()
     nvars = gens[0].nvars
-    basis = [_reducer(_int_terms(g)[0], nvars) for g in gens]
+    basis = [_reducer(g._terms, nvars) for g in gens]
     expos = [_unpack(g[1], nvars) for g in basis]
     pairs = deque((i, j) for i in range(len(basis)) for j in range(i + 1, len(basis)))
     while pairs:

@@ -31,6 +31,7 @@ from pnsheaf import (
     TheoremReport,
     TwistedOneForm,
     Wedge,
+    cohomology_table,
     parse_expression,
     parse_form_file,
     parse_poly,
@@ -376,6 +377,20 @@ def test_form_file_with_too_few_lines_is_refused_before_parsing(tmp_path, capsys
     assert len(err) < 200
 
 
+@pytest.mark.parametrize("flags", [["annihilator", "--bound", "0"], ["singular"]])
+def test_monomials_past_the_packed_degree_range_are_refused(tmp_path, capsys, flags):
+    # a polynomial holds monomials of degree below 2^31; these have degree 3 * 10^9
+    path = tmp_path / "deep.form"
+    path.write_text(
+        "P^1 twist 3000000001\nA_0: x0^2999999999*x1\nA_1: -x0^3000000000\n", encoding="utf-8"
+    )
+    code, out, err = _run(capsys, ["pfaff", *flags, "--file", str(path)])
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: a monomial of degree 3000000000 exceeds the polynomial degree bound 2147483647\n"
+    )
+
+
 def test_failed_cross_check_is_four(monkeypatch, capsys):
     monkeypatch.setattr("pnsheaf.cli.hrr_chi", lambda e: -1)
     code, out, err = _run(capsys, ["chi", "T on P^2"])
@@ -567,6 +582,22 @@ def test_seed_is_echoed_in_json(capsys):
 
 # ---------------------------------------------------------------------------
 # individual subcommands
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cohomology_renders_each_summand_once(monkeypatch, capsys, fmt):
+    text = "sym(3, T (+) Omega^1) on P^2"
+    count = len(cohomology_table(parse_expression(text, 2)).contributions)
+    render, calls = IrreducibleBundle.__str__, []
+
+    def counting(self):
+        calls.append(self)
+        return render(self)
+
+    monkeypatch.setattr(IrreducibleBundle, "__str__", counting)
+    code, out, _ = _run(capsys, ["cohomology", text, "--format", fmt])
+    assert code == 0 and out
+    assert len(calls) == count > 1
 
 
 def test_chern_reports_character_and_class(capsys):

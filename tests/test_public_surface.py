@@ -18,8 +18,8 @@ EXPORTS = [
     "ideal_presentation", "in_row_span", "kernel_basis", "log_form", "lr_product",
     "membership_on_charts", "normal_form", "normalize", "o", "omega", "parse_expression",
     "parse_form_file", "parse_poly", "pencil_form", "porteous_class", "projective_dimension",
-    "random_pencil_form", "rank", "render_expression", "render_form_file", "row_rank", "rref",
-    "s_polynomial", "section_space_contains", "serre_dual_check", "singular_scheme",
+    "random_pencil_form", "rank", "render_expression", "render_form_file", "s_polynomial",
+    "section_space_contains", "serre_dual_check", "singular_scheme",
     "split_ambient", "split_bundle", "staircase_dimension", "sym", "tangent", "tensor",
     "todd_class", "total_chern", "twist", "uniqueness_report", "unit_ideal",
     "vanishing_certificate", "vanishing_section_space", "wedge", "weyl_dim",
