@@ -10,9 +10,10 @@ Inside this module a normal form is a count map {(lam, twist): multiplicity}
 of plain tuples and ints.  Tensor products, sums, duals and wedge/sym powers
 (m copies of a summand at once, by the Cauchy identities) all work on count
 maps; _normalize_cached keeps one per expression node, frozen into an
-immutable tuple of ((lam, twist), multiplicity) pairs.  The public
-Decomposition, whose IrreducibleBundle summands are validated, is built once
-per normalize call, by _freeze.
+immutable tuple of ((lam, twist), multiplicity) pairs.  Ranks, determinants,
+cohomology tables and Chern characters read that tuple directly; only the
+public normalize builds a Decomposition of validated IrreducibleBundle
+summands from it.
 """
 
 from __future__ import annotations
@@ -279,13 +280,6 @@ class Decomposition:
         return " + ".join(bits)
 
 
-def _freeze(n: int, terms: Terms) -> Decomposition:
-    """The public Decomposition of a normal form: each summand validated, largest first."""
-    return Decomposition(
-        n, tuple((IrreducibleBundle(n, lam, d), mult) for (lam, d), mult in reversed(terms))
-    )
-
-
 def _terms(acc: dict[tuple[tuple[int, ...], int], int]) -> Terms:
     return tuple(sorted(acc.items()))
 
@@ -309,9 +303,12 @@ def normalize(e: BundleExpr) -> Decomposition:
     Raises UnsupportedPlethysm when a wedge/sym is applied to a summand that
     is not a line bundle or a twisted copy of Q or its dual (the cases that
     cover split bundles, T and Omega^1), and ScaleExceeded when a wedge/sym
-    power would take more than MAX_POWER_STEPS expansion steps.
+    power would take more than MAX_POWER_STEPS expansion steps.  Each summand
+    of the result is validated; the largest comes first.
     """
-    return _freeze(e.ambient, _normalize_cached(e))
+    n = e.ambient
+    terms = reversed(_normalize_cached(e))
+    return Decomposition(n, tuple((IrreducibleBundle(n, lam, d), m) for (lam, d), m in terms))
 
 
 @lru_cache(maxsize=None)
@@ -483,13 +480,14 @@ def det_bundle(e: BundleExpr) -> IrreducibleBundle:
     to d (det Q = O(1), and the weight multiset of S_lam spreads |lam| * r
     evenly over the n coordinates).
     """
-    dec = normalize(e)
-    n = dec.ambient
+    n = e.ambient
     total = 0
-    for b, mult in dec.terms:
-        r = b.rank
-        boxes = sum(b.lam)
+    for (lam, t), mult in reversed(_normalize_cached(e)):
+        r = weyl_dim(lam, n)
+        boxes = sum(lam)
         if (boxes * r) % n:
-            raise ConsistencyError(f"determinant exponent of {b} is not integral")
-        total += mult * ((boxes * r) // n + r * b.twist)
+            raise ConsistencyError(
+                f"determinant exponent of {IrreducibleBundle(n, lam, t)} is not integral"
+            )
+        total += mult * ((boxes * r) // n + r * t)
     return IrreducibleBundle(n, (0,) * n, total)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .bundles import BundleExpr, normalize, rank
+from .bundles import BundleExpr, _normalize_cached, rank
 from .errors import ConsistencyError, InputError, ScaleExceeded
 from .weights import binom
 
@@ -174,17 +174,18 @@ def _ch_schur_q(lam: tuple[int, ...], n: int, t: int) -> tuple[int, ...]:
 
 def _power_sums(e: BundleExpr) -> tuple[int, ...]:
     _check_ambient(e.ambient)
-    dec = normalize(e)
-    lams = {b.lam for b, _ in dec.terms}
+    n = e.ambient
+    terms = _normalize_cached(e)
+    lams = {lam for (lam, _), _ in terms}
     work = sum(sum(1 for x in lam if x) ** 3 for lam in lams)
     if work > MAX_SKEW_WORK:
         raise ScaleExceeded(
             f"the Chern character of {len(lams)} distinct summands needs skew Jacobi-Trudi"
             f" solves of work {work} (sum of cubed lengths); the bound is {MAX_SKEW_WORK}"
         )
-    total = [0] * (dec.ambient + 1)
-    for b, mult in dec.terms:
-        total = [a + mult * p for a, p in zip(total, _ch_schur_q(b.lam, dec.ambient, b.twist))]
+    total = [0] * (n + 1)
+    for (lam, t), mult in terms:
+        total = [a + mult * p for a, p in zip(total, _ch_schur_q(lam, n, t))]
     return tuple(total)
 
 

@@ -4,28 +4,33 @@ Bott's theorem in closed form, per irreducible summand S_lam(Q)(t): with
 a_k = lam_k + n + 1 - k and x = -t, the summand has no cohomology when x is
 some a_k, and otherwise one nonzero group, in degree #{k : a_k < x}, of
 dimension rank(S_lam(Q)) * prod_k |a_k - x| / n! (the Weyl dimension of
-the dotted-Weyl reduction of (lam, x), without sorting it).  The classical
-closed form for twisted p-forms is kept alongside as an independent oracle.
+the dotted-Weyl reduction of (lam, x), without sorting it).  A table is
+read straight off the engine's count map of (lam, twist) pairs, with one
+cached Bott lookup per summand; the public IrreducibleBundle and
+Contribution objects are built only when a table's contributions are read.
+The classical closed form for twisted p-forms is kept alongside as an
+independent oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import groupby
 
 from .bundles import (
     BundleExpr,
     IrreducibleBundle,
+    Terms,
+    _normalize_cached,
     dual,
-    normalize,
     o,
     omega,
     tensor,
 )
 from .errors import ConsistencyError, InputError
-from .weights import binom
+from .weights import binom, weyl_dim
 
 
 @dataclass(frozen=True)
@@ -46,10 +51,25 @@ class Contribution:
 
 @dataclass(frozen=True)
 class CohomologyTable:
+    """(h^0, ..., h^n) of expr; _terms is its normal form, read only for contributions."""
+
     ambient: int
     dims: tuple[int, ...]
     expr: BundleExpr | None = None
-    contributions: tuple[Contribution, ...] = field(default=())
+    _terms: Terms = field(default=(), repr=False, compare=False)
+
+    @cached_property
+    def contributions(self) -> tuple[Contribution, ...]:
+        """Each summand with cohomology, by (degree, lam, twist); built on first read."""
+        n = self.ambient
+        out = []
+        for (lam, twist), mult in self._terms:  # ascending by (lam, twist)
+            group = _bott(n, lam, twist)
+            if group is not None:
+                degree, dim = group
+                out.append(Contribution(degree, IrreducibleBundle(n, lam, twist), mult, dim))
+        out.sort(key=lambda c: c.degree)  # stable, so (lam, twist) order holds within a degree
+        return tuple(out)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * d for p, d in enumerate(self.dims))
@@ -62,14 +82,14 @@ class CohomologyTable:
 
 
 @lru_cache(maxsize=None)
-def bwb_cohomology(b: IrreducibleBundle) -> BWBGroup | None:
-    """Cohomology of one summand; None when every group vanishes."""
-    n, x = b.ambient, -b.twist
+def _bott(n: int, lam: tuple[int, ...], twist: int) -> tuple[int, int] | None:
+    """(degree, dim) of the one nonzero group of S_lam(Q)(twist) on P^n, or None."""
+    x = -twist
     # Over a run of L equal entries, the a's are the L consecutive integers
     # lo..lo+L-1, so prod |a - x| = L! * comb(top, L), and the L!'s turn n!
     # into the multinomial prod comb(rows so far, L).
     degree, num, den, rows = 0, 1, 1, 0
-    for v, run in groupby(b.lam):
+    for v, run in groupby(lam):
         length = len(list(run))
         rows += length
         lo = v + n + 1 - rows
@@ -82,25 +102,37 @@ def bwb_cohomology(b: IrreducibleBundle) -> BWBGroup | None:
             return None
         num *= math.comb(top, length)
         den *= math.comb(rows, length)
-    num *= b.rank  # only a summand with cohomology pays its Weyl dimension
+    num *= weyl_dim(lam, n)  # only a summand with cohomology pays its Weyl dimension
     if num % den:
-        raise ConsistencyError(f"Bott's formula produced a non-integer for {b}")
-    return BWBGroup(degree, num // den)
+        raise ConsistencyError(
+            f"Bott's formula produced a non-integer for {IrreducibleBundle(n, lam, twist)}"
+        )
+    return degree, num // den
+
+
+def bwb_cohomology(b: IrreducibleBundle) -> BWBGroup | None:
+    """Cohomology of one summand; None when every group vanishes."""
+    group = _bott(b.ambient, b.lam, b.twist)
+    return None if group is None else BWBGroup(*group)
+
+
+bwb_cohomology.cache_clear = _bott.cache_clear
 
 
 def cohomology_table(e: BundleExpr) -> CohomologyTable:
-    """Full table (h^0, ..., h^n) of a normalizable expression."""
+    """Full table (h^0, ..., h^n) of a normalizable expression.
+
+    Reads the engine's normal form summand by summand; no Decomposition or
+    Contribution is built unless the contributions are read.
+    """
     n = e.ambient
+    terms = _normalize_cached(e)
     dims = [0] * (n + 1)
-    contributions = []
-    for b, mult in normalize(e).terms:
-        g = bwb_cohomology(b)
-        if g is None:
-            continue
-        dims[g.degree] += mult * g.dim
-        contributions.append(Contribution(g.degree, b, mult, g.dim))
-    contributions.sort(key=lambda c: (c.degree, c.summand.lam, c.summand.twist))
-    return CohomologyTable(n, tuple(dims), e, tuple(contributions))
+    for (lam, twist), mult in terms:
+        group = _bott(n, lam, twist)
+        if group is not None:
+            dims[group[0]] += mult * group[1]
+    return CohomologyTable(n, tuple(dims), e, terms)
 
 
 def bott_closed_form(k: int, s: int, n: int) -> CohomologyTable:

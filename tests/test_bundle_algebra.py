@@ -37,6 +37,7 @@ from pnsheaf import (
     sym,
     tangent,
     tensor,
+    total_chern,
     twist,
     wedge,
 )
@@ -200,6 +201,19 @@ def test_determinants():
         assert det_bundle(tangent(n)).twist == n + 1
         assert det_bundle(omega(1, n)).twist == -n - 1
         assert det_bundle(tangent(n)).is_line_bundle()
+
+
+def test_determinant_is_the_first_chern_class():
+    # c_1 comes from the Chern character, independently of the det rule;
+    # every summand weighs with its multiplicity
+    assert det_bundle(DirectSum(3, (o(2, 3), tangent(3)), (2, 3))).twist == 16
+    seed = 272727
+    print(f"determinant seed {seed}")
+    rng = random.Random(seed)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        e = random_expression(rng, n)
+        assert det_bundle(e).twist == total_chern(e).coeffs[1]
 
 
 def test_top_wedge_is_the_determinant():

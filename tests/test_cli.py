@@ -31,7 +31,9 @@ from pnsheaf import (
     TheoremReport,
     TwistedOneForm,
     Wedge,
+    bwb_cohomology,
     cohomology_table,
+    normalize,
     parse_expression,
     parse_form_file,
     parse_poly,
@@ -422,7 +424,7 @@ def test_non_integral_weyl_dimension_is_a_failed_cross_check(monkeypatch, capsys
 
 def test_non_integral_determinant_is_a_failed_cross_check(monkeypatch, capsys):
     # Omega^1 on P^3 has |lam| = 2; a rank of 1 makes its det exponent 2/3
-    monkeypatch.setattr(IrreducibleBundle, "rank", property(lambda b: 1))
+    monkeypatch.setattr("pnsheaf.bundles.weyl_dim", lambda lam, n: 1)
     code, out, err = _run(capsys, ["en-resolution", "T", "T", "--n", "3"])
     assert (code, out) == (4, "")
     assert err.startswith("error: internal cross-check failed: determinant exponent of ")
@@ -598,6 +600,48 @@ def test_cohomology_renders_each_summand_once(monkeypatch, capsys, fmt):
     code, out, _ = _run(capsys, ["cohomology", text, "--format", fmt])
     assert code == 0 and out
     assert len(calls) == count > 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cohomology_builds_each_contribution_once(monkeypatch, capsys, fmt):
+    # contributions are built lazily; a table that rebuilt them on every read
+    # would build each one per line of text and again for the size check
+    import pnsheaf.cohomology
+
+    text = "sym(3, T (+) Omega^1) on P^2"
+    expected = [b for b, _ in normalize(parse_expression(text, 2)).terms if bwb_cohomology(b)]
+    build, built = pnsheaf.cohomology.Contribution, []
+
+    def counting(degree, summand, multiplicity, dim):
+        built.append(summand)
+        return build(degree, summand, multiplicity, dim)
+
+    monkeypatch.setattr(pnsheaf.cohomology, "Contribution", counting)
+    code, out, _ = _run(capsys, ["cohomology", text, "--format", fmt])
+    assert code == 0 and out
+    assert len(built) == len(set(built)) == len(expected) > 1
+    assert set(built) == set(expected)
+
+
+_CORPUS = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "cli_corpus.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("case_id", [
+    "sweep-codim1-json", "sweep-split-json", "sweep-endo-json", "sweep-certificate-json",
+    "certificate-json", "check-thm-1-1-json", "check-thm-1-2-json", "check-thm-1-4-json",
+    "check-lemma-4-4-json",
+])
+def test_sweeps_certificates_and_checkers_build_no_summand(monkeypatch, capsys, case_id):
+    # their tables read only dims, straight off the count map: no
+    # IrreducibleBundle, and so no Decomposition or Contribution, is built
+    def refuse(self):
+        raise AssertionError(f"built {self.lam} on P^{self.ambient}")
+
+    (case,) = [c for c in _CORPUS["cases"] if c["id"] == case_id]
+    monkeypatch.setattr(IrreducibleBundle, "__post_init__", refuse)
+    assert _run(capsys, list(case["argv"])) == (case["exit"], case["stdout"], case["stderr"])
 
 
 def test_chern_reports_character_and_class(capsys):
