@@ -5,10 +5,11 @@ Each input row of Fractions is cleared to a sparse integer row
 ``_kernel`` directly.  Every row is made primitive (content 1) before
 elimination.  Fraction-free forward elimination (in the spirit of Bareiss,
 Math. Comp. 1968) works on the rows not yet pivoted only; back substitution
-then clears each pivot column above its pivot, and Fractions come back only
-when a kernel basis is read off the unique reduced form.  Rows of unequal
-widths, or a vector or column count of another width than the rows, raise
-InputError.
+then clears each pivot column above its pivot.  A kernel basis is read off
+the unique reduced form as pairs (sparse integer vector, positive
+denominator) in lowest terms, and only ``kernel_basis`` turns them into
+Fractions.  Rows of unequal widths, or a vector or column count of another
+width than the rows, raise InputError.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
-
 
 def _check_width(rows, width: int | None = None) -> None:
     """InputError unless every row, and the given width if any, agree in length."""
@@ -33,13 +31,8 @@ def _check_width(rows, width: int | None = None) -> None:
 def _int_row(row) -> dict[int, int]:
     """A row times the lcm of its denominators, sparse; {} for a zero row."""
     row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    return _cleared({c: x for c, x in enumerate(row) if x})
-
-
-def _cleared(vec: dict[int, Fraction]) -> dict[int, int]:
-    """A sparse vector of nonzero entries times the lcm of their denominators."""
-    den = lcm(*(x.denominator for x in vec.values()))
-    return {c: x.numerator * (den // x.denominator) for c, x in vec.items()}
+    den = lcm(*(x.denominator for x in row))
+    return {c: x.numerator * (den // x.denominator) for c, x in enumerate(row) if x}
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -90,38 +83,47 @@ def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction,
     """Basis of the right kernel of the matrix (list of coefficient rows)."""
     _check_width(rows, ncols)
     return [
-        tuple(vec.get(c, _ZERO) for c in range(ncols))
-        for vec in _kernel(map(_int_row, rows), ncols)
+        tuple(Fraction(vec.get(c, 0), den) for c in range(ncols))
+        for vec, den in _kernel(map(_int_row, rows), ncols)
     ]
 
 
-def _kernel(rows, ncols: int) -> list[dict[int, Fraction]]:
-    """Basis of the right kernel of sparse integer rows over ncols columns, as
-    sparse vectors {column: entry} in increasing column order: one per free
-    column, with 1 there and 0 at the other free ones."""
+def _kernel(rows, ncols: int) -> list[tuple[dict[int, int], int]]:
+    """Basis of the right kernel of sparse integer rows over ncols columns:
+    one vector per free column, with 1 there and 0 at the other free ones.
+    Each is a pair (v, den) in lowest terms, den > 0 and v a sparse integer
+    vector {column: entry} in increasing column order, for the vector v / den."""
     reduced = _reduced(rows)
     pivot_set = {col for col, _ in reduced}
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = {col: Fraction(-row[free], row[col]) for col, row in reduced if free in row}
-        vec[free] = _ONE
-        basis.append(dict(sorted(vec.items())))
+        den = lcm(*(row[col] for col, row in reduced if free in row))
+        vec = {col: -row[free] * (den // row[col]) for col, row in reduced if free in row}
+        vec[free] = den
+        if (g := gcd(*vec.values())) > 1:
+            vec = {col: v // g for col, v in vec.items()}
+            den //= g
+        basis.append((dict(sorted(vec.items())), den))
     return basis
 
 
-def _last_pivot_basis(vectors, ncols: int) -> list[dict[int, Fraction]]:
+def _last_pivot_basis(vectors, ncols: int) -> list[tuple[dict[int, int], int]]:
     """The reduced basis of the span of sparse integer vectors over ncols
     columns that pivots each vector on its last nonzero column, with 1 there
-    and 0 at the other pivots; in increasing pivot order.  It depends only on
-    the span, and for a kernel it is the basis ``_kernel`` returns."""
+    and 0 at the other pivots; in increasing pivot order, as ``_kernel``'s
+    (vector, denominator) pairs.  It depends only on the span, and for a
+    kernel it is the basis ``_kernel`` returns."""
     last = ncols - 1
     reduced = _reduced({last - c: v for c, v in vec.items()} for vec in vectors)
-    return [
-        {last - c: Fraction(v, row[col]) for c, v in sorted(row.items(), reverse=True)}
-        for col, row in reversed(reduced)
-    ]
+    basis = []
+    for col, row in reversed(reduced):
+        # a reduced row is primitive, so over its pivot entry it is in lowest terms
+        sign = 1 if row[col] > 0 else -1
+        basis.append(({last - c: sign * v for c, v in sorted(row.items(), reverse=True)},
+                      sign * row[col]))
+    return basis
 
 
 def in_row_span(rows: list[list[Fraction]], vector: list[Fraction]) -> bool:

@@ -20,15 +20,18 @@ from .checkers import TheoremReport, check_codim1_generic
 from .errors import EulerViolation, InputError, ScaleExceeded
 # kernel_basis is unused here but stays a pfaff attribute: perfbench's traced
 # test reads pnsheaf.pfaff.kernel_basis
-from .linalg import _cleared, _kernel, _last_pivot_basis, in_row_span, kernel_basis  # noqa: F401
+from .linalg import _kernel, _last_pivot_basis, in_row_span, kernel_basis  # noqa: F401
 from .polyideal import (
     MAX_CHART_VARS,
     MAX_GENERATOR_DEGREE,
     IdealPresentation,
     Poly,
+    _check_degree,
     _divide,
-    _pack,
+    _drop_variable,
+    _monomial_keys,
     _reducers,
+    _unit,
     ideal_presentation,
     monomials_of_degree,
     parse_poly,
@@ -67,10 +70,16 @@ class TwistedOneForm:
                 raise InputError(
                     f"coefficient {c} is not homogeneous of degree {self.twist - 1}"
                 )
-        residual = Poly.zero(n + 1)
+        # the residual sum x_i A_i over the lcm of the denominators: x_i times
+        # a monomial adds their packed keys, and the products have degree twist
+        _check_degree(self.twist)
+        den = lcm(*(c._den for c in self.coeffs))
+        out: dict[int, int] = {}
         for i, c in enumerate(self.coeffs):
-            residual = residual + c * Poly.variable(i, n + 1)
-        if residual:
+            unit, scale = _unit(i, n + 1), den // c._den
+            for k, v in c._terms.items():
+                out[k + unit] = out.get(k + unit, 0) + scale * v
+        if residual := Poly._of(n + 1, out, den):
             raise EulerViolation(residual)
 
     def __str__(self):
@@ -212,14 +221,14 @@ def _guard_unknowns(n: int, degree: int) -> None:
         )
 
 
-def _slot_polys(vec: dict[int, Fraction], nvars: int, monos) -> tuple[Poly, ...]:
-    """Split a sparse vector {column: entry}, slot-major over monos, into one
-    Poly per slot."""
-    slots: list[dict] = [{} for _ in range(nvars)]
+def _slot_polys(vec: dict[int, int], den: int, nvars: int, keys) -> tuple[Poly, ...]:
+    """Split the vector vec / den, sparse {column: entry} and slot-major over
+    the packed monomials keys, into one Poly per slot."""
+    slots: list[dict[int, int]] = [{} for _ in range(nvars)]
     for col, c in vec.items():
-        slot, j = divmod(col, len(monos))
-        slots[slot][monos[j]] = c
-    return tuple(Poly(nvars, terms) for terms in slots)
+        slot, j = divmod(col, len(keys))
+        slots[slot][keys[j]] = c
+    return tuple(Poly._of(nvars, terms, den) for terms in slots)
 
 
 def _combination(coeffs: dict[int, int], vectors) -> dict[int, int]:
@@ -263,22 +272,21 @@ def vanishing_section_space(n: int, r: int, z) -> SectionSpace:
     if r < 1:
         return SectionSpace(n, r, 0, ())
     _guard_unknowns(n, r - 1)
-    monos = monomials_of_degree(nvars, r - 1)
-    width = len(monos)
-    index = {m: i for i, m in enumerate(monos)}
+    keys = _monomial_keys(nvars, r - 1)
+    width = len(keys)
     # V, the degree-(r-1) polynomials whose dehomogenizations reduce to zero
-    # on every chart, as integer vectors {index[m]: entry}; it starts as every
-    # polynomial and is cut down chart by chart
+    # on every chart, as integer vectors {index of the monomial in keys:
+    # entry}; it starts as every polynomial and is cut down chart by chart
     space = [{i: 1} for i in range(width)]
     for chart in range(nvars):
         if not space:
             break
         # the chart basis is converted to integer reducers once, not per polynomial
         reducers = _reducers(ideal.charts[chart], n)
-        keys = [_pack(m[:chart] + m[chart + 1:]) for m in monos]
+        chart_keys = _drop_variable(keys, chart, nvars)
         # the pseudo-remainder (rem, s) of V_j is s times its normal form; over
         # the common denominator every normal form is an integer vector
-        nfs = [_divide({keys[i]: c for i, c in vec.items()}, reducers, n) for vec in space]
+        nfs = [_divide({chart_keys[i]: c for i, c in vec.items()}, reducers, n) for vec in space]
         den = lcm(*(s for _, s in nfs))
         # one row per remainder monomial mu: its coefficient in the normal
         # form of sum_j c_j V_j
@@ -288,7 +296,7 @@ def vanishing_section_space(n: int, r: int, z) -> SectionSpace:
                 by_mu.setdefault(mu, {})[j] = c * (den // s)
         if by_mu:
             kernel = _kernel(by_mu.values(), len(space))
-            space = [_combination(_cleared(vec), space) for vec in kernel]
+            space = [_combination(vec, space) for vec, _ in kernel]
     k = len(space)
     # (j, entry of V_j) at each monomial index
     at_index: list[list[tuple[int, int]]] = [[] for _ in range(width)]
@@ -296,22 +304,22 @@ def vanishing_section_space(n: int, r: int, z) -> SectionSpace:
         for m_idx, c in vec.items():
             at_index[m_idx].append((j, c))
     # Euler relation: coefficient of every degree-r monomial in sum x_i A_i,
-    # over column slot * k + j for c_(slot,j) in A_slot = sum_j c_(slot,j) V_j
-    euler = []
-    for m in monomials_of_degree(nvars, r):
-        row = {}
-        for i in range(nvars):
-            if m[i]:
-                below = index[m[:i] + (m[i] - 1,) + m[i + 1:]]
-                row.update((i * k + j, c) for j, c in at_index[below])
-        euler.append(row)
+    # over column slot * k + j for c_(slot,j) in A_slot = sum_j c_(slot,j) V_j;
+    # x_i times a monomial adds their packed keys
+    units = [_unit(i, nvars) for i in range(nvars)]
+    euler: dict[int, dict[int, int]] = {}
+    for key, entries in zip(keys, at_index):
+        for i, unit in enumerate(units):
+            euler.setdefault(key + unit, {}).update((i * k + j, c) for j, c in entries)
     # blocks[slot * k + j] is V_j in slot's columns, for column slot * k + j above
     blocks = [
         {slot * width + m_idx: c for m_idx, c in vec.items()} for slot in range(nvars) for vec in space
     ]
-    forms = [_combination(_cleared(vec), blocks) for vec in _kernel(euler, nvars * k)]
+    forms = [_combination(vec, blocks) for vec, _ in _kernel(euler.values(), nvars * k)]
     kernel = _last_pivot_basis(forms, nvars * width)
-    basis_forms = tuple(TwistedOneForm(n, r, _slot_polys(vec, nvars, monos)) for vec in kernel)
+    basis_forms = tuple(
+        TwistedOneForm(n, r, _slot_polys(vec, den, nvars, keys)) for vec, den in kernel
+    )
     return SectionSpace(n, r, len(kernel), basis_forms)
 
 
@@ -358,18 +366,17 @@ def annihilator_distribution(w: TwistedOneForm, bound: int) -> list[AnnihilatorS
     terms = [[(k, c * (den // a._den)) for k, c in a._terms.items()] for a in w.coeffs]
     slices = []
     for t in range(bound + 1):
-        monos = monomials_of_degree(nvars, t)
-        keys = [_pack(m) for m in monos]
+        keys = _monomial_keys(nvars, t)
         # sparse integer rows {column: entry}, one per packed monomial of
-        # sum A_i B_i; column slot * len(monos) + j holds the coefficient of
-        # monos[j] in B_slot
+        # sum A_i B_i; column slot * len(keys) + j holds the coefficient of
+        # the monomial keys[j] in B_slot
         rows: dict[int, dict[int, int]] = {}
         for slot, slot_terms in enumerate(terms):
-            for col, m in enumerate(keys, slot * len(monos)):
+            for col, m in enumerate(keys, slot * len(keys)):
                 for k, c in slot_terms:
                     rows.setdefault(k + m, {})[col] = c
-        kernel = _kernel(rows.values(), nvars * len(monos))
-        gens = tuple(_slot_polys(vec, nvars, monos) for vec in kernel)
+        kernel = _kernel(rows.values(), nvars * len(keys))
+        gens = tuple(_slot_polys(vec, den, nvars, keys) for vec, den in kernel)
         slices.append(AnnihilatorSlice(t, len(kernel), gens))
     return slices
 

@@ -9,8 +9,11 @@ is integer order (Monagan-Pearce, CASC 2007).  raw keeps each exponent in a
 _BITS-wide field whose top bit stays clear, so a difference of raws with no
 top bit set means divisibility; a monomial of degree 2**31 or more is
 refused with ScaleExceeded.  Buchberger and division run on the stored
-integer terms, pseudo-reducing with a heap of pending terms; Fractions
-appear only in ``terms``, rational inputs and rational literals.
+integer terms, pseudo-reducing with a heap of pending terms.  Fractions
+appear only at the edges: ``terms``, ``leading_coefficient``, rational inputs
+to ``Poly`` and ``scale``, and linalg's ``kernel_basis``.  ``parse_poly``
+reads its text straight into packed terms over one denominator, rational
+literals included.
 Buchberger drops useless S-pairs by Gebauer and Moeller's criteria and
 reduces the pair of least lcm first.
 Saturation-related questions are handled chart by chart: a homogeneous ideal
@@ -64,9 +67,41 @@ def _raw(key: int, span: int) -> int:
     return (-(-key >> span) << span) - key
 
 
+def _lcm_key(a: int, b: int, span: int, top: int) -> int:
+    """The packed lcm of two monomials given by their raws, top the top bits
+    of their fields: the field-wise max, whose degree is its field sum."""
+    # a field of (a | top) - b keeps its top bit where a's exponent is at
+    # least b's, and never borrows from the next one
+    ge = ((a | top) - b) & top
+    mask = (ge << 1) - (ge >> (_BITS - 1))  # every bit of those fields
+    raw = (a & mask) | (b & ~mask)
+    deg = raw % _MASK  # 2**32 = 1 mod _MASK, and the sum is below _MASK
+    _check_degree(deg)
+    return (deg << span) - raw
+
+
 def _unpack(key: int, nvars: int) -> tuple[int, ...]:
     raw = _raw(key, _BITS * nvars)
     return tuple((raw >> (_BITS * k)) & _MASK for k in range(nvars))
+
+
+def _unit(i: int, nvars: int) -> int:
+    """The packed monomial x_i in nvars variables."""
+    return (1 << (_BITS * nvars)) - (1 << (_BITS * i))
+
+
+def _drop_variable(keys, i: int, nvars: int) -> list[int]:
+    """The packed monomials in nvars - 1 variables that the packed monomials
+    keys in nvars variables become when x_i = 1."""
+    span, shift = _BITS * nvars, _BITS * i
+    low, out = (1 << shift) - 1, []
+    for key in keys:
+        deg = -(-key >> span)
+        raw = (deg << span) - key
+        # the fields above x_i's move down one; the degree loses x_i's exponent
+        rest = (raw & low) | (raw >> (shift + _BITS) << shift)
+        out.append(((deg - ((raw >> shift) & _MASK)) << (span - _BITS)) - rest)
+    return out
 
 
 def monomial_key(expo: tuple[int, ...]):
@@ -76,14 +111,13 @@ def monomial_key(expo: tuple[int, ...]):
 
 def monomials_of_degree(nvars: int, d: int) -> list[tuple[int, ...]]:
     """Exponent vectors of total degree d, largest first in degrevlex."""
-    out = []
-    for combo in combinations_with_replacement(range(nvars), d):
-        expo = [0] * nvars
-        for v in combo:
-            expo[v] += 1
-        out.append(tuple(expo))
-    out.sort(key=_pack, reverse=True)
-    return out
+    return [_unpack(key, nvars) for key in _monomial_keys(nvars, d)]
+
+
+def _monomial_keys(nvars: int, d: int) -> list[int]:
+    """The packed monomials of total degree d, largest first."""
+    units = [_unit(i, nvars) for i in range(nvars)]
+    return sorted(map(sum, combinations_with_replacement(units, d)), reverse=True)
 
 
 class Poly:
@@ -233,8 +267,7 @@ class Poly:
 
     def diff(self, i: int) -> "Poly":
         self._check_variable(i)
-        span, shift = _BITS * self.nvars, _BITS * i
-        unit = (1 << span) - (1 << shift)  # the key of x_i
+        span, shift, unit = _BITS * self.nvars, _BITS * i, _unit(i, self.nvars)
         out = {}
         for k, c in self._terms.items():
             if e := (_raw(k, span) >> shift) & _MASK:
@@ -245,9 +278,7 @@ class Poly:
         """Set x_i = 1 and drop the variable."""
         self._check_variable(i)
         out: dict[int, int] = {}
-        for k, c in self._terms.items():
-            e = _unpack(k, self.nvars)
-            key = _pack(e[:i] + e[i + 1:])
+        for key, c in zip(_drop_variable(self._terms, i, self.nvars), self._terms.values()):
             out[key] = out.get(key, 0) + c
         return Poly._of(self.nvars - 1, out, self._den)
 
@@ -267,13 +298,15 @@ class Poly:
     def __str__(self):
         if not self._terms:
             return "0"
-        den, bits = self._den, []
-        for key in sorted(self._terms, reverse=True):
-            c = self._terms[key]
-            body = "*".join(
-                f"x{i}" if e == 1 else f"x{i}^{e}"
-                for i, e in enumerate(_unpack(key, self.nvars)) if e
-            )
+        span, den, bits = _BITS * self.nvars, self._den, []
+        for key, c in sorted(self._terms.items(), reverse=True):
+            factors, raw, i = [], _raw(key, span), 0
+            while raw:  # x_i's exponent is the lowest field left
+                if e := raw & _MASK:
+                    factors.append(f"x{i}" if e == 1 else f"x{i}^{e}")
+                raw >>= _BITS
+                i += 1
+            body = "*".join(factors)
             g = gcd(c, den)
             size = str(abs(c) // g) if g == den else f"{abs(c) // g}/{den // g}"
             piece = size if not body else body if abs(c) == den else f"{size}*{body}"
@@ -288,86 +321,108 @@ class Poly:
 # parsing
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+/\d+|\d+)|x(\d+)|(\^)|(\*)|(\+)|(-))")
+# One factor and the separator before it: '+' or '-' starts a term, '*'
+# continues one, and only the first factor of the text has none.  An exponent
+# is maximal and not a fraction; where the scan stops, _parse_error says why.
+_FACTOR_RE = re.compile(
+    r"(?:^\s*|\s*([-+*])\s*)(?:(\d+)(?:/(\d+))?|x(\d+)(?:\s*\^\s*(\d+)(?!\d|/\d))?)"
+)
+_SPACE_RE = re.compile(r"\s*")
+_FACTOR = ("coefficient", "variable")
 
 
 def parse_poly(text: str, nvars: int) -> Poly:
     """Parse sums of terms like 3/2*x0^2*x1 - x2 + 5."""
-    pos = 0
-    terms: dict = {}
-    length = len(text)
+    # the terms over the denominator den, and apart the terms past the packed
+    # degree range by exponent vector, refused below unless they cancel
+    terms: dict[int, int] = {}
+    huge: dict[tuple[int, ...], int] = {}
+    den = 1
+    for key, deg, num, d, where in _scan_terms(text, nvars):
+        if den % d:
+            g = d // gcd(den, d)
+            den *= g
+            terms = {k: c * g for k, c in terms.items()}
+            huge = {e: c * g for e, c in huge.items()}
+        if deg < _EXPONENT_LIMIT:
+            terms[key] = terms.get(key, 0) + num * (den // d)
+        else:
+            expo = _exponents(text, where, nvars)
+            huge[expo] = huge.get(expo, 0) + num * (den // d)
+    for expo, c in huge.items():
+        if c:
+            _check_degree(sum(expo))
+    return Poly._of(nvars, terms, den)
 
-    def skip_ws(p):
-        while p < length and text[p].isspace():
-            p += 1
-        return p
 
-    pos = skip_ws(pos)
-    if pos == length:
-        raise ParseError("empty polynomial", pos, ("term",))
-    first = True
-    while pos < length:
-        sign = 1
-        pos = skip_ws(pos)
-        if text[pos] in "+-":
-            sign = -1 if text[pos] == "-" else 1
-            pos = skip_ws(pos + 1)
-        elif not first:
-            raise ParseError("missing term separator", pos, ("+", "-"))
-        first = False
-        coeff = 1
-        expo = [0] * nvars
-        saw_factor = False
-        expect_factor = True
-        while True:
-            m = _TOKEN_RE.match(text, pos)
-            if not m or not expect_factor:
-                break
-            number, var, caret, star, plus, minus = m.groups()
-            if plus or minus or caret:
-                break
-            if number is not None:
-                num, _, den = number.partition("/")
-                start = m.start(1)
-                coeff *= read_int(num, start)
-                if den:
-                    try:
-                        coeff = Fraction(coeff, read_int(den, start))
-                    except ZeroDivisionError:
-                        raise ParseError(f"zero denominator in {number}", start) from None
-                saw_factor = True
-                pos = m.end()
-            elif var is not None:
-                idx = read_int(var, pos)
-                if idx >= nvars:
-                    raise ParseError(f"variable x{idx} out of range (have x0..x{nvars - 1})", pos)
-                pos = m.end()
-                m2 = _TOKEN_RE.match(text, pos)
-                power = 1
-                if m2 and m2.group(3):  # caret
-                    pos = m2.end()
-                    m3 = _TOKEN_RE.match(text, pos)
-                    if not m3 or m3.group(1) is None or "/" in m3.group(1):
-                        raise ParseError("expected integer exponent", pos, ("integer",))
-                    power = read_int(m3.group(1), pos)
-                    pos = m3.end()
-                expo[idx] += power
-                saw_factor = True
-            elif star:
-                raise ParseError("unexpected '*'", pos, ("coefficient", "variable"))
-            # after a factor, an optional * continues the term
-            m4 = _TOKEN_RE.match(text, pos)
-            if m4 and m4.group(4):  # star
-                pos = m4.end()
-                expect_factor = True
-            else:
-                expect_factor = False
-        if not saw_factor:
-            raise ParseError("expected a term", pos, ("coefficient", "variable"))
-        key = tuple(expo)
-        terms[key] = terms.get(key, 0) + sign * coeff
-        pos = skip_ws(pos)
-    return Poly(nvars, terms)
+def _scan_terms(text: str, nvars: int):
+    """Yield (packed key, degree, numerator, denominator, (start, end)) for
+    each term of text; the key is exact while the degree is below 2**31."""
+    units = [_unit(i, nvars) for i in range(nvars)]
+    pos, last = 0, None
+    for m in _FACTOR_RE.finditer(text):
+        if m.start() != pos:
+            break
+        sep, digits, denom, var, power = m.groups()
+        if sep != "*":
+            if last is not None:
+                yield key, deg, num, d, (start, pos)
+            key, deg, num, d, start = 0, 0, -1 if sep == "-" else 1, 1, pos
+        elif last is None:
+            break  # a leading '*'
+        if digits is not None:
+            at = m.start(2)
+            num *= read_int(digits, at)
+            if denom is not None:
+                if not (q := read_int(denom, at)):
+                    raise ParseError(f"zero denominator in {digits}/{denom}", at)
+                d *= q
+        else:
+            at = m.end(1) if sep == "*" else m.start(4) - 1
+            if (i := read_int(var, at)) >= nvars:
+                raise ParseError(f"variable x{i} out of range (have x0..x{nvars - 1})", at)
+            e = 1 if power is None else read_int(power, text.index("^", m.end(4)) + 1)
+            key += e * units[i]
+            deg += e
+        pos, last = m.end(), m
+    if last is None or text[pos:].strip():
+        raise _parse_error(text, pos, last)
+    yield key, deg, num, d, (start, pos)
+
+
+def _exponents(text: str, where: tuple[int, int], nvars: int) -> tuple[int, ...]:
+    """The exponent vector of the term text[start:end] that _scan_terms read,
+    where = (start, end); the refusal of a monomial past the packed range
+    needs it, since the packed fields of such a term may overflow."""
+    expo = [0] * nvars
+    for m in _FACTOR_RE.finditer(text, *where):
+        if m[4] is not None:
+            expo[int(m[4])] += 1 if m[5] is None else int(m[5])
+    return tuple(expo)
+
+
+def _parse_error(text: str, pos: int, last) -> ParseError:
+    """Why the scan of text stopped at pos: right after the factor match
+    last, or at the start when last is None."""
+    at = _SPACE_RE.match(text, pos).end()
+    c = text[at:at + 1]
+    if last is None and not c:
+        return ParseError("empty polynomial", at, ("term",))
+    if last is not None and c == "*":
+        after = at + 1
+        nxt = _SPACE_RE.match(text, after).end()
+        if text[nxt:nxt + 1] == "*":
+            return ParseError("unexpected '*'", after, _FACTOR)
+        return ParseError("expected a factor after '*'", after, _FACTOR)
+    if c in ("+", "-"):
+        at = _SPACE_RE.match(text, at + 1).end()
+        c = text[at:at + 1]
+    elif last is not None:
+        if c == "^" and last[4] is not None and last[5] is None:
+            return ParseError("expected integer exponent", at + 1, ("integer",))
+        return ParseError("missing term separator", at, ("+", "-"))
+    # a term starts at `at` but no factor does
+    return ParseError("unexpected '*'" if c == "*" else "expected a term", at, _FACTOR)
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +519,9 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
     """(L / lt(f)) * f - (L / lt(g)) * g, L the lcm of the leading monomials."""
     f._match(g)
     nvars = f.nvars
+    span = _BITS * nvars
+    lcm_key = _lcm_key(_raw(f._lead(), span), _raw(g._lead(), span), span, _top_bits(nvars))
     # it does not change when f or g is scaled, so take their primitive reducers
-    lf, lg = _unpack(f._lead(), nvars), _unpack(g._lead(), nvars)
-    lcm_key = _pack(tuple(map(max, lf, lg)))
     return Poly._of(nvars, *_s_pair(_reducer(f._terms, nvars), _reducer(g._terms, nvars), lcm_key))
 
 
@@ -502,17 +557,18 @@ def buchberger(gens) -> tuple[Poly, ...]:
     _guard(gens, nvars)
     span, top = _BITS * nvars, _top_bits(nvars)
     basis: list[tuple] = []
-    expos: list[tuple[int, ...]] = []
     pairs: list[tuple[int, int, int]] = []  # heap of (packed lcm, i, j), i < j
 
     def update(h: tuple) -> None:
-        h_expo, j = _unpack(h[1], nvars), len(basis)
+        j = len(basis)
         # (packed lcm with h, leading monomials not coprime, i); on equal
-        # lcms a coprime pair sorts first, so it drops the others
-        news = sorted(
-            (_pack(tuple(map(max, e, h_expo))), any(map(min, e, h_expo)), i)
-            for i, e in enumerate(expos)
-        )
+        # lcms a coprime pair sorts first, so it drops the others.  Coprime
+        # monomials have their product as lcm, and a product adds keys.
+        news = []
+        for i, g in enumerate(basis):
+            key = _lcm_key(g[0], h[0], span, top)
+            news.append((key, key != g[1] + h[1], i))
+        news.sort()
         with_h = {i: key for key, _, i in news}
         kept = [
             (key, a, b) for key, a, b in pairs
@@ -529,7 +585,6 @@ def buchberger(gens) -> tuple[Poly, ...]:
         heapify(kept)
         pairs[:] = kept
         basis.append(h)
-        expos.append(h_expo)
 
     for g in gens:
         update(_reducer(g._terms, nvars))
@@ -624,14 +679,17 @@ def staircase_dimension(basis, nvars: int) -> int:
     basis = [g for g in basis if g]
     if not basis:
         return nvars
-    lms = [g.leading_monomial() for g in basis]
-    if any(sum(lm) == 0 for lm in lms):
+    # the variables of each leading monomial, as a bit mask
+    supports = []
+    for g in basis:
+        raw = _raw(g._lead(), _BITS * g.nvars)
+        supports.append(sum(1 << i for i in range(g.nvars) if (raw >> (_BITS * i)) & _MASK))
+    if 0 in supports:  # a constant leading monomial: the unit ideal
         return -1
-    supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in lms]
     for size in range(nvars, 0, -1):
         for subset in combinations(range(nvars), size):
-            sset = set(subset)
-            if all(not (sup <= sset) for sup in supports):
+            inside = sum(1 << i for i in subset)
+            if all(sup & ~inside for sup in supports):
                 return size
     return 0
 

@@ -77,6 +77,14 @@ def test_euler_relation_holds_across_fraction_coefficients():
     assert exc.value.residual == _p("-1/6*x0*x1*x2", 3)
 
 
+def test_euler_check_refuses_products_past_the_packed_degree_range():
+    # each x_i * A_i has degree twist = 2^31, one past what a Poly can hold
+    limit = 2**31
+    coeffs = (_p(f"x1^{limit - 1}", 2), _p(f"-x0*x1^{limit - 2}", 2))
+    with pytest.raises(ScaleExceeded, match=f"degree {limit} exceeds"):
+        TwistedOneForm(1, limit, coeffs)
+
+
 def test_form_validation():
     with pytest.raises(InputError):
         TwistedOneForm(2, 3, (Poly.zero(3), Poly.zero(3), Poly.zero(3)))

@@ -5,7 +5,9 @@ columns of one slot, and then the Euler relation on the coefficients of a
 basis of their kernel.  The reference kept here is the system it replaced:
 the Euler rows plus a copy of every chart's membership rows for each of the
 n+1 slots, over (n+1)*width unknowns, solved by ``_kernel``.  Both must give
-the same kernel vectors in the same order, and so the same ``SectionSpace``.
+the same kernel vectors, each as the same (integer vector, denominator) pair
+in lowest terms, in the same order and with the same term order, and so the
+same ``SectionSpace``.
 The grid covers the golden forms, pencils and log forms shaped like the
 benchmark's, the coordinate log form and a degenerate pencil, at every twist
 from 1 to the form's twist + 1, and the unit and zero ideals on every chart;
@@ -46,7 +48,7 @@ from pnsheaf.weights import binom
 CORPUS_PATH = pathlib.Path(__file__).parent / "golden" / "cli_corpus.json"
 
 
-def _full_system_kernel(n: int, r: int, ideal: IdealPresentation) -> list[dict]:
+def _full_system_kernel(n: int, r: int, ideal: IdealPresentation) -> list[tuple[dict, int]]:
     """_kernel of the Euler rows and every chart's membership rows, one copy
     per slot, over the columns slot * width + index[m]."""
     nvars = n + 1
@@ -71,15 +73,21 @@ def _full_system_kernel(n: int, r: int, ideal: IdealPresentation) -> list[dict]:
     return _kernel(rows, nvars * width)
 
 
-def _kernel_of(space: SectionSpace) -> list[list]:
-    """The (column, entry) pairs of each basis form, in the layout above."""
-    monos = monomials_of_degree(space.ambient + 1, space.twist - 1)
-    index = {m: i for i, m in enumerate(monos)}
-    return [
-        [(slot * len(monos) + index[m], c)
-         for slot, poly in enumerate(form.coeffs) for m, c in poly.terms.items()]
-        for form in space.basis
-    ]
+def _kernel_of(space: SectionSpace) -> list[tuple[list, int]]:
+    """Each basis form as ``_kernel`` gives a vector: (its (column, entry)
+    pairs in the layout above, denominator), in lowest terms.  The pairs run
+    slot by slot, each in its coefficient's term order."""
+    keys = [_pack(m) for m in monomials_of_degree(space.ambient + 1, space.twist - 1)]
+    index = {k: i for i, k in enumerate(keys)}
+    kernel = []
+    for form in space.basis:
+        # over the lcm of the slots' denominators no prime divides every entry
+        den = lcm(*(poly._den for poly in form.coeffs))
+        kernel.append(([
+            (slot * len(keys) + index[k], c * (den // poly._den))
+            for slot, poly in enumerate(form.coeffs) for k, c in poly._terms.items()
+        ], den))
+    return kernel
 
 
 def _random_log_form(rng: random.Random, n: int, degrees, lam) -> TwistedOneForm:
@@ -137,11 +145,11 @@ def disagreement(n: int, r: int, ideal: IdealPresentation) -> tuple[str | None, 
     """(what differs or None, dimension of the space)."""
     space = vanishing_section_space(n, r, ideal)
     reference = _full_system_kernel(n, r, ideal)
-    if _kernel_of(space) != [list(vec.items()) for vec in reference]:
+    if _kernel_of(space) != [(list(vec.items()), den) for vec, den in reference]:
         return "kernel vectors differ", space.dim
-    monos = monomials_of_degree(n + 1, r - 1)
+    keys = [_pack(m) for m in monomials_of_degree(n + 1, r - 1)]
     expected = SectionSpace(n, r, len(reference), tuple(
-        TwistedOneForm(n, r, _slot_polys(vec, n + 1, monos)) for vec in reference
+        TwistedOneForm(n, r, _slot_polys(vec, den, n + 1, keys)) for vec, den in reference
     ))
     if space != expected:
         return "section spaces differ", space.dim
