@@ -51,7 +51,8 @@ class Contribution:
 
 @dataclass(frozen=True)
 class CohomologyTable:
-    """(h^0, ..., h^n) of expr; _terms is its normal form, read only for contributions."""
+    """(h^0, ..., h^n) of expr; _terms is its count map, in any order, read only
+    for contributions.  A table read straight off a count map has expr None."""
 
     ambient: int
     dims: tuple[int, ...]
@@ -63,7 +64,7 @@ class CohomologyTable:
         """Each summand with cohomology, by (degree, lam, twist); built on first read."""
         n = self.ambient
         out = []
-        for (lam, twist), mult in self._terms:  # ascending by (lam, twist)
+        for (lam, twist), mult in sorted(self._terms):  # ascending by (lam, twist)
             group = _bott(n, lam, twist)
             if group is not None:
                 degree, dim = group
@@ -119,20 +120,23 @@ def bwb_cohomology(b: IrreducibleBundle) -> BWBGroup | None:
 bwb_cohomology.cache_clear = _bott.cache_clear
 
 
+def _count_map_table(n: int, terms: Terms, expr: BundleExpr | None = None) -> CohomologyTable:
+    """The table of a count map on P^n, in any order: one Bott lookup per summand."""
+    dims = [0] * (n + 1)
+    for (lam, twist), mult in terms:
+        group = _bott(n, lam, twist)
+        if group is not None:
+            dims[group[0]] += mult * group[1]
+    return CohomologyTable(n, tuple(dims), expr, terms)
+
+
 def cohomology_table(e: BundleExpr) -> CohomologyTable:
     """Full table (h^0, ..., h^n) of a normalizable expression.
 
     Reads the engine's normal form summand by summand; no Decomposition or
     Contribution is built unless the contributions are read.
     """
-    n = e.ambient
-    terms = _normalize_cached(e)
-    dims = [0] * (n + 1)
-    for (lam, twist), mult in terms:
-        group = _bott(n, lam, twist)
-        if group is not None:
-            dims[group[0]] += mult * group[1]
-    return CohomologyTable(n, tuple(dims), e, terms)
+    return _count_map_table(e.ambient, _normalize_cached(e), e)
 
 
 def bott_closed_form(k: int, s: int, n: int) -> CohomologyTable:

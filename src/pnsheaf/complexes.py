@@ -6,7 +6,9 @@ resolution has terms M_i = wedge^g(E*) (x) wedge^i(E) (x) Sym^(i-g)(G*) for
 i = g..e.  Whenever H^i(M_(g+i)) = 0 for i = 1..e-g, a chase through the
 short exact sequences linking the kernels F_j shows H^1(F_2) = 0, which is
 the statement that a section datum on Z lifts; the certificate records every
-required group together with the replayed chase.
+required group together with the replayed chase.  Its terms are tensored on
+the engine's count maps, and a term's expression tree is built only when the
+certificate is printed.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ from dataclasses import dataclass
 from .bundles import (
     BundleExpr,
     LineBundle,
+    _graded_power,
+    _normalize_cached,
+    _tensor_into,
     det_bundle,
     dual,
     o,
@@ -26,7 +31,7 @@ from .bundles import (
     tensor,
     wedge,
 )
-from .cohomology import CohomologyTable, cohomology_table
+from .cohomology import CohomologyTable, _count_map_table, cohomology_table
 from .errors import ConsistencyError, InputError
 from .grammar import render_expression
 
@@ -44,9 +49,16 @@ class ENResolutionReport:
 @dataclass(frozen=True)
 class RequiredVanishing:
     i: int
-    expr: BundleExpr
-    table: CohomologyTable
+    table: CohomologyTable  # read off a count map, so its expr is None
     ok: bool
+    E: BundleExpr
+    G: BundleExpr
+    g: int
+
+    @property
+    def expr(self) -> BundleExpr:
+        """The term M_(g+i), built only when printed."""
+        return _en_term(self.E, self.G, self.g + self.i, self.g, True)
 
 
 @dataclass(frozen=True)
@@ -162,28 +174,23 @@ def vanishing_certificate(E: BundleExpr, G: BundleExpr) -> ENCertificate:
     """
     n = E.ambient
     e, g = _map_ranks(E, G)
-    required = []
-    failed = []
+    # factors in the order the tree of M_(g+i) normalizes them, so a refusal names the same one
+    wedge_g_dual = _normalize_cached(wedge(g, dual(E)))
+    G_dual = _normalize_cached(dual(G))
+    required, failed = [], []
     for i in range(1, e - g + 1):
-        expr = _en_term(E, G, g + i, g, True)
-        table = cohomology_table(expr)
+        acc = _tensor_into({}, wedge_g_dual, _normalize_cached(wedge(g + i, E)))
+        terms = _tensor_into({}, acc.items(), _graded_power(G_dual, n, i, False))
+        table = _count_map_table(n, tuple(terms.items()))
         ok = table.h(i) == 0
         if not ok:
             failed.append(i)
-        required.append(RequiredVanishing(i, expr, table, ok))
+        required.append(RequiredVanishing(i, table, ok, E, G, g))
     verdict = not failed
-    endo = cohomology_table(tensor(wedge(g, dual(E)), wedge(g, E))).h(0)
-    return ENCertificate(
-        E,
-        G,
-        n,
-        e,
-        g,
-        tuple(required),
-        verdict,
-        _chain_trace(e, g, verdict, tuple(failed)),
-        endo,
-    )
+    endo_terms = _tensor_into({}, wedge_g_dual, _normalize_cached(wedge(g, E)))
+    endo = _count_map_table(n, tuple(endo_terms.items())).h(0)
+    trace = _chain_trace(e, g, verdict, tuple(failed))
+    return ENCertificate(E, G, n, e, g, tuple(required), verdict, trace, endo)
 
 
 def euler_les_chase(k: int, n: int) -> list[tuple[int, int]]:

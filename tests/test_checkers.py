@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-import pnsheaf.checkers
+import pnsheaf.cohomology
 import pnsheaf.complexes
 from pnsheaf import (
     FAIL,
@@ -226,15 +226,17 @@ def test_split_groups_equal_the_theorem_expressions():
     ],
 )
 def test_each_cohomology_table_is_computed_once(monkeypatch, check, args, calls):
-    # the certificate's required groups plus its endomorphism space
+    # the certificate's required groups plus its endomorphism space; every
+    # table, cohomology_table's too, is read off a count map by this helper
     seen = []
+    table = pnsheaf.cohomology._count_map_table
 
-    def counting(e):
-        seen.append(e)
-        return cohomology_table(e)
+    def counting(n, terms, expr=None):
+        seen.append(terms)
+        return table(n, terms, expr)
 
-    monkeypatch.setattr(pnsheaf.checkers, "cohomology_table", counting)
-    monkeypatch.setattr(pnsheaf.complexes, "cohomology_table", counting)
+    monkeypatch.setattr(pnsheaf.cohomology, "_count_map_table", counting)
+    monkeypatch.setattr(pnsheaf.complexes, "_count_map_table", counting)
     check(*args)
     assert len(seen) == calls
 

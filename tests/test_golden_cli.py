@@ -10,7 +10,9 @@ wraps that text to the terminal width, so every case runs at 200 columns.
 
 A refactoring must leave the corpus unchanged.  After an intended output
 change, re-record with ``PYTHONPATH=src python tests/test_golden_cli.py``
-and review the diff of the data file.
+and review the diff of the data file.  With ``--check``, the script compares
+every case instead, with the standard library only, and exits 1 on any
+difference.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ import io
 import json
 import os
 import pathlib
+import sys
 import tempfile
 from unittest import mock
-
-import pytest
 
 from pnsheaf.cli import main
 
@@ -48,7 +49,12 @@ def _run(argv: list[str], form_dir: pathlib.Path) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("case", CORPUS["cases"], ids=[c["id"] for c in CORPUS["cases"]])
+def pytest_generate_tests(metafunc):
+    # pytest's own hook parametrizes the test, so the module imports no pytest
+    if "case" in metafunc.fixturenames:
+        metafunc.parametrize("case", CORPUS["cases"], ids=[c["id"] for c in CORPUS["cases"]])
+
+
 def test_cli_output_matches_golden(case, tmp_path):
     assert _run(case["argv"], tmp_path) == (case["exit"], case["stdout"], case["stderr"])
 
@@ -60,5 +66,31 @@ def _record() -> None:
     CORPUS_PATH.write_text(json.dumps(CORPUS, indent=1) + "\n", encoding="utf-8")
 
 
+def differing(cases: list[dict]) -> list[str]:
+    """The ids of the cases whose run differs from the corpus."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return [
+            case["id"]
+            for case in cases
+            if _run(case["argv"], pathlib.Path(tmp))
+            != (case["exit"], case["stdout"], case["stderr"])
+        ]
+
+
+def _check() -> int:
+    """Compare every case; print the ids that differ and return 1 if any does."""
+    differ = differing(CORPUS["cases"])
+    for case_id in differ:
+        print(f"differs from the golden corpus: {case_id}")
+    print(f"Python {sys.version.split()[0]}: {len(CORPUS['cases'])} golden cases,"
+          f" {len(differ)} differ")
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(_check())
+    if sys.argv[1:]:
+        print("usage: test_golden_cli.py [--check]", file=sys.stderr)
+        sys.exit(2)
     _record()
