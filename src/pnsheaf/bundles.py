@@ -37,6 +37,10 @@ MAX_RANK_DIGITS = 1000
 # Expressions on P^n with n above this are refused before any weight is built.
 MAX_AMBIENT = 10**5
 
+# CPython turns no int of more than 4,300 digits into text (its default
+# int-to-str limit); an int of at most 14,284 bits has at most 4,300 digits
+MAX_OUTPUT_BITS = 14_284
+
 # A normal form as the engine keeps it: ((lam, twist), multiplicity) pairs,
 # ascending by (lam, twist), every multiplicity positive.
 Terms = tuple[tuple[tuple[tuple[int, ...], int], int], ...]
@@ -51,6 +55,11 @@ class BundleExpr:
     """Base node; ambient is the n of P^n and is shared by the whole tree."""
 
     ambient: int
+
+    def __str__(self):
+        from .grammar import render_expression  # grammar imports this module
+
+        return render_expression(self)
 
     def __post_init__(self):
         if self.ambient < 1:
@@ -471,6 +480,21 @@ def _graded_power(terms: Terms, n: int, k: int, is_wedge: bool) -> Terms:
 
 def rank(e: BundleExpr) -> int:
     return sum(mult * weyl_dim(lam, e.ambient) for (lam, _), mult in _normalize_cached(e))
+
+
+def _map_ranks(E: BundleExpr, G: BundleExpr) -> tuple[int, int]:
+    """Ranks e, g of a map E -> G, checked for a common ambient and e >= g; a
+    rank too long to print (above MAX_OUTPUT_BITS) is named by its bit length."""
+    e, g = rank(E), rank(G)
+    if E.ambient != G.ambient:
+        raise InputError("E and G live on different ambients")
+    if e < g:
+        e_text, g_text = (
+            str(r) if r.bit_length() <= MAX_OUTPUT_BITS else f"a rank of {r.bit_length()} bits"
+            for r in (e, g)
+        )
+        raise InputError(f"need rank(E) >= rank(G); got {e_text} < {g_text}")
+    return e, g
 
 
 def det_bundle(e: BundleExpr) -> IrreducibleBundle:

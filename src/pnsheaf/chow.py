@@ -6,11 +6,11 @@ computed over int, as the power sums p_k = k! ch_k of the Chern roots.  As
 Q = (n+1) O - O(-1) in K-theory, S_lam(Q)(t) has the character
 sum_j v_j e^((t-j)h), where v_j = (-1)^j s_(lam/1^j)(1^(n+1)) comes from one
 fraction-free solve of a skew Jacobi-Trudi system; Newton's identities turn
-power sums into Chern classes.  The Todd class (h/(1 - e^(-h)))^(n+1) and
-the inverse c(E)^-1 are powers of series by Miller's recurrence, and Euler
-characteristics are the degree-n coefficient of ch * td.  Maximal-minor
-degeneracy classes use the determinant det[c_(1+j-i)(G - E)] of size
-e - g + 1, by the same solve."""
+power sums into Chern classes, of a bundle or, from p(G) - p(E), of a
+difference G - E.  The Todd class (h/(1 - e^(-h)))^(n+1) is a power of a
+series by Miller's recurrence, and Euler characteristics are the degree-n
+coefficient of ch * td.  Maximal-minor degeneracy classes use the
+determinant det[c_(1+j-i)(G - E)] of size e - g + 1, by the same solve."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .bundles import BundleExpr, _normalize_cached, rank
+from .bundles import BundleExpr, _map_ranks, _normalize_cached
 from .errors import ConsistencyError, InputError, ScaleExceeded
 from .weights import binom
 
@@ -251,11 +251,16 @@ def _chern_classes(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(c)
 
 
+def _difference_classes(E: BundleExpr, G: BundleExpr) -> tuple[int, ...]:
+    """c_0, ..., c_n of G - E from p(G) - p(E); G's are taken first, as c(G) was."""
+    return _chern_classes(tuple(a - b for a, b in zip(_power_sums(G), _power_sums(E))))
+
+
 def chern_difference(E: BundleExpr, G: BundleExpr) -> ChowClass:
     """Total Chern class of the virtual difference G - E: c(G) / c(E)."""
     if E.ambient != G.ambient:
         raise InputError("bundles live on different ambients")
-    return total_chern(G) * ChowClass(E.ambient, tuple(_series_power(total_chern(E).coeffs, -1)))
+    return ChowClass(E.ambient, _difference_classes(E, G))
 
 
 @dataclass(frozen=True)
@@ -276,25 +281,19 @@ def porteous_class(E: BundleExpr, G: BundleExpr) -> PorteousResult:
     whose entries are too long for MAX_PORTEOUS_BITS is refused before the
     solve.
     """
-    e = rank(E)
-    g = rank(G)
+    e, g = _map_ranks(E, G)
     n = E.ambient
-    if e < g:
-        raise InputError(f"need rank(E) >= rank(G); got {e} < {g}")
     codim = e - g + 1
-    diff = chern_difference(E, G).coeffs
+    diff = _difference_classes(E, G)
     if codim > n:
         return PorteousResult(n, codim, chow_zero(n), 0, False)
-    for m, x in enumerate(diff):
-        if x.denominator != 1:
-            raise ConsistencyError(f"c_{m}(G - E) came out non-integral: {x}")
     # the entries c_(1+j-i) reach at most c_codim, and codim <= n
-    bits = max(abs(x.numerator).bit_length() for x in diff[: codim + 1])
+    bits = max(abs(x).bit_length() for x in diff[: codim + 1])
     if (size_bits := codim * (bits + codim.bit_length())) > MAX_PORTEOUS_BITS:
         raise ScaleExceeded(
             f"the Porteous determinant of size {codim} has entries of up to {bits} bits, so"
             f" its solve needs about {size_bits} bits; the bound is {MAX_PORTEOUS_BITS}"
         )
-    rows = [[int(diff[1 + j - i]) if j + 1 >= i else 0 for j in range(codim)] + [0] for i in range(codim)]
+    rows = [[diff[1 + j - i] if j + 1 >= i else 0 for j in range(codim)] + [0] for i in range(codim)]
     det, _ = _solve(rows)
     return PorteousResult(n, codim, hyperplane_power(n, codim, det), det, True)

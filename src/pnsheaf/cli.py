@@ -19,6 +19,10 @@ The command line is declared once, in the table COMMANDS.  main reads a
 well-formed argv straight from it and builds the argparse parser only for
 help and errors, so argparse writes every help and error text.
 
+A result becomes text in one place, _emit: it size-checks every int in the
+payload before it writes JSON or text, so any command whose result has an
+int Python cannot print (MAX_OUTPUT_BITS) exits 3 with one error line.
+
 Expressions follow the grammar "O(d) | T | Omega^p | wedge(k, e) | sym(k, e)
 | dual(e) | e (x) e | e (+) e | m*e" with the ambient given either as a
 trailing "on P^n" or through --n.
@@ -40,7 +44,7 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .bundles import BundleExpr, o, rank, tensor
+from .bundles import MAX_OUTPUT_BITS, BundleExpr, IrreducibleBundle, o, rank, tensor
 from .checkers import (
     HOLD,
     check_codim1_generic,
@@ -70,10 +74,7 @@ from .pfaff import (
     singular_sections,
     uniqueness_report,
 )
-
-# CPython turns no int of more than 4,300 digits into text (its default
-# int-to-str limit); an int of at most 14,284 bits has at most 4,300 digits
-MAX_OUTPUT_BITS = 14_284
+from .polyideal import Poly
 
 CHECK_ALIASES = {
     "map": "thm-1-1",
@@ -114,28 +115,42 @@ def _warn_zero(e: BundleExpr) -> None:
 
 def _check_size(*values) -> None:
     """ScaleExceeded if an int or Fraction in values, which may nest in lists,
-    tuples and dicts, has a numerator or denominator above MAX_OUTPUT_BITS."""
+    tuples, dicts, expressions, summands, forms and polynomials, has a
+    numerator or denominator above MAX_OUTPUT_BITS."""
     for value in values:
-        if isinstance(value, dict):
-            _check_size(*value.values())
-        elif isinstance(value, (list, tuple)):
-            _check_size(*value)
-        elif isinstance(value, (int, Fraction)):
+        if isinstance(value, (int, Fraction)):
             bits = max(value.numerator.bit_length(), value.denominator.bit_length())
             if bits > MAX_OUTPUT_BITS:
                 raise ScaleExceeded(
                     f"a result has {bits} bits; the output bound is {MAX_OUTPUT_BITS}"
                     " bits (4300 digits)"
                 )
+        elif isinstance(value, dict):
+            _check_size(*value.values())
+        elif isinstance(value, (list, tuple)):
+            _check_size(*value)
+        elif isinstance(value, (BundleExpr, IrreducibleBundle, TwistedOneForm)):
+            # every int field of these is printed with them
+            _check_size(*vars(value).values())
+        elif isinstance(value, Poly):
+            # a printed coefficient is a numerator over the denominator, each
+            # divided by their gcd
+            _check_size(value._den, max(map(abs, value._terms.values()), default=0))
 
 
-def _emit(args, payload: dict, text_lines) -> None:
-    """Print the payload as JSON, or the list text_lines() returns as text;
-    the text is built only when it is printed."""
+def _emit(args, payload: dict, text_lines, *text_only) -> None:
+    """Print the payload as JSON, or the list text_lines() returns as text.
+
+    The one place a result becomes text: every int in the payload, and in
+    text_only (values only the text prints), is size-checked first; JSON
+    writes a Fraction, summand, expression or polynomial as its str, and the
+    text is built only when it is printed.
+    """
+    _check_size(payload, *text_only)
     if args.format == "json":
         if args.seed is not None:
             payload = {**payload, "seed": args.seed}
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(payload, sort_keys=True, indent=2, default=str))
     else:
         print("\n".join(text_lines()))
 
@@ -203,34 +218,25 @@ def _cmd_cohomology(args) -> int:
     _warn_zero(e)
     table = cohomology_table(e)
     chi = table.euler_characteristic()
-    # only the ints are size-checked; each summand is rendered once, for the
-    # format that is printed
-    _check_size(chi, *table.dims,
-                *(x for c in table.contributions for x in (c.multiplicity, c.dim)))
     text = render_expression(e)
     payload = {
         "ambient": table.ambient,
         "expression": text,
-        "h": list(table.dims),
         "euler_characteristic": chi,
-    }
-    if args.format == "json":
-        payload["contributions"] = [
-            {"degree": c.degree, "summand": str(c.summand),
+        "h": list(table.dims),
+        "contributions": [
+            {"degree": c.degree, "summand": c.summand,
              "multiplicity": c.multiplicity, "dim": c.dim}
             for c in table.contributions
-        ]
+        ],
+    }
 
     def lines():
         out = [f"P^{table.ambient}: {text}"]
         for p, d in enumerate(table.dims):
-            contribs = [c for c in table.contributions if c.degree == p]
-            suffix = ""
-            if contribs:
-                suffix = "   from " + ", ".join(
-                    f"{c.summand} x{c.multiplicity} (dim {c.dim})" for c in contribs
-                )
-            out.append(f"h^{p} = {d}{suffix}")
+            contribs = ", ".join(f"{c.summand} x{c.multiplicity} (dim {c.dim})"
+                                 for c in table.contributions if c.degree == p)
+            out.append(f"h^{p} = {d}" + (f"   from {contribs}" if contribs else ""))
         out.append(f"chi = {chi}")
         return out
 
@@ -244,13 +250,12 @@ def _cmd_chern(args) -> int:
     ch = chern_character(e)
     c = total_chern(e)
     r = rank(e)
-    _check_size(r, ch.coeffs, c.coeffs)
     text = render_expression(e)
     payload = {
         "ambient": e.ambient,
         "expression": text,
         "rank": r,
-        "chern_character": [str(x) for x in ch.coeffs],
+        "chern_character": list(ch.coeffs),
         "total_chern": [int(x) for x in c.coeffs],
     }
     _emit(args, payload, lambda: [
@@ -278,7 +283,6 @@ def _cmd_chi(args) -> int:
         "chi": chi,
         "h": list(table.dims),
     }
-    _check_size(payload)
     _emit(args, payload, lambda: [
         f"P^{e.ambient}: {text}",
         f"chi = {chi} (Riemann-Roch and cohomology agree)",
@@ -291,15 +295,10 @@ def _cmd_en_resolution(args) -> int:
     E = _load_expr(args.E, args.n)
     G = _load_expr(args.G, args.n)
     report = en_resolution(E, G, twisted=args.twisted)
-    terms = []
-    for offset, term in enumerate(report.terms):
-        terms.append(
-            {
-                "i": report.g + offset,
-                "expr": render_expression(term),
-                "rank": rank(term),
-            }
-        )
+    terms = [
+        {"i": report.g + offset, "expr": term, "rank": rank(term)}
+        for offset, term in enumerate(report.terms)
+    ]
     payload = {
         "n": E.ambient,
         "e": report.e,
@@ -320,9 +319,7 @@ def _cmd_certificate(args) -> int:
     E = _load_expr(args.E, args.n)
     G = _load_expr(args.G, args.n)
     cert = vanishing_certificate(E, G)
-    payload = cert.to_json_dict()
-    _check_size(payload, cert.endomorphism_dim)
-    _emit(args, payload, cert.text_lines)
+    _emit(args, cert.to_json_dict(), cert.text_lines, cert.endomorphism_dim)
     return 0 if cert.verdict else 1
 
 
@@ -341,7 +338,6 @@ def _cmd_porteous(args) -> int:
         "degree": result.degree,
         "class": [int(x) for x in result.cls.coeffs],
     }
-    _check_size(payload)
 
     def lines():
         out = [
@@ -412,7 +408,7 @@ def _form_summary(w: TwistedOneForm) -> dict:
     return {
         "ambient": w.ambient,
         "twist": w.twist,
-        "coefficients": [str(c) for c in w.coeffs],
+        "coefficients": list(w.coeffs),
     }
 
 
@@ -448,18 +444,15 @@ def _cmd_pfaff_singular(args) -> int:
         **_form_summary(w),
         "dimension": scheme.dimension,
         "zero_dimensional": scheme.is_zero_dimensional(),
-        "generators": [str(g) for g in scheme.ideal.generators],
-        "charts": [
-            {"chart": i, "basis": [str(g) for g in basis]}
-            for i, basis in enumerate(scheme.ideal.charts)
-        ],
+        "generators": list(scheme.ideal.generators),
+        "charts": [{"chart": i, "basis": list(basis)} for i, basis in enumerate(scheme.ideal.charts)],
     }
     _emit(args, payload, lambda: [
         f"form on P^{w.ambient}, twist {w.twist}: {w}",
         f"singular scheme dimension = {scheme.dimension}",
-        "generators: " + "; ".join(payload["generators"]),
-        *(f"chart x{chart['chart']} = 1 basis: {'; '.join(chart['basis']) or '(zero ideal)'}"
-          for chart in payload["charts"]),
+        "generators: " + "; ".join(map(str, scheme.ideal.generators)),
+        *(f"chart x{i} = 1 basis: {'; '.join(map(str, basis)) or '(zero ideal)'}"
+          for i, basis in enumerate(scheme.ideal.charts)),
     ])
     return 0
 
@@ -473,13 +466,13 @@ def _cmd_pfaff_sections(args) -> int:
         "twist": twist,
         "singular_dimension": scheme.dimension,
         "dim": space.dim,
-        "basis": [[str(c) for c in form.coeffs] for form in space.basis],
+        "basis": [list(form.coeffs) for form in space.basis],
     }
     _emit(args, payload, lambda: [
         f"forms of twist {twist} vanishing on the singular scheme of {w}",
         f"dimension = {space.dim}",
         *(f"basis[{idx}]: {form}" for idx, form in enumerate(space.basis)),
-    ])
+    ], w)
     return 0
 
 
@@ -493,7 +486,7 @@ def _cmd_pfaff_annihilator(args) -> int:
             {
                 "degree": s.degree,
                 "dim": s.dim,
-                "generators": [[str(c) for c in gen] for gen in s.generators],
+                "generators": [list(gen) for gen in s.generators],
             }
             for s in slices
         ],
@@ -507,18 +500,15 @@ def _cmd_pfaff_annihilator(args) -> int:
 
 def _cmd_pfaff_random_pencil(args) -> int:
     w = random_pencil_form(args.n, args.degree, args.seed)
+    payload = {**_form_summary(w), "degree": args.degree, "seed": args.seed}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(render_form_file(w))
-    if args.format == "json":
-        payload = {**_form_summary(w), "degree": args.degree, "seed": args.seed}
-        if args.out:
-            payload["out"] = args.out
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    elif args.out:
-        print(f"wrote twist-{w.twist} form on P^{w.ambient} to {args.out}")
-    else:
-        print(render_form_file(w), end="")
+        payload["out"] = args.out
+    _emit(args, payload, lambda: (
+        [f"wrote twist-{w.twist} form on P^{w.ambient} to {args.out}"] if args.out
+        else render_form_file(w).splitlines()
+    ))
     return 0
 
 
@@ -783,20 +773,11 @@ _NEGATIVE_VALUE = re.compile(r"^-\d")
 def _join_negative_values(argv: list[str]) -> list[str]:
     """Glue '--flag -1,-1' into '--flag=-1,-1' so argparse accepts it."""
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if (
-            token.startswith("--")
-            and "=" not in token
-            and i + 1 < len(argv)
-            and _NEGATIVE_VALUE.match(argv[i + 1])
-        ):
-            out.append(f"{token}={argv[i + 1]}")
-            i += 2
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE_VALUE.match(token):
+            out[-1] += f"={token}"
         else:
             out.append(token)
-            i += 1
     return out
 
 

@@ -19,13 +19,13 @@ from .bundles import (
     BundleExpr,
     LineBundle,
     _graded_power,
+    _map_ranks,
     _normalize_cached,
     _tensor_into,
     det_bundle,
     dual,
     o,
     omega,
-    rank,
     sym,
     tangent,
     tensor,
@@ -119,24 +119,17 @@ def _en_term(E: BundleExpr, G: BundleExpr, i: int, g: int, twisted: bool) -> Bun
     return tensor(wedge(i, E), sym(i - g, dual(G)), LineBundle(n, det_g_dual.twist))
 
 
-def _map_ranks(E: BundleExpr, G: BundleExpr) -> tuple[int, int]:
-    """Ranks e, g of a map E -> G, checked for a common ambient and e >= g."""
-    e = rank(E)
-    g = rank(G)
-    if E.ambient != G.ambient:
-        raise InputError("E and G live on different ambients")
-    if e < g:
-        raise InputError(f"need rank(E) >= rank(G); got {e} < {g}")
-    return e, g
-
-
 def en_resolution(E: BundleExpr, G: BundleExpr, twisted: bool = False) -> ENResolutionReport:
-    """The e - g + 1 bundle terms resolving the maximal-minor ideal sheaf."""
+    """The e - g + 1 bundle terms resolving the maximal-minor ideal sheaf, each
+    normalized as it is built, so the first term a guard refuses stops the walk."""
     e, g = _map_ranks(E, G)
     if g < 1:
         raise InputError("G must have positive rank")
-    terms = tuple(_en_term(E, G, i, g, twisted) for i in range(g, e + 1))
-    return ENResolutionReport(E, G, e, g, twisted, terms)
+    terms = []
+    for i in range(g, e + 1):
+        terms.append(_en_term(E, G, i, g, twisted))
+        _normalize_cached(terms[-1])
+    return ENResolutionReport(E, G, e, g, twisted, tuple(terms))
 
 
 def _chain_trace(e: int, g: int, verdict: bool, failed: tuple[int, ...]) -> tuple[str, ...]:

@@ -32,7 +32,13 @@ from pnsheaf import (
     total_chern,
 )
 from pnsheaf.bundles import normalize
-from pnsheaf.chow import MAX_CHOW_AMBIENT, _ch_schur_q, _chern_classes, _skew_dims
+from pnsheaf.chow import (
+    MAX_CHOW_AMBIENT,
+    _ch_schur_q,
+    _chern_classes,
+    _series_power,
+    _skew_dims,
+)
 from pnsheaf.weights import binom, weyl_dim
 
 from helpers import random_expression, weights_in_box
@@ -214,6 +220,20 @@ def test_chern_difference_inverts_correctly():
         g = random_expression(rng, n, depth=2)
         diff = chern_difference(e, g)
         assert (diff * total_chern(e)).coeffs == total_chern(g).coeffs
+
+
+def test_chern_difference_matches_the_inverse_series_product():
+    # the oracle is c(G) * c(E)^-1 over Fraction, the inverse by Miller's
+    # recurrence; chern_difference takes Newton's identities of p(G) - p(E)
+    seed = 909090
+    print(f"difference oracle seed {seed}")
+    rng = random.Random(seed)
+    for _ in range(600):
+        n = rng.randint(1, 9)
+        e = random_expression(rng, n)
+        g = random_expression(rng, n)
+        inverse = ChowClass(n, tuple(_series_power(total_chern(e).coeffs, -1)))
+        assert chern_difference(e, g) == total_chern(g) * inverse, (e, g)
 
 
 # ---------------------------------------------------------------------------

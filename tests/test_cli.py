@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import os
@@ -275,6 +276,89 @@ def test_output_bound_is_the_longest_int_python_prints():
     _check_size([{"h": [largest, -largest, Fraction(1, largest)]}])
     with pytest.raises(ScaleExceeded):
         _check_size({"h": [Fraction(1, largest + 1)]})
+
+
+# the 36-fold tensor power of sym(300, 150*O(1)) on P^2: C(449, 300)^36 copies
+# of O(10800), a rank of 14,652 bits
+_BIG = " (x) ".join(["sym(300, 150*O(1))"] * 36)
+_TOO_LONG = "error: a result has {} bits; the output bound is 14284 bits (4300 digits)\n"
+_RANK_MISMATCH = "error: need rank(E) >= rank(G); got 1 < {}\n"
+_D = 10**4000  # 13,288 bits: printable, but not its square
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["check", "thm-1-1", "--E", _BIG, "--G", _BIG, "--n", "2"], 3, _TOO_LONG.format(14652)),
+        (["en-resolution", _BIG, _BIG, "--n", "2"], 3, _TOO_LONG.format(14652)),
+        (["certificate", _BIG, _BIG, "--n", "2"], 3, _TOO_LONG.format(14652)),
+        (["porteous", _BIG, _BIG, "--n", "2"], 3, _TOO_LONG.format(14652)),
+        # the one term's O(-10^8000) is refused with the expression it is printed in
+        (["en-resolution", f"{_D}*O(1)", f"{_D}*O({_D})", "--n", "1"], 3, _TOO_LONG.format(26576)),
+        (["certificate", "O(1)", _BIG, "--n", "2"], 2, _RANK_MISMATCH.format("a rank of 14652 bits")),
+        (["porteous", "O(1)", _BIG, "--n", "2"], 2, _RANK_MISMATCH.format("a rank of 14652 bits")),
+        (["en-resolution", "O(1)", _BIG, "--n", "2"], 2, _RANK_MISMATCH.format("a rank of 14652 bits")),
+        (["check", "thm-1-1", "--E", "O(1)", "--G", _BIG, "--n", "2"], 2,
+         _RANK_MISMATCH.format("a rank of 14652 bits")),
+        (["sweep", "certificate", "--E", "O(1)", "--G", _BIG, "--n", "2", "--twist", "0"], 2,
+         _RANK_MISMATCH.format("a rank of 14652 bits")),
+        # a rank that fits is printed in full
+        (["certificate", "O(1)", "2*O(1)", "--n", "2"], 2, _RANK_MISMATCH.format(2)),
+        (["porteous", "O(1)", "2*O(1)", "--n", "2"], 2, _RANK_MISMATCH.format(2)),
+        (["porteous", "O(1) on P^2", "2*O(1) on P^3"], 2,
+         "error: E and G live on different ambients\n"),
+    ],
+    ids=[
+        "check-big", "en-resolution-big", "certificate-big", "porteous-big",
+        "en-resolution-term", "certificate-rank", "porteous-rank", "en-resolution-rank",
+        "check-rank", "sweep-certificate-rank", "certificate-rank-fits", "porteous-rank-fits",
+        "porteous-ambients",
+    ],
+)
+def test_oversized_maps_exit_with_one_error_line(capsys, argv, code, err, fmt):
+    # main(argv) in-process: an uncaught exception fails the test
+    assert _run(capsys, argv + ["--format", fmt]) == (code, "", err)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_pfaff_refuses_a_basis_too_long_to_print(tmp_path, capsys, fmt):
+    # every coefficient of the form has at most 4,200 digits, but the chart
+    # bases of its singular scheme do not
+    a, b = 10**2100 + 7, 10**2099 + 3
+    w = pencil_form(parse_poly(f"{a}*x0^2 + x1*x2", 3), parse_poly(f"{b}*x1^2 + x0*x2", 3))
+    path = tmp_path / "long.form"
+    path.write_text(render_form_file(w), encoding="utf-8")
+    argv = ["pfaff", "singular", "--file", str(path), "--format", fmt]
+    assert _run(capsys, argv) == (3, "", _TOO_LONG.format(20926))
+
+
+def test_en_resolution_stops_at_its_first_refused_term(capsys):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["en-resolution", "1000000*O(1)", "O(2)", "--n", "2"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (3, "", "error: wedge^282 has rank above 10^1000, the bound\n")
+
+
+def test_results_become_text_only_in_emit():
+    # _emit is the one place that prints a result or calls json.dumps or
+    # _check_size; every other print goes to stderr
+    import pnsheaf.cli
+
+    tree = ast.parse(pathlib.Path(pnsheaf.cli.__file__).read_text(encoding="utf-8"))
+    outside = []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef) or func.name in ("_emit", "_check_size"):
+            continue
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            name = ast.unparse(node.func)
+            to_stderr = any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr"
+                            for k in node.keywords)
+            if name in ("json.dumps", "_check_size") or name == "print" and not to_stderr:
+                outside.append(f"{func.name}: {ast.unparse(node)}")
+    assert outside == []
 
 
 @pytest.mark.parametrize(

@@ -6,12 +6,14 @@ import pytest
 
 from pnsheaf import (
     InputError,
+    ScaleExceeded,
     cohomology_table,
     direct_sum,
     en_resolution,
     euler_les_chase,
     o,
     omega,
+    parse_expression,
     rank,
     tangent,
     vanishing_certificate,
@@ -36,6 +38,13 @@ def test_term_count_is_rank_difference_plus_one():
         rep = en_resolution(E, G)
         assert len(rep.terms) == rep.e - rep.g + 1
         assert rep.e == rank(E) and rep.g == rank(G)
+
+
+def test_resolution_stops_at_its_first_refused_term():
+    # a million terms, of which wedge^282 is the first above the rank guard
+    E = parse_expression("1000000*O(1)", 2)
+    with pytest.raises(ScaleExceeded, match=r"^wedge\^282 has rank above 10\^1000, the bound$"):
+        en_resolution(E, o(2, 2))
 
 
 def test_equal_ranks_give_single_term():
