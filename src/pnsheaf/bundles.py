@@ -388,6 +388,22 @@ def _tensor_into(acc: dict, a: Terms, b: Terms) -> dict:
 # is checked before any expansion.
 
 
+def _check_power_shapes(terms: Terms, n: int, is_wedge: bool) -> None:
+    """UnsupportedPlethysm naming the first summand of terms that is not a line
+    bundle or a twist of Q or Q*; a twist too long to print (above
+    MAX_OUTPUT_BITS) is named by its bit length."""
+    for (lam, d), _ in terms:
+        if lam[0] and lam not in ((1,) + (0,) * (n - 1), (1,) * (n - 1) + (0,)):
+            summand = (
+                IrreducibleBundle(n, lam, d) if d.bit_length() <= MAX_OUTPUT_BITS
+                else f"S({','.join(map(str, lam))})Q(a twist of {d.bit_length()} bits)"
+            )
+            raise UnsupportedPlethysm(
+                f"{'wedge' if is_wedge else 'sym'}(2, {summand}) is outside the"
+                " supported summand classes"
+            )
+
+
 def _copies_power(lam: tuple[int, ...], d: int, m: int, j: int, is_wedge: bool) -> Terms:
     """wedge^j or sym^j of m copies of a supported summand V = S_lam(Q) (x) O(d), unsorted.
 
@@ -429,12 +445,7 @@ def _graded_power(terms: Terms, n: int, k: int, is_wedge: bool) -> Terms:
     name = "wedge" if is_wedge else "sym"
     if k < 2:
         return _line(n, 0) if k == 0 else terms
-    for (lam, d), _ in terms:
-        if lam[0] and lam not in ((1,) + (0,) * (n - 1), (1,) * (n - 1) + (0,)):
-            raise UnsupportedPlethysm(
-                f"{name}(2, {IrreducibleBundle(n, lam, d)}) is outside the"
-                " supported summand classes"
-            )
+    _check_power_shapes(terms, n, is_wedge)
     # every summand is now a line bundle (rank 1) or a twist of Q or Q* (rank n)
     size = sum(m * (n if lam[0] else 1) for (lam, _), m in terms)
     if not size or is_wedge and k > size:

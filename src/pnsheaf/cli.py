@@ -37,11 +37,11 @@ to the CPU count.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from .bundles import MAX_OUTPUT_BITS, BundleExpr, IrreducibleBundle, o, rank, tensor
@@ -138,19 +138,57 @@ def _check_size(*values) -> None:
             _check_size(value._den, max(map(abs, value._terms.values()), default=0))
 
 
+def _write_json(value, indent: str, out: list[str]) -> None:
+    """Append to out the text json.dumps(value, sort_keys=True, indent=2,
+    default=str) writes, indent being the newline and spaces before a line at
+    value's depth: str keys, strings by the C encoder, and the str of what
+    is not a str, int, bool, None, list, tuple or dict, as a string."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner, sep = indent + "  ", "{"
+        for key in sorted(value):
+            out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _write_json(value[key], inner, out)
+            sep = ","
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner, sep = indent + "  ", "["
+        for item in value:
+            out.append(sep + inner)
+            _write_json(item, inner, out)
+            sep = ","
+        out.append(indent + "]")
+    else:
+        out.append(encode_basestring_ascii(str(value)))
+
+
 def _emit(args, payload: dict, text_lines, *text_only) -> None:
     """Print the payload as JSON, or the list text_lines() returns as text.
 
     The one place a result becomes text: every int in the payload, and in
     text_only (values only the text prints), is size-checked first; JSON
-    writes a Fraction, summand, expression or polynomial as its str, and the
-    text is built only when it is printed.
+    writes a Fraction, summand, expression or polynomial as its str, with
+    the bytes json.dumps(payload, sort_keys=True, indent=2, default=str)
+    gives, and the text is built only when it is printed.
     """
     _check_size(payload, *text_only)
     if args.format == "json":
         if args.seed is not None:
             payload = {**payload, "seed": args.seed}
-        print(json.dumps(payload, sort_keys=True, indent=2, default=str))
+        out: list[str] = []
+        _write_json(payload, "\n", out)
+        print("".join(out))
     else:
         print("\n".join(text_lines()))
 

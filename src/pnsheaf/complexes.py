@@ -9,15 +9,24 @@ the statement that a section datum on Z lifts; the certificate records every
 required group together with the replayed chase.  Its terms are tensored on
 the engine's count maps, and a term's expression tree is built only when the
 certificate is printed.
+
+The certificate is twist-equivariant in G: Sym^i(G* (x) O(s)) =
+Sym^i(G*) (x) O(i*s), so twisting G by O(-s) twists every summand of
+M_(g+i) by O(i*s) and leaves its Schur weights alone.  The twist-free part
+of each term is cached per (E, G up to twist), and the points of a sweep
+over the twist of G pay only their Bott lookups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .bundles import (
     BundleExpr,
     LineBundle,
+    Terms,
+    _check_power_shapes,
     _graded_power,
     _map_ranks,
     _normalize_cached,
@@ -32,7 +41,7 @@ from .bundles import (
     wedge,
 )
 from .cohomology import CohomologyTable, _count_map_table, cohomology_table
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, UnsupportedPlethysm
 from .grammar import render_expression
 
 
@@ -159,29 +168,55 @@ def _chain_trace(e: int, g: int, verdict: bool, failed: tuple[int, ...]) -> tupl
     return tuple(lines)
 
 
+@lru_cache(maxsize=1024)
+def _en_bracket(E: BundleExpr, G0_dual: Terms, g: int, i: int) -> Terms:
+    """wedge^g(E*) (x) wedge^(g+i)(E) (x) Sym^i(G0*) as a count map, G0_dual
+    being G0*'s; i = 0 gives the endomorphism space, for any G0_dual."""
+    n = E.ambient
+    wedge_g_dual = _normalize_cached(wedge(g, dual(E)))
+    acc = _tensor_into({}, wedge_g_dual, _normalize_cached(wedge(g + i, E)))
+    if i:
+        acc = _tensor_into({}, acc.items(), _graded_power(G0_dual, n, i, False))
+    return tuple(acc.items())
+
+
 def vanishing_certificate(E: BundleExpr, G: BundleExpr) -> ENCertificate:
     """Check H^i(wedge^g(E*) (x) wedge^(g+i)(E) (x) Sym^i(G*)) = 0, i = 1..e-g.
 
     The verdict is the conjunction; purity of the degeneracy locus is an
-    explicit, unchecked assumption carried in the report.
+    explicit, unchecked assumption carried in the report.  With G* = G0* (x)
+    O(s), s the twist of the first summand of G*, the term M_(g+i) is
+    wedge^g(E*) (x) wedge^(g+i)(E) (x) Sym^i(G0*), read from a cache shared by
+    every twist of G, with i*s added to the twist of each summand; only the
+    Bott lookups see s.
     """
     n = E.ambient
     e, g = _map_ranks(E, G)
-    # factors in the order the tree of M_(g+i) normalizes them, so a refusal names the same one
-    wedge_g_dual = _normalize_cached(wedge(g, dual(E)))
     G_dual = _normalize_cached(dual(G))
+    s = G_dual[0][0][1] if G_dual else 0
+    G0_dual = tuple(((lam, d - s), m) for (lam, d), m in G_dual)
+    # a refusal names the factor the tree of M_(g+i) normalizes first:
+    # wedge^g(E*), wedge^(g+i)(E), then Sym^i(G*), in that order in
+    # _en_bracket.  Only the shape check of Sym^i(G*), whose message names a
+    # twist the bracket does not see, runs here on G* itself, at the first
+    # power that makes it (i = 2) and after wedge^(g+2)(E), as in the tree.
     required, failed = [], []
     for i in range(1, e - g + 1):
-        acc = _tensor_into({}, wedge_g_dual, _normalize_cached(wedge(g + i, E)))
-        terms = _tensor_into({}, acc.items(), _graded_power(G_dual, n, i, False))
-        table = _count_map_table(n, tuple(terms.items()))
+        if i == 2:
+            try:
+                _check_power_shapes(G_dual, n, False)
+            except UnsupportedPlethysm:
+                _normalize_cached(wedge(g + 2, E))
+                raise
+        shift = i * s
+        terms = tuple(((lam, d + shift), m) for (lam, d), m in _en_bracket(E, G0_dual, g, i))
+        table = _count_map_table(n, terms)
         ok = table.h(i) == 0
         if not ok:
             failed.append(i)
         required.append(RequiredVanishing(i, table, ok, E, G, g))
     verdict = not failed
-    endo_terms = _tensor_into({}, wedge_g_dual, _normalize_cached(wedge(g, E)))
-    endo = _count_map_table(n, tuple(endo_terms.items())).h(0)
+    endo = _count_map_table(n, _en_bracket(E, (), g, 0)).h(0)
     trace = _chain_trace(e, g, verdict, tuple(failed))
     return ENCertificate(E, G, n, e, g, tuple(required), verdict, trace, endo)
 

@@ -12,6 +12,14 @@ twists.  A refused certificate must keep naming the first factor the tree
 would have refused, and the sweeps and checkers that never print a term
 must never build one.
 
+Twisting G by O(t) twists every summand of M_(g+i) by O(-i*t), so the
+certificate reads each term's twist-free part from one cache per (E, G up
+to twist).  Twist families G (x) O(t), with G a split bundle or a twist of
+T or Omega^1 plus line bundles, are compared with the tree path once in one
+warm process, where every point after the first reads that cache, and once
+with every cache cleared before each certificate; a family computes each
+twist-free part once.
+
 Run as a script, ``PYTHONPATH=src python tests/test_certificate_count_map.py``
 makes every check with the standard library only.
 """
@@ -48,6 +56,8 @@ from test_golden_cli import CORPUS, differing
 SEED = 212121
 AMBIENTS = range(2, 10)
 TWISTS = (-2, 0, 1, 3)
+FAMILY_TWISTS = range(-3, 5)
+FAMILY_GROUPS = 600
 
 # refused certificates: argv, and the one error line each must print
 REFUSALS = (
@@ -57,6 +67,20 @@ REFUSALS = (
      "error: wedge(2, S(2,2,0)Q(-4)) is outside the supported summand classes\n"),
     (["check", "thm-1-1", "--E", "wedge(2, T)", "--G", "O(1)", "--n", "4"],
      "error: wedge(2, S(1,1,0,0)Q(2)) is outside the supported summand classes\n"),
+    # Sym^2(G*) names G*'s own twist, not the one of its twist-free part,
+    # whether or not the refused summand is the one that sets the twist
+    (["certificate", "T (+) 3*O(1)", "sym(2, T) (x) O(3)", "--n", "2"],
+     "error: sym(2, S(2,0)Q(-7)) is outside the supported summand classes\n"),
+    (["certificate", "T (+) 4*O(1)", "O(2) (+) sym(2, T) (x) O(3)", "--n", "2"],
+     "error: sym(2, S(2,0)Q(-7)) is outside the supported summand classes\n"),
+    # at i = 2 both wedge^(g+2)(E) and Sym^2(G*) are refused; the tree
+    # normalizes the wedge power first
+    (["certificate", "1000000*O(1)", "sym(2, T) (+) 277*O(1)", "--n", "2"],
+     "error: wedge^282 has rank above 10^1000, the bound\n"),
+    # a sweep stops at its first refused point, t = 2
+    (["sweep", "certificate", "--E", "T (+) 3*O(1)", "--G", "sym(2, T)", "--n", "2",
+      "--twist", "2:5"],
+     "error: sym(2, S(2,0)Q(-6)) is outside the supported summand classes\n"),
 )
 
 # golden cases whose output reads a certificate but prints none of its terms
@@ -81,6 +105,34 @@ def pairs() -> list[tuple[BundleExpr, BundleExpr]]:
             degrees = [rng.randint(-3, 5) for _ in range(width)]
             out += [(E, twist(split_bundle(degrees, n), t)) for t in TWISTS]
     return out
+
+
+def family_pairs() -> list[tuple[BundleExpr, BundleExpr]]:
+    """Seeded (E, G), G a split bundle or a twist of T or Omega^1 plus line bundles."""
+    rng = random.Random(SEED + 1)
+    out = []
+    for n in AMBIENTS:
+        for _ in range(2):
+            base = tangent(n) if rng.random() < 0.5 else omega(1, n)
+            lines = [o(rng.randint(-3, 3), n) for _ in range(rng.randint(0, 4))]
+            E = twist(direct_sum(base, *lines), rng.randint(-1, 1))
+            if rng.random() < 0.5:
+                G = split_bundle([rng.randint(-3, 5) for _ in range(rng.randint(1, 3))], n)
+            else:
+                q = tangent(n) if rng.random() < 0.5 else omega(1, n)
+                # at most rank(E) - 2 for G, so that Sym^2(G*) is reached
+                extra = [o(rng.randint(-3, 3), n) for _ in range(rng.randint(0, len(lines) - 2))]
+                G = direct_sum(twist(q, rng.randint(-2, 2)), *extra)
+            out.append((E, G))
+    return out
+
+
+def clear_caches() -> None:
+    for name, module in list(sys.modules.items()):
+        if name == "pnsheaf" or name.startswith("pnsheaf."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_info", None)):
+                    obj.cache_clear()
 
 
 def reference(E: BundleExpr, G: BundleExpr) -> dict:
@@ -126,6 +178,38 @@ def check_pairs() -> tuple[list[str], int, set[bool]]:
     return failures, groups, verdicts
 
 
+def check_families(cold: bool) -> tuple[list[str], int, set[bool]]:
+    """(failures, required groups compared, verdicts seen) over the twist
+    families, with every cache cleared before each certificate if cold."""
+    failures, groups, verdicts = [], 0, set()
+    for E, G in family_pairs():
+        for t in FAMILY_TWISTS:
+            Gt = tensor(G, o(t, E.ambient))
+            if cold:
+                clear_caches()
+            got = observed(E, Gt)
+            ref = reference(E, Gt)
+            if got != ref:
+                failures.append(f"{render_expression(E)} -> {render_expression(Gt)}: differs")
+            groups += len(ref["required"])
+            verdicts.add(ref["verdict"])
+    return failures, groups, verdicts
+
+
+def check_family_sharing() -> list[str]:
+    """Each family computes its e - g twist-free terms and its endomorphism
+    space once, whatever the number of twists."""
+    failures = []
+    for E, G in family_pairs():
+        clear_caches()
+        for t in FAMILY_TWISTS:
+            cert = vanishing_certificate(E, tensor(G, o(t, E.ambient)))
+        misses = complexes._en_bracket.cache_info().misses
+        if misses != cert.e - cert.g + 1:
+            failures.append(f"{render_expression(E)} -> {render_expression(G)}: {misses} misses")
+    return failures
+
+
 def _main(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -165,6 +249,22 @@ def test_certificates_match_the_tree_path():
     assert groups == 728 and verdicts == {True, False}
 
 
+def test_twist_families_match_the_tree_path_warm():
+    failures, groups, verdicts = check_families(cold=False)
+    assert not failures, failures[:10]
+    assert groups == FAMILY_GROUPS and verdicts == {True, False}
+
+
+def test_twist_families_match_the_tree_path_cold():
+    failures, groups, verdicts = check_families(cold=True)
+    assert not failures, failures[:10]
+    assert groups == FAMILY_GROUPS and verdicts == {True, False}
+
+
+def test_a_twist_family_computes_each_twist_free_term_once():
+    assert not check_family_sharing()
+
+
 def test_refused_certificates_name_the_first_refused_factor():
     assert not check_refusals()
 
@@ -181,10 +281,18 @@ def test_certificate_tables_carry_no_expression():
 
 if __name__ == "__main__":
     failures, groups, verdicts = check_pairs()
-    failures += check_refusals() + check_trees_only_when_printed()
+    family_groups = 0
+    for cold in (False, True):
+        found, count, seen = check_families(cold)
+        failures += found
+        family_groups += count
+        verdicts |= seen
+    failures += check_family_sharing() + check_refusals() + check_trees_only_when_printed()
     for line in failures:
         print(line)
+    families = len(family_pairs())
     print(f"Python {sys.version.split()[0]}: {len(pairs())} certificates, {groups} required"
-          f" groups, verdicts {sorted(verdicts)}, {len(REFUSALS)} refusals,"
-          f" {len(UNPRINTED) + len(PRINTED)} golden cases, {len(failures)} failures")
+          f" groups; {families} twist families of {len(FAMILY_TWISTS)} twists, warm and cold,"
+          f" {family_groups} required groups; verdicts {sorted(verdicts)}, {len(REFUSALS)}"
+          f" refusals, {len(UNPRINTED) + len(PRINTED)} golden cases, {len(failures)} failures")
     sys.exit(1 if failures else 0)

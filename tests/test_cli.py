@@ -322,6 +322,16 @@ def test_oversized_maps_exit_with_one_error_line(capsys, argv, code, err, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["cohomology", "chern"])
+def test_plethysm_refusal_names_a_long_twist_by_its_bit_length(capsys, command, fmt):
+    # the refused summand S(2,0)Q(10^4300 + 2) has a twist of 4,301 digits
+    expr = f"wedge(2, sym(2, T) (x) sym({10**300}, O({10**4000}))) on P^2"
+    err = ("error: wedge(2, S(2,0)Q(a twist of 14285 bits)) is outside the supported"
+           " summand classes\n")
+    assert _run(capsys, [command, expr, "--format", fmt]) == (3, "", err)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
 def test_pfaff_refuses_a_basis_too_long_to_print(tmp_path, capsys, fmt):
     # every coefficient of the form has at most 4,200 digits, but the chart
     # bases of its singular scheme do not
