@@ -19,9 +19,9 @@ summands from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import record
 from .errors import ConsistencyError, InputError, ScaleExceeded, UnsupportedPlethysm
 from .weights import conjugate, lr_product, partitions, schur_dim, weyl_dim
 
@@ -50,7 +50,7 @@ Terms = tuple[tuple[tuple[tuple[int, ...], int], int], ...]
 # expression AST
 
 
-@dataclass(frozen=True)
+@record
 class BundleExpr:
     """Base node; ambient is the n of P^n and is shared by the whole tree."""
 
@@ -77,17 +77,17 @@ class BundleExpr:
                 )
 
 
-@dataclass(frozen=True)
+@record
 class LineBundle(BundleExpr):
     degree: int
 
 
-@dataclass(frozen=True)
+@record
 class Tangent(BundleExpr):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Cotangent(BundleExpr):
     """The sheaf of p-forms, 1 <= p <= n."""
 
@@ -101,7 +101,7 @@ class Cotangent(BundleExpr):
             )
 
 
-@dataclass(frozen=True)
+@record
 class Dual(BundleExpr):
     child: BundleExpr
 
@@ -110,7 +110,7 @@ class Dual(BundleExpr):
         self._check_children(self.child)
 
 
-@dataclass(frozen=True)
+@record
 class Tensor(BundleExpr):
     left: BundleExpr
     right: BundleExpr
@@ -120,7 +120,7 @@ class Tensor(BundleExpr):
         self._check_children(self.left, self.right)
 
 
-@dataclass(frozen=True)
+@record
 class DirectSum(BundleExpr):
     children: tuple[BundleExpr, ...]
     multiplicities: tuple[int, ...]
@@ -136,7 +136,7 @@ class DirectSum(BundleExpr):
         self._check_children(*self.children)
 
 
-@dataclass(frozen=True)
+@record
 class _Power(BundleExpr):
     """Wedge or Sym: the power-th exterior or symmetric power of child."""
 
@@ -150,12 +150,12 @@ class _Power(BundleExpr):
         self._check_children(self.child)
 
 
-@dataclass(frozen=True)
+@record
 class Wedge(_Power):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Sym(_Power):
     pass
 
@@ -233,7 +233,7 @@ def split_bundle(degrees, n: int) -> BundleExpr:
 # normal form
 
 
-@dataclass(frozen=True)
+@record
 class IrreducibleBundle:
     """S_lam(Q) (x) O(twist) with lam of length n, weakly decreasing, lam_n = 0."""
 
@@ -266,7 +266,7 @@ class IrreducibleBundle:
         return f"{body}({self.twist})"
 
 
-@dataclass(frozen=True)
+@record
 class Decomposition:
     """Multiset of irreducible summands; empty means the zero bundle."""
 
@@ -320,7 +320,7 @@ def normalize(e: BundleExpr) -> Decomposition:
     return Decomposition(n, tuple((IrreducibleBundle(n, lam, d), m) for (lam, d), m in terms))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)  # a benchmark or golden request fills at most 93
 def _normalize_cached(e: BundleExpr) -> Terms:
     n = e.ambient
     if isinstance(e, LineBundle):

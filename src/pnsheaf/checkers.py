@@ -8,8 +8,7 @@ conditions could not be verified, never that the conclusion is false.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
+from ._record import field, record
 from .bundles import BundleExpr, dual, o, omega, split_bundle, tangent, tensor, wedge
 from .cohomology import cohomology_table
 from .complexes import ENCertificate, vanishing_certificate
@@ -24,20 +23,20 @@ CHECK_IDS = ("thm-1-1", "thm-1-2", "thm-1-4", "prop-4-5", "lemma-4-4")
 PURITY_NOTE = "purity of the degeneracy scheme is assumed, not derived"
 
 
-@dataclass(frozen=True)
+@record
 class ConditionCheck:
     name: str
     ok: bool
 
 
-@dataclass(frozen=True)
+@record
 class GroupDim:
     i: int
     p: int
     dim: int
 
 
-@dataclass(frozen=True)
+@record
 class TheoremReport:
     theorem: str
     inputs: dict
@@ -191,4 +190,7 @@ def check_split_vanishing(n: int, k: int, degrees) -> TheoremReport:
     """The bare vanishing statement behind the split checker; identical
     computation, reported under its own name with no ampleness conditions
     beyond the ones that power it."""
-    return replace(check_split_distribution(n, k, degrees), theorem="prop-4-5", notes=())
+    base = check_split_distribution(n, k, degrees)
+    return TheoremReport(
+        "prop-4-5", base.inputs, base.conditions, base.groups, base.verdict, (), base.certificate
+    )

@@ -15,10 +15,10 @@ determinant det[c_(1+j-i)(G - E)] of size e - g + 1, by the same solve."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._record import record
 from .bundles import BundleExpr, _map_ranks, _normalize_cached
 from .errors import ConsistencyError, InputError, ScaleExceeded
 from .weights import binom
@@ -45,7 +45,7 @@ def _check_ambient(n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
+@record
 class ChowClass:
     """Coefficients of (1, h, ..., h^n) in the degree-truncated ring."""
 
@@ -146,7 +146,7 @@ def _solve(rows: list[list[int]]) -> tuple[int, tuple[int, ...]]:
     return sign * det, tuple(sign * row[-1] for row in rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # a benchmark or golden request fills at most 40
 def _skew_dims(lam: tuple[int, ...], n: int) -> tuple[int, ...]:
     """v_j = (-1)^j s_(lam/1^j)(1^(n+1)), j = 0..l, for the l nonzero parts of lam.
 
@@ -208,7 +208,7 @@ def _series_power(a: list[Fraction], m: int) -> list[Fraction]:
     return b
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)  # a benchmark or golden request fills at most 1
 def todd_class(n: int) -> ChowClass:
     """td(P^n) = (h / (1 - e^(-h)))^(n+1), exactly, truncated at degree n."""
     _check_ambient(n)
@@ -263,7 +263,7 @@ def chern_difference(E: BundleExpr, G: BundleExpr) -> ChowClass:
     return ChowClass(E.ambient, _difference_classes(E, G))
 
 
-@dataclass(frozen=True)
+@record
 class PorteousResult:
     ambient: int
     codim: int

@@ -15,10 +15,10 @@ independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import groupby
 
+from ._record import field, record
 from .bundles import (
     BundleExpr,
     IrreducibleBundle,
@@ -33,7 +33,7 @@ from .errors import ConsistencyError, InputError
 from .weights import binom, weyl_dim
 
 
-@dataclass(frozen=True)
+@record
 class BWBGroup:
     """The single nonzero cohomology group of an irreducible summand."""
 
@@ -41,7 +41,7 @@ class BWBGroup:
     dim: int
 
 
-@dataclass(frozen=True)
+@record
 class Contribution:
     degree: int
     summand: IrreducibleBundle
@@ -49,7 +49,7 @@ class Contribution:
     dim: int
 
 
-@dataclass(frozen=True)
+@record
 class CohomologyTable:
     """(h^0, ..., h^n) of expr; _terms is its count map, in any order, read only
     for contributions.  A table read straight off a count map has expr None."""
@@ -82,7 +82,7 @@ class CohomologyTable:
         return all(d == 0 for d in self.dims)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)  # a benchmark or golden request fills at most 753
 def _bott(n: int, lam: tuple[int, ...], twist: int) -> tuple[int, int] | None:
     """(degree, dim) of the one nonzero group of S_lam(Q)(twist) on P^n, or None."""
     x = -twist

@@ -19,9 +19,9 @@ over the twist of G pay only their Bott lookups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import record
 from .bundles import (
     BundleExpr,
     LineBundle,
@@ -45,7 +45,7 @@ from .errors import ConsistencyError, InputError, UnsupportedPlethysm
 from .grammar import render_expression
 
 
-@dataclass(frozen=True)
+@record
 class ENResolutionReport:
     E: BundleExpr
     G: BundleExpr
@@ -55,7 +55,7 @@ class ENResolutionReport:
     terms: tuple[BundleExpr, ...]  # ordered i = g..e
 
 
-@dataclass(frozen=True)
+@record
 class RequiredVanishing:
     i: int
     table: CohomologyTable  # read off a count map, so its expr is None
@@ -70,7 +70,7 @@ class RequiredVanishing:
         return _en_term(self.E, self.G, self.g + self.i, self.g, True)
 
 
-@dataclass(frozen=True)
+@record
 class ENCertificate:
     E: BundleExpr
     G: BundleExpr
@@ -168,7 +168,7 @@ def _chain_trace(e: int, g: int, verdict: bool, failed: tuple[int, ...]) -> tupl
     return tuple(lines)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024)  # a benchmark or golden request fills at most 27
 def _en_bracket(E: BundleExpr, G0_dual: Terms, g: int, i: int) -> Terms:
     """wedge^g(E*) (x) wedge^(g+i)(E) (x) Sym^i(G0*) as a count map, G0_dual
     being G0*'s; i = 0 gives the endomorphism space, for any G0_dual."""

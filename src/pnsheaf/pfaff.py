@@ -12,10 +12,10 @@ uniqueness verdict.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from ._record import record
 from .checkers import TheoremReport, check_codim1_generic
 from .errors import EulerViolation, InputError, ScaleExceeded
 # kernel_basis is unused here but stays a pfaff attribute: perfbench's traced
@@ -49,7 +49,7 @@ SATURATION_NOTE = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class TwistedOneForm:
     """Coefficients of a global section of Omega^1(twist) on P^ambient."""
 
@@ -87,7 +87,7 @@ class TwistedOneForm:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
+@record
 class SingularScheme:
     ideal: IdealPresentation
     dimension: int
@@ -96,7 +96,7 @@ class SingularScheme:
         return self.dimension == 0
 
 
-@dataclass(frozen=True)
+@record
 class SectionSpace:
     ambient: int
     twist: int
@@ -104,7 +104,7 @@ class SectionSpace:
     basis: tuple[TwistedOneForm, ...]
 
 
-@dataclass(frozen=True)
+@record
 class UniquenessReport:
     form: TwistedOneForm
     scheme: SingularScheme
@@ -114,7 +114,7 @@ class UniquenessReport:
     notes: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class AnnihilatorSlice:
     degree: int
     dim: int

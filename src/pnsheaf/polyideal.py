@@ -26,12 +26,12 @@ chart or generators of degree above 8.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 
+from ._record import record
 from .errors import InputError, ParseError, ScaleExceeded, read_int
 
 MAX_CHART_VARS = 4
@@ -617,7 +617,7 @@ def _reduce_basis(basis, nvars: int) -> tuple[Poly, ...]:
 # homogeneous ideals via charts
 
 
-@dataclass(frozen=True)
+@record
 class IdealPresentation:
     """Homogeneous generators plus reduced chart bases (x_i = 1 for each i)."""
 

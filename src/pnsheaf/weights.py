@@ -43,7 +43,7 @@ def schur_dim(nu: tuple[int, ...], m: int) -> int:
     return _weyl_dim_cached(tuple(nu), m)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)  # a benchmark or golden request fills at most 287
 def _weyl_dim_cached(entries: tuple[int, ...], width: int) -> int:
     """Weyl dimension of entries padded with zeros to length width."""
     for a, b in zip(entries, entries[1:]):
@@ -80,7 +80,7 @@ def _weyl_dim_cached(entries: tuple[int, ...], width: int) -> int:
     return num // den
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # a benchmark or golden request fills at most 28
 def lr_product(
     lam: tuple[int, ...], mu: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
