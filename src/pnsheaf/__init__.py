@@ -12,7 +12,6 @@ from types import ModuleType as _ModuleType
 from .bundles import (
     BundleExpr,
     Cotangent,
-    Decomposition,
     DirectSum,
     Dual,
     IrreducibleBundle,
@@ -24,7 +23,6 @@ from .bundles import (
     det_bundle,
     direct_sum,
     dual,
-    normalize,
     o,
     omega,
     rank,
@@ -63,7 +61,6 @@ from .chow import (
 from .cohomology import (
     CohomologyTable,
     bott_closed_form,
-    bwb_cohomology,
     cohomology_table,
     serre_dual_check,
 )
@@ -71,7 +68,6 @@ from .complexes import (
     ENCertificate,
     ENResolutionReport,
     en_resolution,
-    euler_les_chase,
     vanishing_certificate,
 )
 from .errors import (

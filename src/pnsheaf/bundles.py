@@ -10,10 +10,10 @@ Inside this module a normal form is a count map {(lam, twist): multiplicity}
 of plain tuples and ints.  Tensor products, sums, duals and wedge/sym powers
 (m copies of a summand at once, by the Cauchy identities) all work on count
 maps; _normalize_cached keeps one per expression node, frozen into an
-immutable tuple of ((lam, twist), multiplicity) pairs.  Ranks, determinants,
-cohomology tables and Chern characters read that tuple directly; only the
-public normalize builds a Decomposition of validated IrreducibleBundle
-summands from it.
+immutable tuple of ((lam, twist), multiplicity) pairs, ascending by
+(lam, twist).  Ranks, determinants, cohomology tables and Chern characters
+read that tuple directly; a validated IrreducibleBundle is built only where
+a result or a message names a summand.
 """
 
 from __future__ import annotations
@@ -266,29 +266,6 @@ class IrreducibleBundle:
         return f"{body}({self.twist})"
 
 
-@record
-class Decomposition:
-    """Multiset of irreducible summands; empty means the zero bundle."""
-
-    ambient: int
-    terms: tuple[tuple[IrreducibleBundle, int], ...]
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def rank(self) -> int:
-        return sum(mult * b.rank for b, mult in self.terms)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for b, mult in self.terms:
-            bits.append(str(b) if mult == 1 else f"{mult}*{b}")
-        return " + ".join(bits)
-
-
 def _terms(acc: dict[tuple[tuple[int, ...], int], int]) -> Terms:
     return tuple(sorted(acc.items()))
 
@@ -304,20 +281,6 @@ def _canon_summand(lam: tuple[int, ...], d: int) -> tuple[tuple[int, ...], int]:
         lam = tuple(x - low for x in lam)
         d += low
     return lam, d
-
-
-def normalize(e: BundleExpr) -> Decomposition:
-    """Decompose an expression into irreducible summands.
-
-    Raises UnsupportedPlethysm when a wedge/sym is applied to a summand that
-    is not a line bundle or a twisted copy of Q or its dual (the cases that
-    cover split bundles, T and Omega^1), and ScaleExceeded when a wedge/sym
-    power would take more than MAX_POWER_STEPS expansion steps.  Each summand
-    of the result is validated; the largest comes first.
-    """
-    n = e.ambient
-    terms = reversed(_normalize_cached(e))
-    return Decomposition(n, tuple((IrreducibleBundle(n, lam, d), m) for (lam, d), m in terms))
 
 
 @lru_cache(maxsize=512)  # a benchmark or golden request fills at most 93

@@ -13,7 +13,7 @@ check ID ...           named hypothesis checkers (thm-1-1, thm-1-2, thm-1-4,
                        codim1, split-vanishing, endo)
 pfaff SUB ...          concrete twisted 1-forms: uniqueness, singular,
                        sections, annihilator, random-pencil
-sweep SUB ...          parameter sweeps across a worker pool
+sweep SUB ...          parameter sweeps over a grid of checker inputs
 
 The command line is declared once, in the table COMMANDS.  main reads a
 well-formed argv straight from it and builds the argparse parser only for
@@ -30,14 +30,13 @@ trailing "on P^n" or through --n.
 Exit codes: 0 success; 1 a verdict failed (certificate false, checker
 hypotheses-fail, or a form not determined by its singular scheme); 2 bad
 input; 3 computation refused (unsupported plethysm or scale guard); 4 an
-internal cross-check failed, which is a bug, not a verdict.  A sweep's
---workers below 1 is bad input (exit 2); above the CPU count it is clamped
-to the CPU count.
+internal cross-check failed, which is a bug, not a verdict.  A sweep runs
+its grid in one process: --workers is accepted for compatibility and has no
+effect, except that a value below 1 is bad input (exit 2).
 """
 
 from __future__ import annotations
 
-import os
 import re
 import sys
 from fractions import Fraction
@@ -574,17 +573,10 @@ def _sweep_task_certificate(E: BundleExpr, G: BundleExpr, t: int) -> dict:
 
 
 def _sweep(args, task, grid: list[tuple]) -> int:
-    """Run task(*point) over the grid, serially or across a worker pool."""
+    """Run task(*point) over the grid, in grid order."""
     if args.workers < 1:
         raise InputError(f"--workers must be at least 1; got {args.workers}")
-    workers = min(args.workers, os.cpu_count() or 1)
-    if workers == 1:
-        results = [task(*point) for point in grid]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, *zip(*grid)))
+    results = [task(*point) for point in grid]
     failures = sum(1 for r in results if r["verdict"] != HOLD)
     payload = {
         "sweep": args.sweep_command,

@@ -6,7 +6,7 @@ some a_k, and otherwise one nonzero group, in degree #{k : a_k < x}, of
 dimension rank(S_lam(Q)) * prod_k |a_k - x| / n! (the Weyl dimension of
 the dotted-Weyl reduction of (lam, x), without sorting it).  A table is
 read straight off the engine's count map of (lam, twist) pairs, with one
-cached Bott lookup per summand; the public IrreducibleBundle and
+cached Bott lookup (_bott) per summand; the public IrreducibleBundle and
 Contribution objects are built only when a table's contributions are read.
 The classical closed form for twisted p-forms is kept alongside as an
 independent oracle.
@@ -31,14 +31,6 @@ from .bundles import (
 )
 from .errors import ConsistencyError, InputError
 from .weights import binom, weyl_dim
-
-
-@record
-class BWBGroup:
-    """The single nonzero cohomology group of an irreducible summand."""
-
-    degree: int
-    dim: int
 
 
 @record
@@ -111,15 +103,6 @@ def _bott(n: int, lam: tuple[int, ...], twist: int) -> tuple[int, int] | None:
     return degree, num // den
 
 
-def bwb_cohomology(b: IrreducibleBundle) -> BWBGroup | None:
-    """Cohomology of one summand; None when every group vanishes."""
-    group = _bott(b.ambient, b.lam, b.twist)
-    return None if group is None else BWBGroup(*group)
-
-
-bwb_cohomology.cache_clear = _bott.cache_clear
-
-
 def _count_map_table(n: int, terms: Terms, expr: BundleExpr | None = None) -> CohomologyTable:
     """The table of a count map on P^n, in any order: one Bott lookup per summand."""
     dims = [0] * (n + 1)
@@ -133,8 +116,8 @@ def _count_map_table(n: int, terms: Terms, expr: BundleExpr | None = None) -> Co
 def cohomology_table(e: BundleExpr) -> CohomologyTable:
     """Full table (h^0, ..., h^n) of a normalizable expression.
 
-    Reads the engine's normal form summand by summand; no Decomposition or
-    Contribution is built unless the contributions are read.
+    Reads the engine's normal form summand by summand; no Contribution is
+    built unless the contributions are read.
     """
     return _count_map_table(e.ambient, _normalize_cached(e), e)
 

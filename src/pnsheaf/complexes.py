@@ -33,15 +33,12 @@ from .bundles import (
     _tensor_into,
     det_bundle,
     dual,
-    o,
-    omega,
     sym,
-    tangent,
     tensor,
     wedge,
 )
-from .cohomology import CohomologyTable, _count_map_table, cohomology_table
-from .errors import ConsistencyError, InputError, UnsupportedPlethysm
+from .cohomology import CohomologyTable, _count_map_table
+from .errors import InputError, UnsupportedPlethysm
 from .grammar import render_expression
 
 
@@ -219,34 +216,3 @@ def vanishing_certificate(E: BundleExpr, G: BundleExpr) -> ENCertificate:
     endo = _count_map_table(n, _en_bracket(E, (), g, 0)).h(0)
     trace = _chain_trace(e, g, verdict, tuple(failed))
     return ENCertificate(E, G, n, e, g, tuple(required), verdict, trace, endo)
-
-
-def euler_les_chase(k: int, n: int) -> list[tuple[int, int]]:
-    """Dimensions along H^i(wedge^(k-i)T (x) Omega^k), i = 0..k.
-
-    Each step is the connecting isomorphism of the wedge-power Euler sequence
-    0 -> wedge^(j-1)T (x) Omega^k -> Omega^k(j)^C(n+1, j) -> wedge^j T (x) Omega^k -> 0
-    with j = k - i; both middle groups vanish, and both sides of every
-    isomorphism are computed independently.
-    """
-    if not 0 <= k <= n:
-        raise InputError(f"need 0 <= k <= n; got k={k}, n={n}")
-    if n == 0:
-        # on a point the chain is the single group H^0(O), the constants
-        return [(0, 1)]
-    chain = []
-    for i in range(k + 1):
-        expr = tensor(wedge(k - i, tangent(n)), omega(k, n))
-        chain.append((i, cohomology_table(expr).h(i)))
-    for i in range(k):
-        j = k - i
-        middle = cohomology_table(tensor(omega(k, n), o(j, n)))
-        if middle.h(i) != 0 or middle.h(i + 1) != 0:
-            raise ConsistencyError(
-                f"Euler-sequence middle term Omega^{k}({j}) has cohomology in degrees {i}, {i + 1}"
-            )
-        if chain[i][1] != chain[i + 1][1]:
-            raise ConsistencyError(
-                f"chase step {i} broken: {chain[i][1]} != {chain[i + 1][1]}"
-            )
-    return chain

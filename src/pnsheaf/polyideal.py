@@ -625,10 +625,6 @@ class IdealPresentation:
     generators: tuple[Poly, ...]
     charts: tuple[tuple[Poly, ...], ...]
 
-    @property
-    def ambient(self) -> int:
-        return self.nvars - 1
-
 
 def ideal_presentation(gens) -> IdealPresentation:
     gens = [g for g in gens if g]

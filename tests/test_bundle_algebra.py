@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from pnsheaf import (
     Cotangent,
-    Decomposition,
     DirectSum,
     Dual,
     InputError,
@@ -28,7 +27,6 @@ from pnsheaf import (
     direct_sum,
     dual,
     hrr_chi,
-    normalize,
     o,
     omega,
     rank,
@@ -41,13 +39,14 @@ from pnsheaf import (
     twist,
     wedge,
 )
+from pnsheaf.bundles import _normalize_cached
 from pnsheaf.weights import binom, lr_product
 
 from helpers import random_expression
 
 
 def _terms(e) -> dict:
-    return {(b.lam, b.twist): m for b, m in normalize(e).terms}
+    return dict(_normalize_cached(e))
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +74,7 @@ def test_cotangent_normal_form_and_rank():
 
 def test_dual_of_tangent_is_cotangent():
     for n in range(1, 6):
-        assert normalize(dual(tangent(n))) == normalize(omega(1, n))
+        assert _normalize_cached(dual(tangent(n))) == _normalize_cached(omega(1, n))
 
 
 def test_dual_involution_on_random_expressions():
@@ -85,16 +84,14 @@ def test_dual_involution_on_random_expressions():
     for _ in range(60):
         n = rng.randint(1, 4)
         e = random_expression(rng, n)
-        assert normalize(dual(dual(e))) == normalize(e)
+        assert _normalize_cached(dual(dual(e))) == _normalize_cached(e)
 
 
 def test_twist_shifts_every_summand():
     for d in (-3, 0, 2):
-        base = normalize(tensor(tangent(3), omega(2, 3)))
-        shifted = normalize(twist(tensor(tangent(3), omega(2, 3)), d))
-        assert {(b.lam, b.twist + d): m for b, m in base.terms} == {
-            (b.lam, b.twist): m for b, m in shifted.terms
-        }
+        base = _normalize_cached(tensor(tangent(3), omega(2, 3)))
+        shifted = _normalize_cached(twist(tensor(tangent(3), omega(2, 3)), d))
+        assert {(lam, t + d): m for (lam, t), m in base} == dict(shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +186,8 @@ def test_decomposition_rank_matches_weyl_dimensions():
     for _ in range(40):
         n = rng.randint(1, 4)
         e = random_expression(rng, n)
-        dec = normalize(e)
-        assert isinstance(dec, Decomposition)
-        assert dec.rank == rank(e)
-        assert sum(m * b.rank for b, m in dec.terms) == dec.rank
+        summands = [(IrreducibleBundle(n, lam, d), m) for (lam, d), m in _normalize_cached(e)]
+        assert sum(m * b.rank for b, m in summands) == rank(e)
 
 
 def test_determinants():
@@ -218,8 +213,8 @@ def test_determinant_is_the_first_chern_class():
 
 def test_top_wedge_is_the_determinant():
     for n in range(1, 5):
-        assert normalize(wedge(n, tangent(n))) == normalize(o(n + 1, n))
-        assert normalize(omega(n, n)) == normalize(o(-n - 1, n))
+        assert _normalize_cached(wedge(n, tangent(n))) == _normalize_cached(o(n + 1, n))
+        assert _normalize_cached(omega(n, n)) == _normalize_cached(o(-n - 1, n))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +223,7 @@ def test_top_wedge_is_the_determinant():
 
 def test_wedge_beyond_rank_is_zero():
     e = wedge(4, tangent(3))
-    assert normalize(e).is_zero()
+    assert _normalize_cached(e) == ()
     assert rank(e) == 0
     assert _terms(direct_sum(e, o(1, 3))) == {((0, 0, 0), 1): 1}
 
@@ -236,22 +231,22 @@ def test_wedge_beyond_rank_is_zero():
 def test_sym_and_wedge_zero_and_unit_powers():
     assert _terms(wedge(0, tangent(3))) == {((0, 0, 0), 0): 1}
     assert _terms(sym(0, omega(2, 3))) == {((0, 0, 0), 0): 1}
-    assert normalize(sym(1, tangent(3))) == normalize(tangent(3))
-    assert normalize(wedge(1, omega(2, 3))) == normalize(omega(2, 3))
+    assert _normalize_cached(sym(1, tangent(3))) == _normalize_cached(tangent(3))
+    assert _normalize_cached(wedge(1, omega(2, 3))) == _normalize_cached(omega(2, 3))
 
 
 def test_unsupported_plethysm_names_the_summand():
     with pytest.raises(UnsupportedPlethysm) as err:
-        normalize(wedge(2, sym(2, tangent(3))))
+        _normalize_cached(wedge(2, sym(2, tangent(3))))
     assert "S(2,0,0)Q(2)" in str(err.value)
     with pytest.raises(UnsupportedPlethysm):
-        normalize(sym(2, wedge(2, tangent(4))))
+        _normalize_cached(sym(2, wedge(2, tangent(4))))
 
 
 def test_supported_plethysm_of_twisted_fundamentals():
     # wedge^2 of a twisted cotangent summand stays inside the supported classes
     e = wedge(2, twist(omega(1, 3), 2))
-    assert normalize(e) == normalize(twist(omega(2, 3), 4))
+    assert _normalize_cached(e) == _normalize_cached(twist(omega(2, 3), 4))
     s = sym(2, twist(tangent(2), -1))
     assert _terms(s) == {((2, 0), 0): 1}
 
@@ -282,8 +277,8 @@ def test_normal_form_weight_is_normalized():
     rng = random.Random(seed)
     for _ in range(40):
         n = rng.randint(1, 4)
-        dec = normalize(random_expression(rng, n))
-        for b, mult in dec.terms:
+        for (lam, d), mult in _normalize_cached(random_expression(rng, n)):
+            b = IrreducibleBundle(n, lam, d)
             assert mult >= 1
             assert len(b.lam) == n
             assert all(x >= y for x, y in zip(b.lam, b.lam[1:]))
@@ -292,21 +287,28 @@ def test_normal_form_weight_is_normalized():
 
 def test_cached_normal_form_is_not_changed_by_a_larger_expression():
     inner = wedge(2, direct_sum(tangent(3), o(1, 3)))
-    first = normalize(inner)
-    normalize(sym(2, direct_sum(inner, inner, omega(1, 3))))
-    normalize(tensor(inner, dual(inner)))
-    assert normalize(inner) == first
+    first = _normalize_cached(inner)
+    _normalize_cached(sym(2, direct_sum(inner, inner, omega(1, 3))))
+    _normalize_cached(tensor(inner, dual(inner)))
+    assert _normalize_cached(inner) == first
 
 
 # ---------------------------------------------------------------------------
-# reference: the per-copy Decomposition expansion the engine used to run,
-# every intermediate power a validated Decomposition
+# reference: the per-copy expansion the engine used to run, every
+# intermediate power a tuple of validated (IrreducibleBundle, multiplicity)
+# summands, largest first
 
 
 def _ref_freeze(n, acc):
     terms = [(IrreducibleBundle(n, lam, d), mult) for (lam, d), mult in acc.items() if mult]
     terms.sort(key=lambda t: (t[0].lam, t[0].twist), reverse=True)
-    return Decomposition(n, tuple(terms))
+    return tuple(terms)
+
+
+def _ref_terms(summands):
+    """The reference's summands as the engine's normal form: ((lam, twist),
+    multiplicity) pairs, ascending."""
+    return tuple(((b.lam, b.twist), mult) for b, mult in reversed(summands))
 
 
 def _ref_canon(lam, d):
@@ -319,8 +321,8 @@ def _ref_unit(n):
 
 
 def _ref_tensor_into(acc, a, b):
-    for x, mx in a.terms:
-        for y, my in b.terms:
+    for x, mx in a:
+        for y, my in b:
             for nu, c in lr_product(x.lam, y.lam):
                 key = _ref_canon(nu, x.twist + y.twist)
                 acc[key] = acc.get(key, 0) + mx * my * c
@@ -334,14 +336,14 @@ def _ref_wedge_single(b, j):
     if j == 1:
         return _ref_freeze(n, {(b.lam, b.twist): 1})
     if b.is_line_bundle():
-        return Decomposition(n, ())
+        return ()
     if b.lam == (1,) + (0,) * (n - 1):
         if j > n:
-            return Decomposition(n, ())
+            return ()
         return _ref_freeze(n, {_ref_canon((1,) * j + (0,) * (n - j), j * b.twist): 1})
     if b.lam == (1,) * (n - 1) + (0,):
         if j > n:
-            return Decomposition(n, ())
+            return ()
         key = _ref_canon((1,) * (n - j) + (0,) * j, j * b.twist + j - 1)
         return _ref_freeze(n, {key: 1})
     raise UnsupportedPlethysm(f"wedge({j}, {b}) is outside the supported summand classes")
@@ -362,12 +364,11 @@ def _ref_sym_single(b, j):
     raise UnsupportedPlethysm(f"sym({j}, {b}) is outside the supported summand classes")
 
 
-def _ref_graded_power(dec, k, single):
-    n = dec.ambient
+def _ref_graded_power(n, summands, k, single):
     if k == 0:
         return _ref_unit(n)
-    items = [b for b, m in dec.terms for _ in range(m)]
-    tail = [_ref_unit(n)] + [Decomposition(n, ())] * k
+    items = [b for b, m in summands for _ in range(m)]
+    tail = [_ref_unit(n)] + [()] * k
     for summand in reversed(items):
         firsts = [single(summand, a) for a in range(k + 1)]
         powers = []
@@ -391,14 +392,14 @@ def _ref_normalize(e):
         return _ref_freeze(n, {_ref_canon((1,) * (n - p) + (0,) * p, -p - 1): 1})
     acc: dict = {}
     if isinstance(e, Dual):
-        for b, mult in _ref_normalize(e.child).terms:
+        for b, mult in _ref_normalize(e.child):
             top = b.lam[0]
             key = _ref_canon(tuple(top - x for x in reversed(b.lam)), -b.twist - top)
             acc[key] = acc.get(key, 0) + mult
         return _ref_freeze(n, acc)
     if isinstance(e, DirectSum):
         for child, cmult in zip(e.children, e.multiplicities):
-            for b, mult in _ref_normalize(child).terms:
+            for b, mult in _ref_normalize(child):
                 acc[(b.lam, b.twist)] = acc.get((b.lam, b.twist), 0) + cmult * mult
         return _ref_freeze(n, acc)
     if isinstance(e, Tensor):
@@ -406,7 +407,7 @@ def _ref_normalize(e):
         return _ref_freeze(n, _ref_tensor_into(acc, left, right))
     assert isinstance(e, (Wedge, Sym))
     single = _ref_wedge_single if isinstance(e, Wedge) else _ref_sym_single
-    return _ref_graded_power(_ref_normalize(e.child), e.power, single)
+    return _ref_graded_power(n, _ref_normalize(e.child), e.power, single)
 
 
 def _atoms(n):
@@ -458,10 +459,10 @@ def test_normal_form_matches_the_per_copy_reference(e):
         want = _ref_normalize(e)
     except UnsupportedPlethysm as exc:
         with pytest.raises(UnsupportedPlethysm) as err:
-            normalize(e)
+            _normalize_cached(e)
         assert str(err.value) == str(exc)
         return
-    assert normalize(e) == want
+    assert _normalize_cached(e) == _ref_terms(want)
     assert hrr_chi(e) == cohomology_table(e).euler_characteristic()
     assert serre_dual_check(e)
 
@@ -485,7 +486,7 @@ def test_repeated_summand_powers_match_the_per_copy_reference():
     cases = list(_repeated_power_cases())
     assert len(cases) == 2688
     for e in cases:
-        assert normalize(e).terms == _ref_normalize(e).terms, e
+        assert _normalize_cached(e) == _ref_terms(_ref_normalize(e)), e
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -511,4 +512,4 @@ def test_repeated_summand_powers_match_the_per_copy_reference():
     )
 )
 def test_powers_of_repeated_summands_match_the_per_copy_reference(e):
-    assert normalize(e).terms == _ref_normalize(e).terms
+    assert _normalize_cached(e) == _ref_terms(_ref_normalize(e))

@@ -1,6 +1,6 @@
 """Bott's closed form per summand against the sort-and-count reduction.
 
-``bwb_cohomology`` places the cohomology of S_lam(Q)(t) on P^n without
+``cohomology._bott`` places the cohomology of S_lam(Q)(t) on P^n without
 sorting: with a_k = lam_k + n + 1 - k and x = -t, the group vanishes when x
 is some a_k, and otherwise sits in degree #{k : a_k < x} with dimension
 weyl_dim(lam, n) * prod |a_k - x| / n!.  The reference kept here is the
@@ -31,13 +31,13 @@ import pnsheaf.weights
 from pnsheaf import (
     IrreducibleBundle,
     bott_closed_form,
-    bwb_cohomology,
     cohomology_table,
     dotted_weyl_reduce,
     parse_expression,
     weyl_dim,
 )
 from pnsheaf.cli import main
+from pnsheaf.cohomology import _bott
 from pnsheaf.grammar import split_ambient
 from pnsheaf.weights import _weyl_dim_cached, binom, partitions, rho_weight
 
@@ -69,8 +69,7 @@ def check_grid() -> tuple[list[str], int, set]:
     degree None when every group vanishes)."""
     failures, count, outcomes = [], 0, set()
     for b in cases():
-        group = bwb_cohomology(b)
-        got = None if group is None else (group.degree, group.dim)
+        got = _bott(b.ambient, b.lam, b.twist)
         want = reference(b)
         if got != want:
             failures.append(f"{b} on P^{b.ambient}: closed form {got}, reference {want}")
@@ -101,7 +100,7 @@ def timed_tables() -> list[tuple[str, float, bool]]:
     out = []
     for text, dims in expected.items():
         e = _parse(text)
-        bwb_cohomology.cache_clear()
+        _bott.cache_clear()
         _weyl_dim_cached.cache_clear()
         start = time.perf_counter()
         table = cohomology_table(e)
@@ -132,7 +131,7 @@ def golden_without_reference() -> tuple[list[str], int]:
         mock.patch.object(pnsheaf.cohomology, "dotted_weyl_reduce", refuse, create=True),
     ):
         for case in cases_run:
-            bwb_cohomology.cache_clear()
+            _bott.cache_clear()
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(list(case["argv"]))

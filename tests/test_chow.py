@@ -31,7 +31,7 @@ from pnsheaf import (
     todd_class,
     total_chern,
 )
-from pnsheaf.bundles import normalize
+from pnsheaf.bundles import _normalize_cached
 from pnsheaf.chow import (
     MAX_CHOW_AMBIENT,
     _ch_schur_q,
@@ -132,10 +132,10 @@ def _ref_schur_q(lam: tuple[int, ...], n: int) -> ChowClass:
 
 
 def _ref_character(e) -> ChowClass:
-    dec = normalize(e)
-    total = ChowClass(dec.ambient, (Fraction(0),) * (dec.ambient + 1))
-    for b, mult in dec.terms:
-        total = total + (_ref_schur_q(b.lam, dec.ambient) * _ref_line(b.twist, dec.ambient)).scale(mult)
+    n = e.ambient
+    total = ChowClass(n, (Fraction(0),) * (n + 1))
+    for (lam, twist), mult in _normalize_cached(e):
+        total = total + (_ref_schur_q(lam, n) * _ref_line(twist, n)).scale(mult)
     return total
 
 

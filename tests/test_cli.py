@@ -32,9 +32,7 @@ from pnsheaf import (
     TheoremReport,
     TwistedOneForm,
     Wedge,
-    bwb_cohomology,
     cohomology_table,
-    normalize,
     parse_expression,
     parse_form_file,
     parse_poly,
@@ -42,7 +40,9 @@ from pnsheaf import (
     render_expression,
     render_form_file,
 )
+from pnsheaf.bundles import _normalize_cached
 from pnsheaf.cli import CHECK_ALIASES, CHECKS, main
+from pnsheaf.cohomology import _bott
 
 from helpers import random_expression
 
@@ -703,7 +703,10 @@ def test_cohomology_builds_each_contribution_once(monkeypatch, capsys, fmt):
     import pnsheaf.cohomology
 
     text = "sym(3, T (+) Omega^1) on P^2"
-    expected = [b for b, _ in normalize(parse_expression(text, 2)).terms if bwb_cohomology(b)]
+    expected = [
+        IrreducibleBundle(2, lam, d)
+        for (lam, d), _ in _normalize_cached(parse_expression(text, 2)) if _bott(2, lam, d)
+    ]
     build, built = pnsheaf.cohomology.Contribution, []
 
     def counting(degree, summand, multiplicity, dim):
@@ -729,7 +732,7 @@ _CORPUS = json.loads(
 ])
 def test_sweeps_certificates_and_checkers_build_no_summand(monkeypatch, capsys, case_id):
     # their tables read only dims, straight off the count map: no
-    # IrreducibleBundle, and so no Decomposition or Contribution, is built
+    # IrreducibleBundle, and so no Contribution, is built
     def refuse(self):
         raise AssertionError(f"built {self.lam} on P^{self.ambient}")
 
@@ -972,12 +975,13 @@ def test_sweep_results_keep_grid_order(capsys):
 
 
 def test_sweep_worker_pool_matches_serial(capsys):
-    argv = ["sweep", "endo", "--n", "2:3"]
-    code_serial, serial = _run_json(capsys, argv)
-    code_pool, pooled = _run_json(capsys, argv + ["--workers", "2"])
-    assert code_serial == code_pool == 0
-    assert serial == pooled
-    assert serial["count"] == 7  # k = 0..n for n = 2, 3
+    # --workers is accepted and has no effect: every N >= 1 prints the same bytes
+    argv = ["sweep", "endo", "--n", "2:3", "--format", "json"]
+    runs = {workers: _run(capsys, argv + ["--workers", workers]) for workers in ("1", "2", "8")}
+    assert runs["1"] == runs["2"] == runs["8"] == _run(capsys, argv)
+    code, out, err = runs["1"]
+    assert (code, err) == (0, "")
+    assert json.loads(out)["count"] == 7  # k = 0..n for n = 2, 3
 
 
 def test_sweep_split_filters_invalid_codimension(capsys):
@@ -1021,41 +1025,6 @@ def test_sweep_rejects_workers_below_one(capsys, workers):
     code, out, err = _run(capsys, ["sweep", "endo", "--n", "2", "--workers", workers])
     assert (code, out) == (2, "")
     assert err == f"error: --workers must be at least 1; got {workers}\n"
-
-
-def test_sweep_workers_are_clamped_to_the_cpu_count(monkeypatch, capsys):
-    import concurrent.futures
-
-    sizes = []
-
-    class RecordingPool:
-        """Stands in for the process pool; runs the tasks in this process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    # also replace a pool bound into pnsheaf.cli at import, so that no
-    # version of the front end starts real processes here
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr("pnsheaf.cli.ProcessPoolExecutor", RecordingPool, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    argv = ["sweep", "endo", "--n", "2:3", "--workers"]
-    _, serial = _run_json(capsys, argv + ["1"])
-    _, clamped = _run_json(capsys, argv + ["8"])
-    _, two = _run_json(capsys, argv + ["2"])
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    _, unknown = _run_json(capsys, argv + ["8"])
-    assert sizes == [3, 2]
-    assert serial == clamped == two == unknown
 
 
 def test_cli_import_leaves_the_worker_pool_unloaded():

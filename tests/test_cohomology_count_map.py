@@ -1,11 +1,11 @@
-"""Cohomology tables read off the count map against the Decomposition path.
+"""Cohomology tables read off the count map against the per-summand path.
 
 ``cohomology_table`` reads the engine's normal form, ((lam, twist),
 multiplicity) pairs, with one cached Bott lookup per summand, and builds its
 ``contributions`` only when they are read.  The reference kept here is the
-path it replaced: ``normalize(e).terms`` (validated ``IrreducibleBundle``
-summands), ``bwb_cohomology`` per summand, and ``Contribution``s sorted by
-(degree, lam, twist).  Both must give the same ``dims`` and the same
+path it replaced: every summand of the normal form validated as an
+``IrreducibleBundle``, Bott's group of each one, and ``Contribution``s
+sorted by (degree, lam, twist).  Both must give the same ``dims`` and the same
 contributions (degree, summand, multiplicity, dim) in the same order, for
 T, Omega^p, line bundles, sums, tensors and wedge/sym of sums on P^1..P^6
 with twists -12..12, for zero bundles, and for ``bott_closed_form`` tables,
@@ -22,12 +22,11 @@ import sys
 
 from pnsheaf import (
     BundleExpr,
+    IrreducibleBundle,
     bott_closed_form,
-    bwb_cohomology,
     cohomology_table,
     direct_sum,
     dual,
-    normalize,
     o,
     omega,
     sym,
@@ -36,7 +35,8 @@ from pnsheaf import (
     twist,
     wedge,
 )
-from pnsheaf.cohomology import Contribution
+from pnsheaf.bundles import _normalize_cached
+from pnsheaf.cohomology import Contribution, _bott
 
 from helpers import random_expression
 
@@ -46,15 +46,18 @@ AMBIENTS = range(1, 7)
 
 
 def reference(e: BundleExpr) -> tuple[tuple[int, ...], tuple[Contribution, ...]]:
-    """(dims, contributions) through normalize, bwb_cohomology and a full sort."""
-    dims = [0] * (e.ambient + 1)
+    """(dims, contributions) through validated summands, _bott and a full sort."""
+    n = e.ambient
+    dims = [0] * (n + 1)
     contributions = []
-    for b, mult in normalize(e).terms:
-        group = bwb_cohomology(b)
+    for (lam, d), mult in _normalize_cached(e):
+        b = IrreducibleBundle(n, lam, d)
+        group = _bott(n, b.lam, b.twist)
         if group is None:
             continue
-        dims[group.degree] += mult * group.dim
-        contributions.append(Contribution(group.degree, b, mult, group.dim))
+        degree, dim = group
+        dims[degree] += mult * dim
+        contributions.append(Contribution(degree, b, mult, dim))
     contributions.sort(key=lambda c: (c.degree, c.summand.lam, c.summand.twist))
     return tuple(dims), tuple(contributions)
 
@@ -113,7 +116,7 @@ def check_zero_bundles() -> list[str]:
     failures = []
     for e in zero_bundles():
         table = cohomology_table(e)
-        if normalize(e).terms or not table.is_zero() or table.contributions:
+        if _normalize_cached(e) or not table.is_zero() or table.contributions:
             failures.append(f"{e}: not the zero table")
     return failures
 

@@ -10,7 +10,6 @@ from pnsheaf import (
     cohomology_table,
     direct_sum,
     en_resolution,
-    euler_les_chase,
     o,
     omega,
     parse_expression,
@@ -137,32 +136,3 @@ def test_certificate_json_schema_keys():
         assert isinstance(entry["expr"], str)
         assert len(entry["h"]) == d["n"] + 1
 
-
-# ---------------------------------------------------------------------------
-# Euler sequence chase
-
-
-def test_chase_snake_base_case():
-    assert euler_les_chase(0, 1) == [(0, 1)]
-    assert euler_les_chase(0, 4) == [(0, 1)]
-
-
-def test_chase_steps_through_every_degree():
-    assert euler_les_chase(1, 2) == [(0, 1), (1, 1)]
-    assert euler_les_chase(3, 5) == [(0, 1), (1, 1), (2, 1), (3, 1)]
-
-
-def test_chase_all_dimensions_are_one():
-    for n in range(1, 5):
-        for k in range(n + 1):
-            steps = euler_les_chase(k, n)
-            assert len(steps) == k + 1
-            assert all(dim == 1 for _, dim in steps)
-            assert [i for i, _ in steps] == list(range(k + 1))
-
-
-def test_chase_rejects_bad_power():
-    with pytest.raises(InputError):
-        euler_les_chase(5, 3)
-    with pytest.raises(InputError):
-        euler_les_chase(-1, 3)

@@ -4,7 +4,8 @@ Every subcommand runs in text and JSON format through ``main(argv)``, and
 its output must match ``golden/cli_corpus.json`` byte for byte.  The
 pfaff cases read the corpus's form files, written to a temporary directory:
 the ``{form}`` placeholder in an argv stands for the path of ``form_file``,
-and ``{name}`` for the path of ``extra_form_files[name]``.  The front-end
+and ``{name}`` for the path of ``extra_form_files[name]`` or of
+``bad_form_files[name]``, the forms that only refusal cases read.  The front-end
 cases pin ``--help`` of every parser and argparse's usage errors; argparse
 wraps that text to the terminal width, so every case runs at 200 columns.
 
@@ -34,7 +35,8 @@ CORPUS = json.loads(CORPUS_PATH.read_text(encoding="utf-8"))
 
 def _run(argv: list[str], form_dir: pathlib.Path) -> tuple[int, str, str]:
     paths = {}
-    for name, text in {"form": CORPUS["form_file"], **CORPUS["extra_form_files"]}.items():
+    forms = {"form": CORPUS["form_file"], **CORPUS["extra_form_files"], **CORPUS["bad_form_files"]}
+    for name, text in forms.items():
         paths["{" + name + "}"] = path = form_dir / f"{name}.form"
         path.write_text(text, encoding="utf-8")
     argv = [str(paths.get(arg, arg)) for arg in argv]
