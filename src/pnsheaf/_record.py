@@ -9,9 +9,11 @@ class and ``hash`` over the compared fields; the dataclass repr text;
 pickle and ``copy`` work as before.
 
 Importing dataclasses loads inspect, ast, dis and tokenize, and a frozen
-dataclass compiles six methods at every import; a record compiles one short
-source per class and shares its repr, ``__setattr__`` and ``__delattr__``.
+dataclass compiles six methods at every import.  A record compiles nothing:
+its ``__init__`` is `_init` or `_init_post` re-signed by ``code.replace``.
 """
+
+from operator import attrgetter
 
 
 class FrozenRecordError(AttributeError):
@@ -28,6 +30,19 @@ class field:  # lower case: it stands in for dataclasses.field at the call sites
 
 
 _MISSING = object()
+
+
+# Re-signed, their locals are self and the fields (__post_init__ sees self in vars too).
+# Before 3.13 a tracer refills locals(), the frame's dict, but leaves an unbound self out.
+def _init(self):
+    object.__setattr__(self, "__dict__", locals())
+    del self.__dict__["self"], self
+
+
+def _init_post(self):
+    object.__setattr__(self, "__dict__", locals())
+    self.__post_init__()
+    del self.__dict__["self"], self
 
 
 def _repr(self):
@@ -53,27 +68,32 @@ def record(cls):
             specs[name] = default
         else:
             specs[name] = field(default=default)
-    args = "".join(f", {n}" if s.default is _MISSING else f", {n}=_d_{n}" for n, s in specs.items())
-    init = [f"_set(self, {n!r}, {n})" for n in specs]
-    if hasattr(cls, "__post_init__"):
-        init.append("self.__post_init__()")
+    cls.__match_args__ = names = tuple(specs)
+    defaults = tuple(s.default for s in specs.values() if s.default is not _MISSING)
+    if any(specs[n].default is _MISSING for n in names[len(names) - len(defaults):]):
+        raise TypeError(f"{cls.__qualname__}: a field without a default follows one with")
+    code = (_init_post if hasattr(cls, "__post_init__") else _init).__code__.replace(
+        co_argcount=len(names) + 1, co_nlocals=len(names) + 1, co_varnames=("self", *names),
+        co_name="__init__")
+    if hasattr(code, "co_qualname"):  # Python 3.11+
+        code = code.replace(co_qualname=f"{cls.__qualname__}.__init__")
+    __init__ = type(_init)(code, globals(), "__init__", defaults)
     compared = [n for n, s in specs.items() if s.compare]
-    same = " and ".join(f"self.{n} == other.{n}" for n in compared) or "True"
-    source = (
-        f"def __init__(self{args}):\n    " + ("\n    ".join(init) or "pass") + "\n"
-        "def __eq__(self, other):\n    if self is other:\n        return True\n"
-        f"    if other.__class__ is self.__class__:\n        return {same}\n"
-        "    return NotImplemented\n"
-        f"def __hash__(self):\n    return hash(({''.join(f'self.{n}, ' for n in compared)}))\n"
-    )
-    scope = {"__name__": cls.__module__, "_set": object.__setattr__}
-    scope.update({f"_d_{n}": s.default for n, s in specs.items() if s.default is not _MISSING})
-    exec(source, scope)
-    for method in ("__init__", "__eq__", "__hash__"):
-        scope[method].__qualname__ = f"{cls.__qualname__}.{method}"
-        setattr(cls, method, scope[method])
+    get, single = attrgetter(*compared), len(compared) == 1  # a tuple unless single
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self is other or get(self) == get(other)
+        return NotImplemented
+
+    def __hash__(self):  # of a 1-tuple if single, as dataclass
+        return hash((get(self),) if single else get(self))
+
+    for method in (__init__, __eq__, __hash__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        method.__module__ = cls.__module__
+        setattr(cls, method.__name__, method)
     cls.__record_specs__ = specs
     cls.__record_repr__ = tuple(n for n, s in specs.items() if s.repr)
-    cls.__match_args__ = tuple(specs)
     cls.__repr__, cls.__setattr__, cls.__delattr__ = _repr, _setattr, _delattr
     return cls

@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import re
 import sys
+from _json import encode_basestring_ascii  # json.encoder's own; json itself compiles regexes
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from .bundles import MAX_OUTPUT_BITS, BundleExpr, IrreducibleBundle, o, rank, tensor

@@ -133,14 +133,15 @@ def test_fast_path_answers_every_computing_golden_run(tmp_path):
 
 
 def test_fresh_interpreter_imports_neither_argparse_nor_locale():
-    # nor dataclasses and inspect, which pnsheaf's records do without; each
-    # costs every CLI run its import time
+    # nor dataclasses and inspect, which pnsheaf's records do without, nor
+    # json, whose C string encoder the writer takes from _json; each costs
+    # every CLI run its import time
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     code = (
         f"import sys; sys.path.insert(0, {src!r})\n"
         "from pnsheaf.cli import main\n"
         "code = main(['chi', 'O(1) on P^2', '--format', 'json'])\n"
-        "unwanted = {'argparse', 'locale', 'dataclasses', 'inspect'}\n"
+        "unwanted = {'argparse', 'locale', 'dataclasses', 'inspect', 'json'}\n"
         "print(code, sorted(unwanted & set(sys.modules)))\n"
     )
     done = subprocess.run([sys.executable, "-I", "-c", code],

@@ -8,8 +8,13 @@ is built from the class's own annotations, defaults and methods (the two
 fields declared with ``field`` get the same flags), and on seeded instances
 both must agree on
 
+* the ``inspect.signature`` of the class (parameter names, order, kinds and
+  defaults), the ``__qualname__`` and ``__module__`` of ``__init__``,
+  ``__eq__`` and ``__hash__``, and the names of the ``__init__`` code;
 * construction, positional and by keyword, with and without defaults, and
   the ``TypeError`` of a missing, extra or unknown argument;
+* the fields of an instance built under a profiler and a tracer that read
+  every frame's locals;
 * the fields held in ``vars()``, in order, and ``__match_args__``;
 * ``==`` within a class and across classes, and ``hash`` or its
   ``TypeError``;
@@ -31,6 +36,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import importlib
+import inspect
 import pickle
 import pkgutil
 import random
@@ -164,6 +170,27 @@ def field_values(instance, twin) -> list:
     return [getattr(instance, f.name) for f in dataclasses.fields(twin)]
 
 
+def parameters(cls) -> list[tuple]:
+    """(name, kind, default) of each parameter of inspect.signature(cls)."""
+    return [(p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()]
+
+
+def traced(call):
+    """call() under a profiler and a tracer that both read each frame's locals."""
+    def hook(frame, event, arg):
+        frame.f_locals
+        return hook
+
+    saved = sys.getprofile(), sys.gettrace()
+    sys.setprofile(hook)
+    sys.settrace(hook)
+    try:
+        return call()
+    finally:
+        sys.setprofile(saved[0])
+        sys.settrace(saved[1])
+
+
 def outcome(call):
     """("ok", repr) of a call's result, or (exception type name, message)."""
     try:
@@ -185,6 +212,14 @@ def check_class(cls, twin, instances, others) -> list[str]:
     fields = dataclasses.fields(twin)
     names = [f.name for f in fields]
     same("__match_args__", cls.__match_args__, twin.__match_args__)
+    same("signature", parameters(cls), parameters(twin))
+    for method in ("__init__", "__eq__", "__hash__"):
+        function = cls.__dict__[method]
+        same(f"{method} names", (function.__qualname__, function.__module__),
+             (f"{cls.__qualname__}.{method}", twin.__dict__[method].__module__))
+    code = cls.__dict__["__init__"].__code__  # co_qualname is new in Python 3.11
+    same("__init__ code names", (code.co_name, getattr(code, "co_qualname", None)),
+         ("__init__", f"{cls.__qualname__}.__init__" if sys.version_info >= (3, 11) else None))
     for f in fields:
         if f.default is not dataclasses.MISSING:
             same(f"class default {f.name}", getattr(cls, f.name), getattr(twin, f.name))
@@ -194,6 +229,7 @@ def check_class(cls, twin, instances, others) -> list[str]:
         rec, ref = cls(*values), twin(*values)
         same("repr", repr(rec), repr(ref))
         same("vars", list(vars(rec).items()), list(vars(ref).items()))
+        same("vars when traced", list(vars(traced(lambda: cls(*values)))), names)
         same("by keyword", repr(cls(**keywords)), repr(twin(**keywords)))
         same("== by keyword", rec == cls(**keywords), ref == twin(**keywords))
         required = {f.name: keywords[f.name] for f in fields
