@@ -30,7 +30,6 @@ from .bundles import (
     sym,
     tangent,
     tensor,
-    twist,
     wedge,
 )
 from .checkers import (
@@ -49,8 +48,6 @@ from .chow import (
     ChowClass,
     PorteousResult,
     chern_character,
-    chern_difference,
-    chow_unit,
     chow_zero,
     hrr_chi,
     hyperplane_power,
@@ -58,12 +55,7 @@ from .chow import (
     todd_class,
     total_chern,
 )
-from .cohomology import (
-    CohomologyTable,
-    bott_closed_form,
-    cohomology_table,
-    serre_dual_check,
-)
+from .cohomology import CohomologyTable, cohomology_table
 from .complexes import (
     ENCertificate,
     ENResolutionReport,
@@ -80,7 +72,7 @@ from .errors import (
     UnsupportedPlethysm,
 )
 from .grammar import parse_expression, render_expression, split_ambient
-from .linalg import in_row_span, kernel_basis
+from .linalg import kernel_basis
 from .pfaff import (
     SATURATION_NOTE,
     AnnihilatorSlice,
@@ -89,13 +81,11 @@ from .pfaff import (
     TwistedOneForm,
     UniquenessReport,
     annihilator_distribution,
-    form_coefficient_vector,
     log_form,
     parse_form_file,
     pencil_form,
     random_pencil_form,
     render_form_file,
-    section_space_contains,
     singular_scheme,
     uniqueness_report,
     vanishing_section_space,
@@ -105,15 +95,11 @@ from .polyideal import (
     Poly,
     buchberger,
     ideal_presentation,
-    membership_on_charts,
-    normal_form,
     parse_poly,
     projective_dimension,
-    s_polynomial,
     staircase_dimension,
-    unit_ideal,
 )
-from .weights import dotted_weyl_reduce, lr_product, weyl_dim
+from .weights import lr_product, weyl_dim
 
 __version__ = "0.1.0"
 

@@ -217,10 +217,6 @@ def sym(k: int, e: BundleExpr) -> Sym:
     return Sym(e.ambient, k, e)
 
 
-def twist(e: BundleExpr, d: int) -> BundleExpr:
-    return e if d == 0 else Tensor(e.ambient, e, LineBundle(e.ambient, d))
-
-
 def split_bundle(degrees, n: int) -> BundleExpr:
     """Direct sum of line bundles with the given degrees."""
     degs = tuple(degrees)
@@ -249,10 +245,6 @@ class IrreducibleBundle:
                 raise InputError(f"weight {self.lam} is not weakly decreasing")
         if self.lam and self.lam[-1] != 0:
             raise InputError(f"weight {self.lam} must be normalized to last entry 0")
-
-    @property
-    def rank(self) -> int:
-        return weyl_dim(self.lam, self.ambient)
 
     def is_line_bundle(self) -> bool:
         return all(x == 0 for x in self.lam)

@@ -57,41 +57,6 @@ class ChowClass:
             raise InputError("Chow class needs exactly n+1 coefficients")
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
 
-    def __add__(self, other: "ChowClass") -> "ChowClass":
-        self._match(other)
-        return ChowClass(self.ambient, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "ChowClass") -> "ChowClass":
-        self._match(other)
-        return ChowClass(self.ambient, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other):
-        if isinstance(other, ChowClass):
-            self._match(other)
-            out = [Fraction(0)] * (self.ambient + 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if i + j > self.ambient:
-                        break
-                    out[i + j] += a * b
-            return ChowClass(self.ambient, tuple(out))
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "ChowClass":
-        c = Fraction(c)
-        return ChowClass(self.ambient, tuple(c * a for a in self.coeffs))
-
-    def coefficient(self, i: int) -> Fraction:
-        return self.coeffs[i]
-
-    def _match(self, other: "ChowClass"):
-        if self.ambient != other.ambient:
-            raise InputError("Chow classes over different ambients")
-
     def __str__(self):
         bits = []
         for i, c in enumerate(self.coeffs):
@@ -108,10 +73,6 @@ class ChowClass:
 
 def chow_zero(n: int) -> ChowClass:
     return ChowClass(n, tuple(Fraction(0) for _ in range(n + 1)))
-
-
-def chow_unit(n: int) -> ChowClass:
-    return ChowClass(n, tuple(Fraction(int(i == 0)) for i in range(n + 1)))
 
 
 def hyperplane_power(n: int, i: int, c=1) -> ChowClass:
@@ -254,13 +215,6 @@ def _chern_classes(p: tuple[int, ...]) -> tuple[int, ...]:
 def _difference_classes(E: BundleExpr, G: BundleExpr) -> tuple[int, ...]:
     """c_0, ..., c_n of G - E from p(G) - p(E); G's are taken first, as c(G) was."""
     return _chern_classes(tuple(a - b for a, b in zip(_power_sums(G), _power_sums(E))))
-
-
-def chern_difference(E: BundleExpr, G: BundleExpr) -> ChowClass:
-    """Total Chern class of the virtual difference G - E: c(G) / c(E)."""
-    if E.ambient != G.ambient:
-        raise InputError("bundles live on different ambients")
-    return ChowClass(E.ambient, _difference_classes(E, G))
 
 
 @record

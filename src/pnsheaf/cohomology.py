@@ -8,8 +8,6 @@ the dotted-Weyl reduction of (lam, x), without sorting it).  A table is
 read straight off the engine's count map of (lam, twist) pairs, with one
 cached Bott lookup (_bott) per summand; the public IrreducibleBundle and
 Contribution objects are built only when a table's contributions are read.
-The classical closed form for twisted p-forms is kept alongside as an
-independent oracle.
 """
 
 from __future__ import annotations
@@ -19,18 +17,9 @@ from functools import cached_property, lru_cache
 from itertools import groupby
 
 from ._record import field, record
-from .bundles import (
-    BundleExpr,
-    IrreducibleBundle,
-    Terms,
-    _normalize_cached,
-    dual,
-    o,
-    omega,
-    tensor,
-)
-from .errors import ConsistencyError, InputError
-from .weights import binom, weyl_dim
+from .bundles import BundleExpr, IrreducibleBundle, Terms, _normalize_cached
+from .errors import ConsistencyError
+from .weights import weyl_dim
 
 
 @record
@@ -69,9 +58,6 @@ class CohomologyTable:
 
     def h(self, p: int) -> int:
         return self.dims[p] if 0 <= p <= self.ambient else 0
-
-    def is_zero(self) -> bool:
-        return all(d == 0 for d in self.dims)
 
 
 @lru_cache(maxsize=4096)  # a benchmark or golden request fills at most 753
@@ -120,34 +106,3 @@ def cohomology_table(e: BundleExpr) -> CohomologyTable:
     built unless the contributions are read.
     """
     return _count_map_table(e.ambient, _normalize_cached(e), e)
-
-
-def bott_closed_form(k: int, s: int, n: int) -> CohomologyTable:
-    """Closed-form table for Omega^k(s) on P^n; independent of the engine.
-
-    h^0 = C(s+n-k, s) * C(s-1, k)        if 0 <= k <= n and s > k
-    h^k = 1                               if 0 <= k = p <= n and s = 0
-    h^n = C(-s+k, -s) * C(-s-1, n-k)      if 0 <= k <= n and s < k - n
-    and every other group is zero.
-    """
-    if not 0 <= k <= n:
-        raise InputError(f"Omega^{k} is not a bundle on P^{n}")
-    dims = [0] * (n + 1)
-    if s > k:
-        dims[0] = binom(s + n - k, s) * binom(s - 1, k)
-    elif s == 0:
-        dims[k] = 1
-    elif s < k - n:
-        dims[n] = binom(-s + k, -s) * binom(-s - 1, n - k)
-    expr = omega(k, n) if s == 0 else tensor(omega(k, n), o(s, n))
-    if k == 0:
-        expr = o(s, n)
-    return CohomologyTable(n, tuple(dims), expr)
-
-
-def serre_dual_check(e: BundleExpr) -> bool:
-    """h^i(E) == h^(n-i)(E* (x) O(-n-1)) for every i."""
-    n = e.ambient
-    left = cohomology_table(e)
-    right = cohomology_table(tensor(dual(e), o(-n - 1, n)))
-    return all(left.dims[i] == right.dims[n - i] for i in range(n + 1))

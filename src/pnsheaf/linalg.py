@@ -1,4 +1,4 @@
-"""Exact linear algebra on integer rows: kernels and span tests.
+"""Exact linear algebra on integer rows: kernels and reduced spans.
 
 Each input row of Fractions is cleared to a sparse integer row
 ({column: entry}); callers that build integer rows themselves hand them to
@@ -8,8 +8,8 @@ Math. Comp. 1968) works on the rows not yet pivoted only; back substitution
 then clears each pivot column above its pivot.  A kernel basis is read off
 the unique reduced form as pairs (sparse integer vector, positive
 denominator) in lowest terms, and only ``kernel_basis`` turns them into
-Fractions.  Rows of unequal widths, or a vector or column count of another
-width than the rows, raise InputError.
+Fractions.  Rows of unequal widths, or a column count other than their
+width, raise InputError.
 """
 
 from __future__ import annotations
@@ -124,13 +124,3 @@ def _last_pivot_basis(vectors, ncols: int) -> list[tuple[dict[int, int], int]]:
         basis.append(({last - c: sign * v for c, v in sorted(row.items(), reverse=True)},
                       sign * row[col]))
     return basis
-
-
-def in_row_span(rows: list[list[Fraction]], vector: list[Fraction]) -> bool:
-    """Is the vector a linear combination of the rows?"""
-    _check_width(rows, len(vector))
-    v = _int_row(vector)
-    for col, pivot_row in _echelon(map(_int_row, rows)):
-        if col in v:
-            v = _eliminate(v, pivot_row, col)
-    return not v

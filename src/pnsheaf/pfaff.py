@@ -20,7 +20,7 @@ from .checkers import TheoremReport, check_codim1_generic
 from .errors import EulerViolation, InputError, ScaleExceeded
 # kernel_basis is unused here but stays a pfaff attribute: perfbench's traced
 # test reads pnsheaf.pfaff.kernel_basis
-from .linalg import _kernel, _last_pivot_basis, in_row_span, kernel_basis  # noqa: F401
+from .linalg import _kernel, _last_pivot_basis, kernel_basis  # noqa: F401
 from .polyideal import (
     MAX_CHART_VARS,
     MAX_GENERATOR_DEGREE,
@@ -331,24 +331,6 @@ def singular_sections(w: TwistedOneForm, twist: int) -> tuple[SingularScheme, Se
     _guard_unknowns(w.ambient, twist - 1)
     scheme = singular_scheme(w)
     return scheme, vanishing_section_space(w.ambient, twist, scheme)
-
-
-def form_coefficient_vector(w: TwistedOneForm) -> list[Fraction]:
-    """Flatten a form into the unknown layout used by vanishing_section_space."""
-    monos = monomials_of_degree(w.ambient + 1, w.twist - 1)
-    index = {m: i for i, m in enumerate(monos)}
-    vec = [Fraction(0)] * ((w.ambient + 1) * len(monos))
-    for slot, poly in enumerate(w.coeffs):
-        for m, c in poly.terms.items():
-            vec[slot * len(monos) + index[m]] = c
-    return vec
-
-
-def section_space_contains(space: SectionSpace, w: TwistedOneForm) -> bool:
-    if space.ambient != w.ambient or space.twist != w.twist:
-        return False
-    rows = [list(form_coefficient_vector(b)) for b in space.basis]
-    return in_row_span(rows, form_coefficient_vector(w))
 
 
 def annihilator_distribution(w: TwistedOneForm, bound: int) -> list[AnnihilatorSlice]:

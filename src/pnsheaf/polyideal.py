@@ -10,10 +10,9 @@ _BITS-wide field whose top bit stays clear, so a difference of raws with no
 top bit set means divisibility; a monomial of degree 2**31 or more is
 refused with ScaleExceeded.  Buchberger and division run on the stored
 integer terms, pseudo-reducing with a heap of pending terms.  Fractions
-appear only at the edges: ``terms``, ``leading_coefficient``, rational inputs
-to ``Poly`` and ``scale``, and linalg's ``kernel_basis``.  ``parse_poly``
-reads its text straight into packed terms over one denominator, rational
-literals included.
+appear only at the edges: ``terms``, rational inputs to ``Poly``, and
+linalg's ``kernel_basis``.  ``parse_poly`` reads its text straight into
+packed terms over one denominator, rational literals included.
 Buchberger drops useless S-pairs by Gebauer and Moeller's criteria and
 reduces the pair of least lcm first.
 Saturation-related questions are handled chart by chart: a homogeneous ideal
@@ -104,11 +103,6 @@ def _drop_variable(keys, i: int, nvars: int) -> list[int]:
     return out
 
 
-def monomial_key(expo: tuple[int, ...]):
-    """Sort key: larger key = larger monomial in degrevlex."""
-    return (sum(expo), tuple(-e for e in reversed(expo)))
-
-
 def monomials_of_degree(nvars: int, d: int) -> list[tuple[int, ...]]:
     """Exponent vectors of total degree d, largest first in degrevlex."""
     return [_unpack(key, nvars) for key in _monomial_keys(nvars, d)]
@@ -170,10 +164,6 @@ class Poly:
         return cls(nvars, {})
 
     @classmethod
-    def one(cls, nvars: int) -> "Poly":
-        return cls(nvars, {(0,) * nvars: 1})
-
-    @classmethod
     def variable(cls, i: int, nvars: int) -> "Poly":
         expo = [0] * nvars
         expo[i] = 1
@@ -212,9 +202,7 @@ class Poly:
     def __neg__(self) -> "Poly":
         return Poly._of(self.nvars, {k: -c for k, c in self._terms.items()}, self._den)
 
-    def __mul__(self, other):
-        if not isinstance(other, Poly):
-            return self.scale(other)
+    def __mul__(self, other: "Poly") -> "Poly":
         self._match(other)
         if self and other:
             _check_degree(self.degree() + other.degree())
@@ -223,13 +211,6 @@ class Poly:
             for k2, c2 in other._terms.items():
                 out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
         return Poly._of(self.nvars, out, self._den * other._den)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "Poly":
-        c = c if type(c) is int else Fraction(c)
-        terms = {k: c.numerator * v for k, v in self._terms.items()}
-        return Poly._of(self.nvars, terms, self._den * c.denominator)
 
     def _match(self, other: "Poly"):
         if self.nvars != other.nvars:
@@ -259,12 +240,6 @@ class Poly:
         span = _BITS * self.nvars
         return -(-min(self._terms) >> span) == -(-max(self._terms) >> span)
 
-    def leading_monomial(self) -> tuple[int, ...]:
-        return _unpack(self._lead(), self.nvars)
-
-    def leading_coefficient(self) -> Fraction:
-        return Fraction(self._terms[self._lead()], self._den)
-
     def diff(self, i: int) -> "Poly":
         self._check_variable(i)
         span, shift, unit = _BITS * self.nvars, _BITS * i, _unit(i, self.nvars)
@@ -281,19 +256,6 @@ class Poly:
         for key, c in zip(_drop_variable(self._terms, i, self.nvars), self._terms.values()):
             out[key] = out.get(key, 0) + c
         return Poly._of(self.nvars - 1, out, self._den)
-
-    def monic(self) -> "Poly":
-        if not self._terms:
-            return self
-        return Poly._of(self.nvars, self._terms, self._terms[self._lead()])
-
-    def primitive(self) -> "Poly":
-        """Clear denominators and divide by the content; leading coeff > 0."""
-        if not self._terms:
-            return self
-        content = gcd(*self._terms.values())
-        sign = 1 if self._terms[self._lead()] > 0 else -1
-        return Poly._of(self.nvars, self._terms, sign * content)
 
     def __str__(self):
         if not self._terms:
@@ -494,12 +456,6 @@ def _reducers(basis, nvars: int) -> list[tuple]:
     return [_reducer(g._terms, nvars) for g in basis if g]
 
 
-def normal_form(f: Poly, basis) -> Poly:
-    """Remainder of f under multivariate division by an ordered basis."""
-    rem, scale = _divide(f._terms, _reducers(basis, f.nvars), f.nvars)
-    return Poly._of(f.nvars, rem, f._den * scale)
-
-
 def _s_pair(f: tuple, g: tuple, lcm_key: int) -> tuple[dict[int, int], int]:
     """(terms, den): the S-polynomial of two reducers, whose packed leading
     monomials have the lcm lcm_key, is terms / den."""
@@ -513,16 +469,6 @@ def _s_pair(f: tuple, g: tuple, lcm_key: int) -> tuple[dict[int, int], int]:
             k += shift
             terms[k] = terms.get(k, 0) + c * v
     return terms, f_lc * g_lc // h
-
-
-def s_polynomial(f: Poly, g: Poly) -> Poly:
-    """(L / lt(f)) * f - (L / lt(g)) * g, L the lcm of the leading monomials."""
-    f._match(g)
-    nvars = f.nvars
-    span = _BITS * nvars
-    lcm_key = _lcm_key(_raw(f._lead(), span), _raw(g._lead(), span), span, _top_bits(nvars))
-    # it does not change when f or g is scaled, so take their primitive reducers
-    return Poly._of(nvars, *_s_pair(_reducer(f._terms, nvars), _reducer(g._terms, nvars), lcm_key))
 
 
 def _guard(polys, nvars: int):
@@ -642,27 +588,6 @@ def ideal_presentation(gens) -> IdealPresentation:
         dehoms = [g.dehomogenize(i) for g in gens]
         charts.append(buchberger(dehoms))
     return IdealPresentation(nvars, tuple(gens), tuple(charts))
-
-
-def unit_ideal(nvars: int) -> IdealPresentation:
-    one = Poly.one(nvars)
-    return IdealPresentation(
-        nvars, (one,), tuple((Poly.one(nvars - 1),) for _ in range(nvars))
-    )
-
-
-def membership_on_charts(f: Poly, ideal: IdealPresentation) -> bool:
-    """True when f reduces to zero on every chart; this tests membership in
-    the saturation of the generated ideal, which is the right notion for
-    subschemes of projective space."""
-    if f.nvars != ideal.nvars:
-        raise InputError("polynomial and ideal over different variable counts")
-    if not f.is_homogeneous():
-        raise InputError(f"membership test needs a homogeneous polynomial, got {f}")
-    for i in range(ideal.nvars):
-        if normal_form(f.dehomogenize(i), ideal.charts[i]):
-            return False
-    return True
 
 
 def staircase_dimension(basis, nvars: int) -> int:

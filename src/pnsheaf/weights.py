@@ -3,18 +3,14 @@
 Dimensions via the Weyl product formula, taken over runs of equal entries.
 Littlewood-Richardson products use Pieri's rule when either factor is a
 column 1^b (the vertical strips of size b on the other factor; Macdonald,
-Symmetric Functions, I.5) and enumerate LR skew tableaux otherwise.  The
-shifted sort-and-count reduction of the dotted Weyl action is kept as the
-reference for the closed form in the cohomology engine.  A weight is a plain
-tuple of ints, weakly decreasing, whose length is the ambient size N;
-products return (weight, multiplicity) pairs and the reduction returns
-(inversions, weight), or None when every cohomology group vanishes.
+Symmetric Functions, I.5) and enumerate LR skew tableaux otherwise.  A
+weight is a plain tuple of ints, weakly decreasing, whose length is the
+ambient size N; products return (weight, multiplicity) pairs.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
 from collections import Counter
 from functools import lru_cache
 from itertools import groupby
@@ -170,33 +166,6 @@ def _lr_tableaux(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[tuple[tuple
                     stack.append((label + 1, nxt, strip, (), sizes[label + 1], 0, 0))
     ordered = sorted(found.items(), key=lambda kv: kv[0], reverse=True)
     return tuple(ordered)
-
-
-def dotted_weyl_reduce(
-    w: tuple[int, ...], rho: tuple[int, ...]
-) -> tuple[int, tuple[int, ...]] | None:
-    """Sort w + rho strictly decreasing, counting the swaps.
-
-    Returns (inversions, sorted - rho), or None when w + rho has a repeated
-    entry.
-    """
-    if len(w) != len(rho):
-        raise InputError(f"length mismatch: {w} vs rho {rho}")
-    shifted = tuple(a + b for a, b in zip(w, rho))
-    if len(set(shifted)) < len(shifted):
-        return None
-    # pairs i < j with shifted[i] < shifted[j], counted from the right
-    inversions, seen = 0, []
-    for x in reversed(shifted):
-        inversions += len(seen) - bisect_right(seen, x)
-        insort(seen, x)
-    ordered = sorted(shifted, reverse=True)
-    return inversions, tuple(a - b for a, b in zip(ordered, rho))
-
-
-def rho_weight(n_amb: int) -> tuple[int, ...]:
-    """The staircase (N-1, N-2, ..., 0) used by the dotted Weyl action."""
-    return tuple(range(n_amb - 1, -1, -1))
 
 
 def partitions(size: int, rows: int, cols: int):

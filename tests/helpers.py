@@ -1,23 +1,31 @@
-"""Shared test utilities: seeded random generation of supported expressions."""
+"""Shared test utilities: seeded random generation of supported expressions,
+and span tests through ``kernel_basis``."""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from pnsheaf import (
     BundleExpr,
     direct_sum,
     dual,
+    kernel_basis,
     o,
     omega,
     split_bundle,
     sym,
     tangent,
     tensor,
-    twist,
     wedge,
 )
+from pnsheaf.polyideal import monomials_of_degree
 from pnsheaf.weights import partitions
+
+
+def twist(e: BundleExpr, d: int) -> BundleExpr:
+    """e (x) O(d), or e itself for d = 0."""
+    return e if d == 0 else tensor(e, o(d, e.ambient))
 
 
 def random_expression(rng: random.Random, n: int, depth: int = 3) -> BundleExpr:
@@ -75,3 +83,28 @@ def _power_base(rng: random.Random, n: int) -> BundleExpr:
 def weights_in_box(length: int, bound: int) -> list[tuple[int, ...]]:
     """Every weakly decreasing tuple of the given length with entries in [0, bound]."""
     return [mu for size in range(length * bound + 1) for mu in partitions(size, length, bound)]
+
+
+def in_row_span(rows, vector) -> bool:
+    """Is vector a combination of rows?  Then adding it as a row keeps the kernel."""
+    width = len(vector)
+    return len(kernel_basis([*rows, vector], width)) == len(kernel_basis(rows, width))
+
+
+def form_vector(w) -> list[Fraction]:
+    """A form's coefficients, slot by slot over the monomials of degree
+    twist - 1, largest first: the unknowns of vanishing_section_space."""
+    monos = monomials_of_degree(w.ambient + 1, w.twist - 1)
+    index = {m: i for i, m in enumerate(monos)}
+    vec = [Fraction(0)] * ((w.ambient + 1) * len(monos))
+    for slot, poly in enumerate(w.coeffs):
+        for m, c in poly.terms.items():
+            vec[slot * len(monos) + index[m]] = c
+    return vec
+
+
+def section_space_contains(space, w) -> bool:
+    """Is the form w in the span of the section space's basis?"""
+    if (space.ambient, space.twist) != (w.ambient, w.twist):
+        return False
+    return in_row_span([form_vector(b) for b in space.basis], form_vector(w))

@@ -15,7 +15,6 @@ from pnsheaf import (
     FAIL,
     HOLD,
     Poly,
-    bott_closed_form,
     check_split_distribution,
     cohomology_table,
     direct_sum,
@@ -23,26 +22,27 @@ from pnsheaf import (
     hrr_chi,
     ideal_presentation,
     log_form,
-    membership_on_charts,
-    normal_form,
     o,
     omega,
     parse_poly,
     porteous_class,
     random_pencil_form,
-    s_polynomial,
-    section_space_contains,
-    serre_dual_check,
     singular_scheme,
     tangent,
     tensor,
-    twist,
     vanishing_section_space,
     wedge,
 )
 from pnsheaf.polyideal import monomials_of_degree
 
-from helpers import random_expression
+from helpers import random_expression, section_space_contains, twist
+from oracles import (
+    bott_closed_form,
+    membership_on_charts,
+    normal_form,
+    s_polynomial,
+    serre_dual_check,
+)
 
 
 @contextmanager

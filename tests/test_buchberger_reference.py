@@ -24,15 +24,15 @@ from pnsheaf import (
     Poly,
     buchberger,
     log_form,
-    normal_form,
     parse_poly,
     random_pencil_form,
-    s_polynomial,
     singular_scheme,
 )
 from pnsheaf import polyideal
 from pnsheaf.pfaff import parse_form_file
 from pnsheaf.polyideal import _divide, _pack, _reduce_basis, _reducer, _unpack
+
+from oracles import normal_form, s_polynomial
 
 CORPUS_PATH = pathlib.Path(__file__).parent / "golden" / "cli_corpus.json"
 

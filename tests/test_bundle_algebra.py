@@ -30,19 +30,18 @@ from pnsheaf import (
     o,
     omega,
     rank,
-    serre_dual_check,
     split_bundle,
     sym,
     tangent,
     tensor,
     total_chern,
-    twist,
     wedge,
 )
 from pnsheaf.bundles import _normalize_cached
-from pnsheaf.weights import binom, lr_product
+from pnsheaf.weights import binom, lr_product, weyl_dim
 
-from helpers import random_expression
+from helpers import random_expression, twist
+from oracles import serre_dual_check
 
 
 def _terms(e) -> dict:
@@ -187,7 +186,7 @@ def test_decomposition_rank_matches_weyl_dimensions():
         n = rng.randint(1, 4)
         e = random_expression(rng, n)
         summands = [(IrreducibleBundle(n, lam, d), m) for (lam, d), m in _normalize_cached(e)]
-        assert sum(m * b.rank for b, m in summands) == rank(e)
+        assert sum(m * weyl_dim(b.lam, n) for b, m in summands) == rank(e)
 
 
 def test_determinants():

@@ -43,7 +43,6 @@ from pnsheaf import (
     split_bundle,
     tangent,
     tensor,
-    twist,
     vanishing_certificate,
     wedge,
 )
@@ -51,6 +50,7 @@ from pnsheaf import complexes
 from pnsheaf.cli import main
 from pnsheaf.grammar import render_expression
 
+from helpers import twist
 from test_golden_cli import CORPUS, differing
 
 SEED = 212121

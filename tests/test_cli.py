@@ -1020,6 +1020,47 @@ def test_sweep_endo_rejects_an_empty_grid(capsys, n):
     assert err == f"error: sweep grid is empty: --n {n} has no n >= 0\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["codim1", "--n", "2:3", "--r", "1:30000000"],
+        ["split", "--n", "2:2", "--k", "1:1", "--d", "1:40000000"],
+        ["endo", "--n", "0:100000"],
+        ["endo", "--n", "3000:3000"],
+        ["certificate", "--E", "T", "--G", "O(1)", "--n", "3", "--twist", "1:2000000"],
+        ["split", "--n", "1:10", "--k", "-1000000000000:1", "--d", f"1:{10**18}"],
+        ["endo", "--n", f"0:{10**4000}"],
+    ],
+)
+def test_sweep_refuses_a_large_grid_before_building_it(capsys, monkeypatch, argv):
+    for kind in ("codim1", "split", "endo", "certificate"):
+        monkeypatch.setattr(f"pnsheaf.cli._sweep_task_{kind}", lambda *p: pytest.fail("a point ran"))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["sweep", *argv])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err.startswith("error: a sweep grid of ") and err.count("\n") == 1, err[:200]
+    assert err.endswith("; the bound on points times (n + 1) is 100000\n")
+
+
+def test_sweep_bound_admits_grids_at_the_bound(capsys, monkeypatch):
+    # 25,000 points on P^2..P^3 have work 100,000; split and endo grids whose
+    # ranges run far below k >= 1 and n >= 0 run only their points, at once
+    grids = {}
+
+    def task(kind):
+        return lambda *point: grids.setdefault(kind, []).append(point) or {"verdict": HOLD}
+
+    for kind in ("codim1", "split", "endo"):
+        monkeypatch.setattr(f"pnsheaf.cli._sweep_task_{kind}", task(kind))
+    assert main(["sweep", "codim1", "--n", "2:3", "--r", "1:12500"]) == 0
+    assert main(["sweep", "split", "--n", f"-{10**12}:3", "--k", f"-{10**12}:2", "--d", "0"]) == 0
+    assert main(["sweep", "endo", "--n", f"-{10**12}:1"]) == 0
+    assert len(grids["codim1"]) == 25000
+    assert grids["split"] == [(1, 1, 0), (2, 1, 0), (2, 2, 0), (3, 1, 0), (3, 2, 0)]
+    assert grids["endo"] == [(0, 0), (1, 0), (1, 1)]
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_sweep_rejects_workers_below_one(capsys, workers):
     code, out, err = _run(capsys, ["sweep", "endo", "--n", "2", "--workers", workers])

@@ -9,21 +9,19 @@ import pytest
 from pnsheaf import (
     InputError,
     IrreducibleBundle,
-    bott_closed_form,
     cohomology_table,
     direct_sum,
     o,
     omega,
-    serre_dual_check,
     tangent,
     tensor,
-    twist,
     wedge,
 )
 from pnsheaf.cohomology import _bott
 from pnsheaf.weights import binom
 
-from helpers import random_expression
+from helpers import random_expression, twist
+from oracles import bott_closed_form, serre_dual_check
 
 
 def _omega_twisted(k: int, s: int, n: int):
@@ -54,7 +52,7 @@ def test_canonical_bundle_top_cohomology():
 def test_intermediate_negative_twists_vanish_entirely():
     for n in range(1, 6):
         for d in range(-n, 0):
-            assert cohomology_table(o(d, n)).is_zero()
+            assert not any(cohomology_table(o(d, n)).dims)
 
 
 def test_tangent_bundle_global_sections():
@@ -135,7 +133,7 @@ def test_tables_add_over_direct_sums():
 
 
 def test_zero_bundle_has_zero_table():
-    assert cohomology_table(wedge(5, tangent(4))).is_zero()
+    assert not any(cohomology_table(wedge(5, tangent(4))).dims)
 
 
 def test_contributions_account_for_every_dimension():

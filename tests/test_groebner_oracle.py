@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from pnsheaf import Poly, log_form, parse_poly, random_pencil_form, singular_scheme
-from pnsheaf.polyideal import monomial_key
+
+from oracles import monomial_key
 
 sympy = pytest.importorskip("sympy")
 
@@ -20,17 +21,18 @@ def _to_sympy(p: Poly, xs):
 
 
 def _from_sympy(g, xs) -> Poly:
-    terms = sympy.Poly(g, *xs).terms()
-    nvars = len(xs)
+    terms = {
+        tuple(int(e) for e in expo): Fraction(int(c.p), int(c.q))
+        for expo, c in sympy.Poly(g, *xs).terms()
+    }
     # sympy's own monic() divides by the lex leading coefficient, so take
     # pnsheaf's degrevlex one instead
-    return Poly(nvars, {
-        tuple(int(e) for e in expo): Fraction(int(c.p), int(c.q)) for expo, c in terms
-    }).monic()
+    lc = terms[max(terms, key=monomial_key)]
+    return Poly(len(xs), {expo: c / lc for expo, c in terms.items()})
 
 
 def _sorted(basis):
-    return sorted(basis, key=lambda g: monomial_key(g.leading_monomial()))
+    return sorted(basis, key=lambda g: max(map(monomial_key, g.terms)))
 
 
 def _forms():

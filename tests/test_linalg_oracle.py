@@ -1,7 +1,8 @@
 """Kernels, ranks and span tests against sympy's Matrix, an independent implementation.
 
 The rank of the elimination is read through ``kernel_basis``: rank = ncols
-minus the kernel dimension.
+minus the kernel dimension, and a vector is in the row span when adding it
+as a row keeps the kernel (``helpers.in_row_span``).
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from pnsheaf import InputError, in_row_span, kernel_basis
+from pnsheaf import InputError, kernel_basis
+
+from helpers import in_row_span
 
 sympy = pytest.importorskip("sympy")
 

@@ -17,8 +17,6 @@ from pnsheaf import (
     ScaleExceeded,
     TwistedOneForm,
     annihilator_distribution,
-    bott_closed_form,
-    form_coefficient_vector,
     kernel_basis,
     log_form,
     parse_form_file,
@@ -26,13 +24,14 @@ from pnsheaf import (
     pencil_form,
     random_pencil_form,
     render_form_file,
-    section_space_contains,
     singular_scheme,
     uniqueness_report,
-    unit_ideal,
     vanishing_section_space,
 )
 from pnsheaf import pfaff
+
+from helpers import in_row_span, section_space_contains
+from oracles import bott_closed_form, unit_ideal
 
 CORPUS = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "cli_corpus.json").read_text(encoding="utf-8")
@@ -123,7 +122,7 @@ def test_pencil_form_validation():
     with pytest.raises(InputError):
         pencil_form(Poly.variable(0, 3), _p("x1^2", 3))
     with pytest.raises(InputError):
-        pencil_form(Poly.one(3), Poly.one(3))
+        pencil_form(Poly.constant(1, 3), Poly.constant(1, 3))
 
 
 def test_random_pencil_is_deterministic_per_seed():
@@ -186,13 +185,6 @@ def test_unrelated_form_is_outside_the_space():
     assert not section_space_contains(space, other)
 
 
-def test_coefficient_vector_layout_round_trips():
-    w = _coordinate_log()
-    vec = form_coefficient_vector(w)
-    assert sum(1 for v in vec if v) == 3
-    assert set(v for v in vec if v) == {Fraction(1), Fraction(-2)}
-
-
 # ---------------------------------------------------------------------------
 # uniqueness reports
 
@@ -252,8 +244,6 @@ def test_annihilator_degree_one_contains_euler_field():
         Fraction(0), Fraction(1), Fraction(0),
         Fraction(0), Fraction(0), Fraction(1),
     ]
-    from pnsheaf import in_row_span
-
     assert in_row_span(rows, euler_flat)
 
 

@@ -9,19 +9,19 @@ EXPORTS = [
     "IrreducibleBundle", "LineBundle", "ParseError", "PnsheafError", "Poly", "PorteousResult",
     "SATURATION_NOTE", "ScaleExceeded", "SectionSpace", "SingularScheme", "Sym", "Tangent",
     "Tensor", "TheoremReport", "TwistedOneForm", "UniquenessReport", "UnsupportedPlethysm",
-    "Wedge", "annihilator_distribution", "bott_closed_form", "buchberger",
+    "Wedge", "annihilator_distribution", "buchberger",
     "check_codim1_generic", "check_endomorphism_space", "check_map_recovery",
     "check_split_distribution", "check_split_vanishing", "chern_character",
-    "chern_difference", "chow_unit", "chow_zero", "cohomology_table", "det_bundle",
-    "direct_sum", "dotted_weyl_reduce", "dual", "en_resolution", "endomorphism_space_dim",
-    "form_coefficient_vector", "hrr_chi", "hyperplane_power",
-    "ideal_presentation", "in_row_span", "kernel_basis", "log_form", "lr_product",
-    "membership_on_charts", "normal_form", "o", "omega", "parse_expression",
+    "chow_zero", "cohomology_table", "det_bundle",
+    "direct_sum", "dual", "en_resolution", "endomorphism_space_dim",
+    "hrr_chi", "hyperplane_power",
+    "ideal_presentation", "kernel_basis", "log_form", "lr_product",
+    "o", "omega", "parse_expression",
     "parse_form_file", "parse_poly", "pencil_form", "porteous_class", "projective_dimension",
-    "random_pencil_form", "rank", "render_expression", "render_form_file", "s_polynomial",
-    "section_space_contains", "serre_dual_check", "singular_scheme",
+    "random_pencil_form", "rank", "render_expression", "render_form_file",
+    "singular_scheme",
     "split_ambient", "split_bundle", "staircase_dimension", "sym", "tangent", "tensor",
-    "todd_class", "total_chern", "twist", "uniqueness_report", "unit_ideal",
+    "todd_class", "total_chern", "uniqueness_report",
     "vanishing_certificate", "vanishing_section_space", "wedge", "weyl_dim",
 ]
 

@@ -1,5 +1,9 @@
 """Every function in ``src/pnsheaf`` is entered by a golden CLI case, or
-ALLOWED names it with the reason it stays.
+ALLOWED names it with the reason it stays.  A reason starts with one of
+TAGS: an oracle the tests compare against, an API of the README Library
+example, a name perfbench reads, code that runs at import, or the console
+entry point.  Anything else leaves ``src/``: an oracle for ``tests/oracles.py``,
+the rest deleted.
 
 The check clears every pnsheaf ``lru_cache``, so that a cache warmed by an
 earlier test cannot hide a function body, then runs the golden corpus
@@ -7,9 +11,9 @@ through ``main`` under ``sys.setprofile`` and records each code object the
 cases enter.  A code object is matched to its ``def`` by file and first
 line; CPython gives a decorated function the line of its first decorator.
 It fails on a ``def`` that no case enters and ALLOWED does not name, and on
-an ALLOWED entry that a case does enter.  It needs the standard library
-only: ``PYTHONPATH=src python tests/test_reach.py`` runs the same check and
-exits 1 on a failure.
+an ALLOWED entry that a case does enter or whose reason has no tag.  It
+needs the standard library only: ``PYTHONPATH=src python tests/test_reach.py``
+runs the same check and exits 1 on a failure.
 """
 
 from __future__ import annotations
@@ -26,9 +30,11 @@ from test_golden_cli import CORPUS, _run
 
 SRC = pathlib.Path(pnsheaf.__file__).parent
 
-POLY = "Poly helper; tests/test_poly_reference.py checks it against its reference type"
-CHOW = "ChowClass arithmetic; tests/test_chow.py builds its reference classes with it"
-RECORD = "record contract: runs at import, and tests/test_records.py pins it"
+TAGS = ("oracle:", "library example:", "perfbench:", "import:", "entry:")
+
+RECORD = "import: the record helper runs at import, and tests/test_records.py pins it"
+EXAMPLE = "library example: the README Library example builds its forms with it"
+EQUALITY = "oracle: value equality of a Poly and of each record holding one; tests compare with it"
 
 # module.qualname -> why the def stays although no golden case enters it
 ALLOWED = {
@@ -37,47 +43,19 @@ ALLOWED = {
     "_record._setattr": RECORD,
     "_record.field.__init__": RECORD,
     "_record.record": RECORD,
-    "bundles.IrreducibleBundle.rank": "tests/test_bundle_algebra.py sums it against rank()",
-    "bundles.twist": "builds the twisted inputs of the oracle tests (helpers.random_expression)",
-    "chow.ChowClass.__add__": CHOW,
-    "chow.ChowClass.__mul__": CHOW,
-    "chow.ChowClass.__str__": "library text of a class; the CLI has its own, test_chow pins this",
-    "chow.ChowClass.__sub__": CHOW,
-    "chow.ChowClass._match": CHOW,
-    "chow.ChowClass.coefficient": CHOW,
-    "chow.ChowClass.scale": CHOW,
-    "chow.chern_difference": "oracle: tests/test_chow.py checks it against an inverse series",
-    "chow.chow_unit": CHOW,
-    "cli.entry": "the console-script entry point; tests/test_cli.py runs it",
-    "cohomology.CohomologyTable.is_zero": "tests/test_cohomology.py asserts vanishing with it",
-    "cohomology.bott_closed_form": "oracle: the classical table of Omega^k(s), against Bott's",
-    "cohomology.serre_dual_check": "oracle: Serre duality of every table the tests draw",
-    "linalg._check_width": "input check of kernel_basis and in_row_span",
-    "linalg._int_row": "row clearing of kernel_basis and in_row_span",
-    "linalg.in_row_span": "oracle: tests/test_linalg_oracle.py checks it against sympy",
-    "linalg.kernel_basis": "perfbench reads pnsheaf.pfaff.kernel_basis; a sympy-checked oracle",
-    "pfaff.form_coefficient_vector": "oracle: tests/test_pfaff.py checks section spaces with it",
-    "pfaff.log_form": "the README Library example builds a logarithmic form with it",
-    "pfaff.section_space_contains": "oracle: the acceptance tests check section spaces with it",
-    "polyideal.Poly.__eq__": POLY,
-    "polyideal.Poly.__hash__": POLY,
-    "polyideal.Poly.constant": POLY,
-    "polyideal.Poly.leading_coefficient": POLY,
-    "polyideal.Poly.leading_monomial": POLY,
-    "polyideal.Poly.monic": POLY,
-    "polyideal.Poly.one": POLY,
-    "polyideal.Poly.primitive": POLY,
-    "polyideal.Poly.scale": POLY,
-    "polyideal.Poly.terms": "perfbench's tracer reads coefficient sizes through it (_coeff_bits)",
-    "polyideal.Poly.variable": "the README Library example builds its linear forms with it",
-    "polyideal.Poly.zero": POLY,
-    "polyideal.membership_on_charts": "oracle: the acceptance tests check membership with it",
-    "polyideal.monomial_key": "oracle: tests/test_polyideal.py pins degrevlex order with it",
-    "polyideal.normal_form": "oracle: the Buchberger reference tests reduce with it",
-    "polyideal.s_polynomial": "oracle: the Buchberger reference tests build S-pairs with it",
-    "polyideal.unit_ideal": "oracle input: tests/test_pfaff.py reads full section spaces off it",
-    "weights.dotted_weyl_reduce": "oracle: tests/test_bwb_closed_form.py places Bott's groups",
-    "weights.rho_weight": "oracle: the dotted Weyl action of tests/test_bwb_closed_form.py",
+    "chow.ChowClass.__str__":
+        "library example: the README prints a Porteous class; the CLI has its own renderer",
+    "cli.entry": "entry: the console-script entry point; tests/test_cli.py runs it",
+    "linalg._check_width": "perfbench: input check of kernel_basis",
+    "linalg._int_row": "perfbench: row clearing of kernel_basis",
+    "linalg.kernel_basis": "perfbench: its traced test reads pnsheaf.pfaff.kernel_basis",
+    "pfaff.log_form": EXAMPLE,
+    "polyideal.Poly.__eq__": EQUALITY,
+    "polyideal.Poly.__hash__": EQUALITY,
+    "polyideal.Poly.constant": "library example: log_form builds each weight as a constant",
+    "polyideal.Poly.terms": "perfbench: the tracer reads coefficient sizes through it (_coeff_bits)",
+    "polyideal.Poly.variable": EXAMPLE,
+    "polyideal.Poly.zero": "library example: log_form starts each coefficient at zero",
 }
 
 
@@ -130,11 +108,20 @@ def failures() -> list[str]:
     out = [f"not entered by any golden case: {name}" for name in sorted(names - reached - allowed)]
     out += [f"allowed but entered: {name}" for name in sorted(allowed & reached)]
     out += [f"allowed but not a def: {name}" for name in sorted(allowed - names)]
+    out += [f"allowed without a tag: {name}" for name, why in sorted(ALLOWED.items())
+            if not why.startswith(TAGS)]
     return out
 
 
 def test_every_function_is_reached_or_allowed():
     assert not failures()
+
+
+def test_the_readme_library_example_runs(capsys):
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(example, {})
+    assert capsys.readouterr().out == "4*h^2\n"
 
 
 if __name__ == "__main__":

@@ -37,13 +37,14 @@ from pnsheaf import (
     pencil_form,
     random_pencil_form,
     singular_scheme,
-    unit_ideal,
     vanishing_section_space,
 )
 from pnsheaf.linalg import _kernel
 from pnsheaf.pfaff import MAX_UNKNOWNS, _slot_polys
 from pnsheaf.polyideal import _divide, _pack, _reducers, monomials_of_degree
 from pnsheaf.weights import binom
+
+from oracles import unit_ideal
 
 CORPUS_PATH = pathlib.Path(__file__).parent / "golden" / "cli_corpus.json"
 

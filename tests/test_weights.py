@@ -8,18 +8,18 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from pnsheaf import InputError, dotted_weyl_reduce, lr_product, weyl_dim
+from pnsheaf import InputError, lr_product, weyl_dim
 from pnsheaf.weights import (
     _lr_tableaux,
     _lr_terms,
     binom,
     conjugate,
     partitions,
-    rho_weight,
     schur_dim,
 )
 
 from helpers import weights_in_box
+from oracles import dotted_weyl_reduce, rho_weight
 
 
 # ---------------------------------------------------------------------------
