@@ -58,15 +58,13 @@ class TheoremReport:
 
     def text_lines(self) -> list[str]:
         inputs = " ".join(f"{k}={v}" for k, v in self.inputs.items())
-        lines = [f"check {self.theorem}: {inputs}"]
-        for cond in self.conditions:
-            lines.append(f"condition [{'ok' if cond.ok else 'NO'}] {cond.name}")
-        for grp in self.groups:
-            lines.append(f"group i={grp.i} p={grp.p}: dim = {grp.dim}")
-        lines.append(f"verdict: {self.verdict}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        return lines
+        return [
+            f"check {self.theorem}: {inputs}",
+            *(f"condition [{'ok' if cond.ok else 'NO'}] {cond.name}" for cond in self.conditions),
+            *(f"group i={grp.i} p={grp.p}: dim = {grp.dim}" for grp in self.groups),
+            f"verdict: {self.verdict}",
+            *(f"note: {note}" for note in self.notes),
+        ]
 
 
 def _required_groups(cert: ENCertificate) -> tuple[GroupDim, ...]:

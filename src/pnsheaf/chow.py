@@ -15,7 +15,6 @@ determinant det[c_(1+j-i)(G - E)] of size e - g + 1, by the same solve."""
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from ._record import record
@@ -55,6 +54,7 @@ class ChowClass:
     def __post_init__(self):
         if len(self.coeffs) != self.ambient + 1:
             raise InputError("Chow class needs exactly n+1 coefficients")
+        from fractions import Fraction
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
 
     def __str__(self):
@@ -72,13 +72,13 @@ class ChowClass:
 
 
 def chow_zero(n: int) -> ChowClass:
-    return ChowClass(n, tuple(Fraction(0) for _ in range(n + 1)))
+    return ChowClass(n, (0,) * (n + 1))
 
 
 def hyperplane_power(n: int, i: int, c=1) -> ChowClass:
-    coeffs = [Fraction(0)] * (n + 1)
+    coeffs = [0] * (n + 1)
     if 0 <= i <= n:
-        coeffs[i] = Fraction(c)
+        coeffs[i] = c
     return ChowClass(n, tuple(coeffs))
 
 
@@ -151,6 +151,7 @@ def _power_sums(e: BundleExpr) -> tuple[int, ...]:
 
 
 def chern_character(e: BundleExpr) -> ChowClass:
+    from fractions import Fraction
     p = _power_sums(e)
     return ChowClass(e.ambient, tuple(Fraction(pk, math.factorial(k)) for k, pk in enumerate(p)))
 
@@ -162,8 +163,8 @@ def chern_character(e: BundleExpr) -> ChowClass:
 def _series_power(a: list[Fraction], m: int) -> list[Fraction]:
     """a^m truncated to len(a) terms, for a_0 != 0, by J. C. P. Miller's
     recurrence k a_0 b_k = sum_(i=1..k) ((m+1) i - k) a_i b_(k-i)
-    (Knuth, TAOCP vol. 2, 4.7)."""
-    b = [Fraction(a[0]) ** m]
+    (Knuth, TAOCP vol. 2, 4.7).  a holds Fractions, so every b_k is one."""
+    b = [a[0] ** m]
     for k in range(1, len(a)):
         b.append(sum(((m + 1) * i - k) * a[i] * b[k - i] for i in range(1, k + 1)) / (k * a[0]))
     return b
@@ -173,6 +174,7 @@ def _series_power(a: list[Fraction], m: int) -> list[Fraction]:
 def todd_class(n: int) -> ChowClass:
     """td(P^n) = (h / (1 - e^(-h)))^(n+1), exactly, truncated at degree n."""
     _check_ambient(n)
+    from fractions import Fraction
     # (1 - e^{-h}) / h = sum_{i>=0} (-h)^i / (i+1)!
     series = [Fraction((-1) ** i, math.factorial(i + 1)) for i in range(n + 1)]
     return ChowClass(n, tuple(_series_power(series, -(n + 1))))
@@ -207,6 +209,7 @@ def _chern_classes(p: tuple[int, ...]) -> tuple[int, ...]:
     for k in range(1, len(p)):
         acc = sum((-1) ** (i - 1) * c[k - i] * p[i] for i in range(1, k + 1))
         if acc % k:
+            from fractions import Fraction
             raise ConsistencyError(f"Chern class c_{k} came out non-integral: {Fraction(acc, k)}")
         c.append(acc // k)
     return tuple(c)

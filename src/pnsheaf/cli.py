@@ -37,10 +37,8 @@ effect, except that a value below 1 is bad input (exit 2).
 
 from __future__ import annotations
 
-import re
 import sys
 from _json import encode_basestring_ascii  # json.encoder's own; json itself compiles regexes
-from fractions import Fraction
 from types import SimpleNamespace
 
 from .bundles import MAX_OUTPUT_BITS, BundleExpr, IrreducibleBundle, o, rank, tensor
@@ -115,9 +113,11 @@ def _warn_zero(e: BundleExpr) -> None:
 def _check_size(*values) -> None:
     """ScaleExceeded if an int or Fraction in values, which may nest in lists,
     tuples, dicts, expressions, summands, forms and polynomials, has a
-    numerator or denominator above MAX_OUTPUT_BITS."""
+    numerator or denominator above MAX_OUTPUT_BITS.  Only a loaded
+    ``fractions`` can have made a Fraction, so its class is looked up."""
+    fraction = getattr(sys.modules.get("fractions"), "Fraction", int)
     for value in values:
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, (int, fraction)):
             bits = max(value.numerator.bit_length(), value.denominator.bit_length())
             if bits > MAX_OUTPUT_BITS:
                 raise ScaleExceeded(
@@ -217,15 +217,14 @@ def _parse_degrees(text: str) -> tuple[int, ...]:
         raise InputError(f"bad degree list {text!r}; expected like -1,-2") from exc
 
 
-_RANGE_RE = re.compile(r"^(-?\d+)(?::(-?\d+))?$")
-
-
 def _parse_range(text: str) -> range:
-    m = _RANGE_RE.match(text.strip())
-    if not m:
+    lo_text, colon, hi_text = text.strip().partition(":")
+    ends = (lo_text, hi_text) if colon else (lo_text,)
+    # each end is an optional '-', then decimal digits (the regex -?\d+)
+    if not all(end.removeprefix("-").isdecimal() for end in ends):
         raise InputError(f"bad range {text!r}; expected 'a' or 'a:b'")
-    lo = read_int(m.group(1), m.start(1))
-    hi = read_int(m.group(2), m.start(2)) if m.group(2) is not None else lo
+    lo = read_int(lo_text, 0)
+    hi = read_int(hi_text, len(lo_text) + 1) if colon else lo
     if hi < lo:
         raise InputError(f"empty range {text!r}")
     return range(lo, hi + 1)
@@ -552,12 +551,19 @@ def _cmd_pfaff_random_pencil(args) -> int:
 # ---------------------------------------------------------------------------
 # sweeps
 
-# A sweep is refused before its grid is built when its points times n + 1,
-# for its largest P^n, exceed this bound.  At the bound (2 CPUs, Python 3.11)
-# 25,000 codim1 or certificate points on P^2..P^3 take 1.9 s, 9,999 split
-# points on P^9 1.8 s, and endo on P^315 0.7 s and 81 MB.  A point's own
-# cost grows faster than n + 1: one codim1 point on P^1000 takes 0.7 s.
-MAX_SWEEP_WORK = 100_000
+# A sweep is refused before its grid is built when its points times the work
+# of a point on its largest P^n exceed this bound.  The work is fitted per kind
+# to measured time (2 CPUs, Python 3.11): codim1 (and T -> O(t) certificate)
+# points take 60 us on P^3 and 0.4-0.9 s on P^1000; split points at k near n/2
+# 85 us on P^3 and 0.6 s on P^200; endo points 60 us on P^3 and 25 ms on P^1200,
+# charged double to keep an endo sweep under 100 MB.  At the bound: 0.7-2.8 s.
+MAX_SWEEP_WORK = 5_000_000
+SWEEP_POINT_WORK = {
+    "codim1": lambda n: (n + 1) * (n + 40) + n**3 // 1000,
+    "split": lambda n: (n + 1) * (n * n + 400) // 5,
+    "endo": lambda n: (n + 1) * (n + 100) // 10,
+}
+SWEEP_POINT_WORK["certificate"] = SWEEP_POINT_WORK["codim1"]
 
 
 def _series(lo: int, hi: int, shift: int) -> int:
@@ -589,12 +595,13 @@ def _sweep(args, task, grid, points: int, n: int) -> int:
     largest ambient is P^n, in grid order; refused before it is iterated."""
     if args.workers < 1:
         raise InputError(f"--workers must be at least 1; got {args.workers}")
-    if points * (max(n, 0) + 1) > MAX_SWEEP_WORK:
+    work = SWEEP_POINT_WORK[args.sweep_command](max(n, 0))
+    if points * work > MAX_SWEEP_WORK:
         bits = points.bit_length()
         count = str(points) if bits <= MAX_OUTPUT_BITS else f"2^{bits - 1} or more"
         raise ScaleExceeded(
             f"a sweep grid of {count} points up to P^{n} is refused;"
-            f" the bound on points times (n + 1) is {MAX_SWEEP_WORK}"
+            f" the bound there is {MAX_SWEEP_WORK // work} points"
         )
     results = [task(*point) for point in grid]
     failures = sum(1 for r in results if r["verdict"] != HOLD)
@@ -820,14 +827,12 @@ def _table_args(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-_NEGATIVE_VALUE = re.compile(r"^-\d")
-
-
 def _join_negative_values(argv: list[str]) -> list[str]:
     """Glue '--flag -1,-1' into '--flag=-1,-1' so argparse accepts it."""
     out: list[str] = []
     for token in argv:
-        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE_VALUE.match(token):
+        negative = token[:1] == "-" and token[1:2].isdecimal()  # '-' then a digit
+        if out and out[-1].startswith("--") and "=" not in out[-1] and negative:
             out[-1] += f"={token}"
         else:
             out.append(token)

@@ -99,22 +99,16 @@ class ENCertificate:
         }
 
     def text_lines(self) -> list[str]:
-        lines = [
+        return [
             f"certificate on P^{self.n}: E = {render_expression(self.E)}, "
-            f"G = {render_expression(self.G)} (e = {self.e}, g = {self.g})"
+            f"G = {render_expression(self.G)} (e = {self.e}, g = {self.g})",
+            *(f"H^{req.i}({render_expression(req.expr)}) = {req.table.h(req.i)}"
+              f"  [{'ok' if req.ok else 'NONZERO'}]" for req in self.required),
+            *(f"chase: {step}" for step in self.chain_trace),
+            *(f"assumption: {assumption}" for assumption in self.assumptions),
+            f"endomorphism space dimension: {self.endomorphism_dim}",
+            f"verdict: {'holds' if self.verdict else 'fails'}",
         ]
-        for req in self.required:
-            status = "ok" if req.ok else "NONZERO"
-            lines.append(
-                f"H^{req.i}({render_expression(req.expr)}) = {req.table.h(req.i)}  [{status}]"
-            )
-        for step in self.chain_trace:
-            lines.append(f"chase: {step}")
-        for assumption in self.assumptions:
-            lines.append(f"assumption: {assumption}")
-        lines.append(f"endomorphism space dimension: {self.endomorphism_dim}")
-        lines.append(f"verdict: {'holds' if self.verdict else 'fails'}")
-        return lines
 
 
 def _en_term(E: BundleExpr, G: BundleExpr, i: int, g: int, twisted: bool) -> BundleExpr:

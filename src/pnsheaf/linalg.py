@@ -14,7 +14,6 @@ width, raise InputError.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError
@@ -30,6 +29,7 @@ def _check_width(rows, width: int | None = None) -> None:
 
 def _int_row(row) -> dict[int, int]:
     """A row times the lcm of its denominators, sparse; {} for a zero row."""
+    from fractions import Fraction
     row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     den = lcm(*(x.denominator for x in row))
     return {c: x.numerator * (den // x.denominator) for c, x in enumerate(row) if x}
@@ -82,6 +82,7 @@ def _reduced(rows) -> list[tuple[int, dict[int, int]]]:
 def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
     """Basis of the right kernel of the matrix (list of coefficient rows)."""
     _check_width(rows, ncols)
+    from fractions import Fraction
     return [
         tuple(Fraction(vec.get(c, 0), den) for c in range(ncols))
         for vec, den in _kernel(map(_int_row, rows), ncols)

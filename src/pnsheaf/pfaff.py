@@ -12,7 +12,6 @@ uniqueness verdict.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import lcm
 
 from ._record import record
@@ -132,6 +131,7 @@ def log_form(factors, lam) -> TwistedOneForm:
     relation with residual (sum lam_i d_i) * prod F_i, and that violation is
     raised rather than patched.
     """
+    from fractions import Fraction
     factors = list(factors)
     lam = [Fraction(x) for x in lam]
     if len(factors) != len(lam):
@@ -386,9 +386,7 @@ def uniqueness_report(w: TwistedOneForm) -> UniquenessReport:
 
 
 def render_form_file(w: TwistedOneForm) -> str:
-    lines = [f"P^{w.ambient} twist {w.twist}"]
-    for i, c in enumerate(w.coeffs):
-        lines.append(f"A_{i}: {c}")
+    lines = [f"P^{w.ambient} twist {w.twist}", *(f"A_{i}: {c}" for i, c in enumerate(w.coeffs))]
     return "\n".join(lines) + "\n"
 
 

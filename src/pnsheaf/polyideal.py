@@ -9,7 +9,7 @@ is integer order (Monagan-Pearce, CASC 2007).  raw keeps each exponent in a
 _BITS-wide field whose top bit stays clear, so a difference of raws with no
 top bit set means divisibility; a monomial of degree 2**31 or more is
 refused with ScaleExceeded.  Buchberger and division run on the stored
-integer terms, pseudo-reducing with a heap of pending terms.  Fractions
+integer terms, pseudo-reducing with a sorted list of pending terms.  Fractions
 appear only at the edges: ``terms``, rational inputs to ``Poly``, and
 linalg's ``kernel_basis``.  ``parse_poly`` reads its text straight into
 packed terms over one denominator, rational literals included.
@@ -25,8 +25,7 @@ chart or generators of degree above 8.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from bisect import insort
 from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 
@@ -126,7 +125,9 @@ class Poly:
     def __init__(self, nvars: int, terms: dict | None = None):
         coeffs = {}
         for expo, c in (terms or {}).items():
-            c = c if type(c) is int else Fraction(c)
+            if type(c) is not int:
+                from fractions import Fraction
+                c = Fraction(c)
             if not c:
                 continue
             if type(expo) is not tuple or len(expo) != nvars or not all(
@@ -155,6 +156,7 @@ class Poly:
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
         """A fresh {exponent vector: coefficient} dict of the nonzero terms."""
+        from fractions import Fraction
         return {_unpack(k, self.nvars): Fraction(c, self._den) for k, c in self._terms.items()}
 
     # construction helpers ---------------------------------------------------
@@ -289,7 +291,6 @@ class Poly:
 _FACTOR_RE = re.compile(
     r"(?:^\s*|\s*([-+*])\s*)(?:(\d+)(?:/(\d+))?|x(\d+)(?:\s*\^\s*(\d+)(?!\d|/\d))?)"
 )
-_SPACE_RE = re.compile(r"\s*")
 _FACTOR = ("coefficient", "variable")
 
 
@@ -366,18 +367,18 @@ def _exponents(text: str, where: tuple[int, int], nvars: int) -> tuple[int, ...]
 def _parse_error(text: str, pos: int, last) -> ParseError:
     """Why the scan of text stopped at pos: right after the factor match
     last, or at the start when last is None."""
-    at = _SPACE_RE.match(text, pos).end()
+    at = len(text) - len(text[pos:].lstrip())  # past the space, str.isspace as \s
     c = text[at:at + 1]
     if last is None and not c:
         return ParseError("empty polynomial", at, ("term",))
     if last is not None and c == "*":
         after = at + 1
-        nxt = _SPACE_RE.match(text, after).end()
+        nxt = len(text) - len(text[after:].lstrip())
         if text[nxt:nxt + 1] == "*":
             return ParseError("unexpected '*'", after, _FACTOR)
         return ParseError("expected a factor after '*'", after, _FACTOR)
     if c in ("+", "-"):
-        at = _SPACE_RE.match(text, at + 1).end()
+        at = len(text) - len(text[at + 1:].lstrip())
         c = text[at:at + 1]
     elif last is not None:
         if c == "^" and last[4] is not None and last[5] is None:
@@ -410,18 +411,18 @@ def _divide(terms: dict[int, int], reducers, nvars: int) -> tuple[dict[int, int]
 
     Multivariate division by an ordered list of reducers, taking the first
     whose leading monomial divides the current term.  Pending monomials wait
-    in a heap; a step scales by the cofactor of the reducer's leading
-    coefficient instead of dividing by it, so every coefficient stays an
-    integer.  r is built largest monomial first.
+    in an ascending list (insort), the largest popped first; a step scales
+    by the cofactor of the reducer's leading coefficient instead of dividing
+    by it, so every coefficient stays an integer.  r is built largest
+    monomial first.
     """
     span, top = _BITS * nvars, _top_bits(nvars)
     pending = dict(terms)
-    heap = [-k for k in pending]
-    heapify(heap)
+    queue = sorted(pending)
     rem: dict[int, int] = {}
     scale = 1
-    while heap:
-        key = -heappop(heap)
+    while queue:
+        key = queue.pop()
         c = pending.pop(key)
         if not c:
             continue
@@ -447,7 +448,7 @@ def _divide(terms: dict[int, int], reducers, nvars: int) -> tuple[dict[int, int]
                 pending[k] -= b * gc
             else:
                 pending[k] = -b * gc
-                heappush(heap, -k)
+                insort(queue, k)
     return rem, scale
 
 
@@ -503,7 +504,7 @@ def buchberger(gens) -> tuple[Poly, ...]:
     _guard(gens, nvars)
     span, top = _BITS * nvars, _top_bits(nvars)
     basis: list[tuple] = []
-    pairs: list[tuple[int, int, int]] = []  # heap of (packed lcm, i, j), i < j
+    pairs: list[tuple[int, int, int]] = []  # (packed lcm, i, j), i < j, least last
 
     def update(h: tuple) -> None:
         j = len(basis)
@@ -528,14 +529,14 @@ def buchberger(gens) -> tuple[Poly, ...]:
                 chain.append(raw)
                 if shared:
                     kept.append((key, i, j))
-        heapify(kept)
+        kept.sort(reverse=True)
         pairs[:] = kept
         basis.append(h)
 
     for g in gens:
         update(_reducer(g._terms, nvars))
     while pairs:
-        lcm_key, i, j = heappop(pairs)
+        lcm_key, i, j = pairs.pop()
         rem, _ = _divide(_s_pair(basis[i], basis[j], lcm_key)[0], basis, nvars)
         if rem:
             update(_reducer(rem, nvars))

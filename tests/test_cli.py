@@ -8,6 +8,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -1013,6 +1014,21 @@ def test_sweep_rejects_bad_range(capsys):
     capsys.readouterr()
 
 
+def test_ranges_and_negative_values_read_decimal_digits_only():
+    # a digit is what str.isdecimal and the regex \d accept: Arabic-Indic
+    # digits are, a superscript two is not
+    from pnsheaf.cli import _join_negative_values, _parse_range
+    from pnsheaf.errors import InputError
+
+    assert _parse_range(" \u0663:\u0665 ") == range(3, 6)
+    assert _parse_range("-2") == range(-2, -1)
+    for text in ("\u00b2", "1:\u00b2", "-", "1:", "--1", "1:2:3", "1 :2"):
+        with pytest.raises(InputError, match=r"^bad range "):
+            _parse_range(text)
+    joined = _join_negative_values(["--d", "-\u0663", "--n", "-\u00b2"])
+    assert joined == ["--d=-\u0663", "--n", "-\u00b2"]
+
+
 @pytest.mark.parametrize("n", ["-1", "-3:-1"])
 def test_sweep_endo_rejects_an_empty_grid(capsys, n):
     code, out, err = _run(capsys, ["sweep", "endo", "--n", n])
@@ -1030,6 +1046,11 @@ def test_sweep_endo_rejects_an_empty_grid(capsys, n):
         ["certificate", "--E", "T", "--G", "O(1)", "--n", "3", "--twist", "1:2000000"],
         ["split", "--n", "1:10", "--k", "-1000000000000:1", "--d", f"1:{10**18}"],
         ["endo", "--n", f"0:{10**4000}"],
+        # few points, but each costs seconds: about a minute, 7 s, 2.4 s and 30 s
+        ["codim1", "--n", "1000:1000", "--r", "1:99"],
+        ["codim1", "--n", "1000:1000", "--r", "1:12"],
+        ["split", "--n", "500:500", "--k", "1:5", "--d", "1"],
+        ["endo", "--n", "1200:1200"],
     ],
 )
 def test_sweep_refuses_a_large_grid_before_building_it(capsys, monkeypatch, argv):
@@ -1039,13 +1060,14 @@ def test_sweep_refuses_a_large_grid_before_building_it(capsys, monkeypatch, argv
     code, out, err = _run(capsys, ["sweep", *argv])
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
-    assert err.startswith("error: a sweep grid of ") and err.count("\n") == 1, err[:200]
-    assert err.endswith("; the bound on points times (n + 1) is 100000\n")
+    assert re.fullmatch(r"error: a sweep grid of (\d+|2\^\d+ or more) points up to P\^\d+"
+                        r" is refused; the bound there is \d+ points\n", err), err[:200]
 
 
 def test_sweep_bound_admits_grids_at_the_bound(capsys, monkeypatch):
-    # 25,000 points on P^2..P^3 have work 100,000; split and endo grids whose
-    # ranges run far below k >= 1 and n >= 0 run only their points, at once
+    # 25,000 codim1 points on P^2..P^3 have work 4,300,000 of the 5,000,000;
+    # split and endo grids whose ranges run far below k >= 1 and n >= 0 run
+    # only their points, at once
     grids = {}
 
     def task(kind):
@@ -1059,6 +1081,32 @@ def test_sweep_bound_admits_grids_at_the_bound(capsys, monkeypatch):
     assert len(grids["codim1"]) == 25000
     assert grids["split"] == [(1, 1, 0), (2, 1, 0), (2, 2, 0), (3, 1, 0), (3, 2, 0)]
     assert grids["endo"] == [(0, 0), (1, 0), (1, 1)]
+
+
+@pytest.mark.parametrize(
+    "argv, points, refused",
+    [
+        (["codim1", "--n", "1000", "--r", "1:2"], 2, ["--r", "1:3"]),
+        (["certificate", "--E", "T", "--G", "O(1)", "--n", "1000", "--twist", "1:2"], 2,
+         ["--twist", "1:3"]),
+        (["split", "--n", "291", "--k", "145", "--d", "4"], 1, ["--n", "292"]),
+        (["endo", "--n", "337"], 338, ["--n", "338"]),
+    ],
+)
+def test_sweep_bound_admits_the_largest_grids_on_a_large_ambient(capsys, monkeypatch, argv,
+                                                                points, refused):
+    # each grid takes 0.7-2.8 s when it runs; one more point, or P^(n+1), is refused
+    ran = []
+    for kind in ("codim1", "split", "endo", "certificate"):
+        monkeypatch.setattr(f"pnsheaf.cli._sweep_task_{kind}",
+                            lambda *p: ran.append(p) or {"verdict": HOLD})
+    assert main(["sweep", *argv]) == 0
+    assert len(ran) == points
+    capsys.readouterr()
+    flag = argv.index(refused[0])
+    bigger = argv[:flag] + refused + argv[flag + 2:]
+    code, out, err = _run(capsys, ["sweep", *bigger])
+    assert (code, out, len(ran)) == (3, "", points), err
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

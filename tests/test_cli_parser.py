@@ -10,21 +10,27 @@ neither argparse nor locale.  No handler runs in the agreement checks.
 
 Run as a script, ``PYTHONPATH=src python tests/test_cli_parser.py`` checks
 the golden-corpus argvs fast-vs-full with the standard library only, for
-interpreters that have neither pytest nor hypothesis.
+interpreters that have neither pytest nor hypothesis, and pins the import
+set of a fresh run: ``fractions`` (with ``decimal`` and ``numbers``) loads
+only inside a request that makes a Fraction, and ``heapq`` never.
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
 import pathlib
+import subprocess
 import sys
+import tempfile
 
 from pnsheaf.cli import COMMANDS, _join_negative_values, _table_args, build_parser
 
 CORPUS_PATH = pathlib.Path(__file__).parent / "golden" / "cli_corpus.json"
-GOLDEN_CASES = json.loads(CORPUS_PATH.read_text(encoding="utf-8"))["cases"]
+CORPUS = json.loads(CORPUS_PATH.read_text(encoding="utf-8"))
+GOLDEN_CASES = CORPUS["cases"]
 # the runs that compute something: every exit 0 or 1 except --help
 COMPUTING = [c for c in GOLDEN_CASES if c["exit"] in (0, 1) and "--help" not in c["argv"]]
 
@@ -46,7 +52,87 @@ def _agrees(argv: list[str]) -> bool:
     return fast is None or vars(fast) == _full(argv)
 
 
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+# modules a CLI run loads only when its request builds a Fraction (fractions
+# imports decimal and numbers), and heapq, which no run needs
+DEFERRED = {"fractions", "decimal", "numbers", "heapq"}
+
+
+def _fresh(code: str) -> str:
+    """The stdout of code in a fresh ``python -I`` with src first on sys.path."""
+    code = f"import sys; sys.path.insert(0, {SRC!r})\n{code}"
+    done = subprocess.run([sys.executable, "-I", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    return done.stdout
+
+
+def _fresh_golden_run(prefix: list[str]) -> list[str]:
+    """Run the first JSON golden case whose argv starts with prefix through main
+    in a fresh interpreter, check its exit code and bytes, and return which
+    DEFERRED modules it loaded."""
+    case = next(c for c in COMPUTING if c["argv"][:len(prefix)] == prefix and "json" in c["argv"])
+    with tempfile.TemporaryDirectory() as tmp:
+        form = pathlib.Path(tmp) / "form.form"
+        form.write_text(CORPUS["form_file"], encoding="utf-8")
+        argv = [str(form) if word == "{form}" else word for word in case["argv"]]
+        code = (
+            "import io\n"
+            "from pnsheaf.cli import main\n"
+            "sys.stdout, sys.stderr = out, err = io.StringIO(), io.StringIO()\n"
+            f"code = main({argv!r})\n"
+            f"loaded = sorted({sorted(DEFERRED)!r} & sys.modules.keys())\n"
+            "sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__\n"
+            "print(repr((code, out.getvalue(), err.getvalue(), loaded)))\n"
+        )
+        code, out, err, loaded = ast.literal_eval(_fresh(code))
+    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"]), case["argv"]
+    return loaded
+
+
+def test_fresh_sweep_cohomology_and_pfaff_runs_load_no_fraction_or_heap():
+    for prefix in (["sweep", "codim1"], ["cohomology"], ["pfaff", "singular"]):
+        assert _fresh_golden_run(prefix) == [], prefix
+
+
+def test_fresh_chern_run_loads_fractions_only_in_its_request():
+    # the golden bytes, from a Fraction made after the import of pnsheaf.cli
+    assert _fresh_golden_run(["chern"]) == ["decimal", "fractions", "numbers"]
+
+
+def test_size_check_refuses_a_fraction_made_after_the_cli_import():
+    code = (
+        "from pnsheaf.cli import _check_size\n"
+        "from pnsheaf.bundles import MAX_OUTPUT_BITS\n"
+        "from pnsheaf.errors import ScaleExceeded\n"
+        "print('fractions' in sys.modules)\n"
+        "from fractions import Fraction\n"
+        "_check_size({'x': [Fraction(3, 2)]})\n"
+        "try:\n"
+        "    _check_size({'x': [Fraction(3, 1 << MAX_OUTPUT_BITS)]})\n"
+        "except ScaleExceeded as exc:\n"
+        "    print(exc)\n"
+    )
+    assert _fresh(code) == (
+        "False\na result has 14285 bits; the output bound is 14284 bits (4300 digits)\n"
+    )
+
+
+IMPORT_SET_CHECKS = (
+    test_fresh_sweep_cohomology_and_pfaff_runs_load_no_fraction_or_heap,
+    test_fresh_chern_run_loads_fractions_only_in_its_request,
+    test_size_check_refuses_a_fraction_made_after_the_cli_import,
+)
+
+
 if __name__ == "__main__":
+    failed = []
+    for check in IMPORT_SET_CHECKS:
+        try:
+            check()
+        except AssertionError as exc:
+            failed.append(check.__name__)
+            print(f"{check.__name__} failed: {exc}")
     wrong = [c["argv"] for c in GOLDEN_CASES if not _agrees(c["argv"])]
     missed = [c["argv"] for c in COMPUTING if _table_args(_join_negative_values(c["argv"])) is None]
     for argv in wrong:
@@ -54,11 +140,11 @@ if __name__ == "__main__":
     for argv in missed:
         print(f"computing run not on the fast path: {argv}")
     print(f"Python {sys.version.split()[0]}: {len(GOLDEN_CASES)} golden argvs, "
-          f"{len(wrong)} disagree, {len(missed)} computing runs off the fast path")
-    sys.exit(1 if wrong or missed else 0)
+          f"{len(wrong)} disagree, {len(missed)} computing runs off the fast path; "
+          f"{len(failed)} of {len(IMPORT_SET_CHECKS)} import-set checks fail")
+    sys.exit(1 if wrong or missed or failed else 0)
 
 
-import subprocess  # noqa: E402
 from unittest import mock  # noqa: E402
 
 from hypothesis import example, given, settings  # noqa: E402
