@@ -449,11 +449,14 @@ def rank(e: BundleExpr) -> int:
 
 
 def _map_ranks(E: BundleExpr, G: BundleExpr) -> tuple[int, int]:
-    """Ranks e, g of a map E -> G, checked for a common ambient and e >= g; a
-    rank too long to print (above MAX_OUTPUT_BITS) is named by its bit length."""
+    """Ranks e, g of a map E -> G, checked for a common ambient, g >= 1 and
+    e >= g; a rank too long to print (above MAX_OUTPUT_BITS) is named by its
+    bit length."""
     e, g = rank(E), rank(G)
     if E.ambient != G.ambient:
         raise InputError("E and G live on different ambients")
+    if g < 1:
+        raise InputError("G must have positive rank")
     if e < g:
         e_text, g_text = (
             str(r) if r.bit_length() <= MAX_OUTPUT_BITS else f"a rank of {r.bit_length()} bits"

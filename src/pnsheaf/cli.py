@@ -10,14 +10,16 @@ certificate E G        term-wise vanishing certificate for a map E -> G
 porteous E G           expected-codimension degeneracy-locus class and degree
 check ID ...           named hypothesis checkers (thm-1-1, thm-1-2, thm-1-4,
                        prop-4-5, lemma-4-4, or their aliases map, split,
-                       codim1, split-vanishing, endo)
+                       codim1, split-vanishing, endo), each a command with
+                       exactly the flags its checker reads
 pfaff SUB ...          concrete twisted 1-forms: uniqueness, singular,
                        sections, annihilator, random-pencil
 sweep SUB ...          parameter sweeps over a grid of checker inputs
 
-The command line is declared once, in the table COMMANDS.  main reads a
-well-formed argv straight from it and builds the argparse parser only for
-help and errors, so argparse writes every help and error text.
+The command line is declared once, in the table COMMANDS, which alone
+decides which flags a command takes and needs.  main reads a well-formed
+argv straight from it and builds the argparse parser only for help and
+errors, so argparse writes every help and error text.
 
 A result becomes text in one place, _emit: it size-checks every int in the
 payload before it writes JSON or text, so any command whose result has an
@@ -72,15 +74,6 @@ from .pfaff import (
     uniqueness_report,
 )
 from .polyideal import Poly
-
-CHECK_ALIASES = {
-    "map": "thm-1-1",
-    "split": "thm-1-2",
-    "codim1": "thm-1-4",
-    "split-vanishing": "prop-4-5",
-    "endo": "lemma-4-4",
-}
-
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -239,12 +232,6 @@ def _read_form(path: str) -> TwistedOneForm:
     return parse_form_file(text)
 
 
-def _require(args, names: list[str], context: str) -> None:
-    missing = [name for name in names if getattr(args, name.lstrip("-").replace("-", "_"), None) is None]
-    if missing:
-        raise InputError(f"{context} needs {', '.join(missing)}")
-
-
 # ---------------------------------------------------------------------------
 # bundle subcommands
 
@@ -393,45 +380,20 @@ def _cmd_porteous(args) -> int:
     return 0
 
 
-# canonical id -> (flags it needs, other flags it takes, builder of its
-# TheoremReport from args)
+# check name -> its checker, run on the parsed args; an alias runs its id's
 CHECKS = {
-    "thm-1-1": (
-        ["--E", "--G"],
-        ["--n"],
-        lambda a: check_map_recovery(_load_expr(a.E, a.n), _load_expr(a.G, a.n)),
-    ),
-    "thm-1-2": (
-        ["--n", "--k", "--degrees"],
-        [],
-        lambda a: check_split_distribution(a.n, a.k, _parse_degrees(a.degrees)),
-    ),
-    "thm-1-4": (["--n", "--r"], [], lambda a: check_codim1_generic(a.n, a.r)),
-    "prop-4-5": (
-        ["--n", "--k", "--degrees"],
-        [],
-        lambda a: check_split_vanishing(a.n, a.k, _parse_degrees(a.degrees)),
-    ),
-    "lemma-4-4": (["--n", "--k"], [], lambda a: check_endomorphism_space(a.k, a.n)),
+    "thm-1-1": lambda a: check_map_recovery(_load_expr(a.E, a.n), _load_expr(a.G, a.n)),
+    "thm-1-2": lambda a: check_split_distribution(a.n, a.k, _parse_degrees(a.degrees)),
+    "thm-1-4": lambda a: check_codim1_generic(a.n, a.r),
+    "prop-4-5": lambda a: check_split_vanishing(a.n, a.k, _parse_degrees(a.degrees)),
+    "lemma-4-4": lambda a: check_endomorphism_space(a.k, a.n),
 }
+CHECKS |= {"map": CHECKS["thm-1-1"], "split": CHECKS["thm-1-2"], "codim1": CHECKS["thm-1-4"],
+           "split-vanishing": CHECKS["prop-4-5"], "endo": CHECKS["lemma-4-4"]}
 
 
 def _cmd_check(args) -> int:
-    ident = CHECK_ALIASES.get(args.id, args.id)
-    if ident not in CHECKS:
-        known = sorted({*CHECK_ALIASES, *CHECKS})
-        raise InputError(f"unknown check id {args.id!r}; choose from {', '.join(known)}")
-    flags, optional, build = CHECKS[ident]
-    _require(args, flags, f"check {ident}")
-    unused = [
-        flag
-        for flag, _ in COMMANDS["check"][2]
-        if flag.startswith("--") and flag not in flags + optional
-        and getattr(args, flag[2:]) is not None
-    ]
-    if unused:
-        raise InputError(f"check {ident} does not take {', '.join(unused)}")
-    report = build(args)
+    report = CHECKS[args.check_command](args)
     _emit(args, report.to_json_dict(), report.text_lines)
     return 0 if report.verdict == HOLD else 1
 
@@ -652,8 +614,6 @@ def _cmd_sweep_endo(args) -> int:
 
 
 def _cmd_sweep_certificate(args) -> int:
-    if args.n is None:
-        raise InputError("sweep certificate needs --n")
     E = _load_expr(args.E, args.n)
     G = _load_expr(args.G, args.n)
     ts = _parse_range(args.twist)
@@ -668,8 +628,13 @@ def _cmd_sweep_certificate(args) -> int:
 _N = ("--n", {"type": int})
 _E_G_N = [("E", {}), ("G", {}), _N]
 _REQ = {"required": True}
+_N_REQ, _K_REQ = ("--n", {"type": int, **_REQ}), ("--k", {"type": int, **_REQ})
 _FILE = ("--file", _REQ)
 _WORKERS = ("--workers", {"type": int, "default": 1})
+# the flags of each check, shared by an id and its alias
+_MAP = [("--E", _REQ), ("--G", _REQ), _N]
+_SPLIT = [_N_REQ, _K_REQ, ("--degrees", {**_REQ, "help": "comma-separated, e.g. -1,-1"})]
+_CODIM1, _ENDO = [_N_REQ, ("--r", {"type": int, **_REQ})], [_N_REQ, _K_REQ]
 
 # A command maps its name to (help, handler, [(flag, add_argument kwargs)]),
 # a group of commands to (help, table of its commands).
@@ -687,13 +652,18 @@ COMMANDS = {
     ]),
     "certificate": ("vanishing certificate for E -> G", _cmd_certificate, _E_G_N),
     "porteous": ("degeneracy-locus class of E -> G", _cmd_porteous, _E_G_N),
-    "check": ("named hypothesis checkers", _cmd_check, [
-        ("id", {"help": "thm-1-1 | thm-1-2 | thm-1-4 | prop-4-5 | lemma-4-4"}),
-        _N, ("--k", {"type": int}), ("--r", {"type": int}),
-        ("--degrees", {"help": "comma-separated, e.g. -1,-1"}),
-        ("--E", {"help": "source expression (thm-1-1)"}),
-        ("--G", {"help": "target expression (thm-1-1)"}),
-    ]),
+    "check": ("named hypothesis checkers", {
+        "thm-1-1": ("Theorem 1.1: a map E -> G", _cmd_check, _MAP),
+        "thm-1-2": ("Theorem 1.2: a split codimension-k distribution", _cmd_check, _SPLIT),
+        "thm-1-4": ("Theorem 1.4: codimension one, normal sheaf O(r)", _cmd_check, _CODIM1),
+        "prop-4-5": ("Proposition 4.5: the split vanishing", _cmd_check, _SPLIT),
+        "lemma-4-4": ("Lemma 4.4: the endomorphism space", _cmd_check, _ENDO),
+        "map": ("alias of thm-1-1", _cmd_check, _MAP),
+        "split": ("alias of thm-1-2", _cmd_check, _SPLIT),
+        "codim1": ("alias of thm-1-4", _cmd_check, _CODIM1),
+        "split-vanishing": ("alias of prop-4-5", _cmd_check, _SPLIT),
+        "endo": ("alias of lemma-4-4", _cmd_check, _ENDO),
+    }),
     "pfaff": ("concrete twisted 1-forms", {
         "uniqueness": ("is the form determined by its singular scheme?", _cmd_pfaff_uniqueness, [
             ("--file", {"required": True, "help": "form file: 'P^n twist r' + A_i lines"}),
@@ -706,8 +676,7 @@ COMMANDS = {
             _FILE, ("--bound", {"type": int, "default": 1, "help": "maximum field degree"}),
         ]),
         "random-pencil": ("seeded random pencil form P dQ - Q dP", _cmd_pfaff_random_pencil, [
-            ("--n", {"type": int, "required": True}),
-            ("--degree", {"type": int, "required": True}),
+            _N_REQ, ("--degree", {"type": int, **_REQ}),
             ("--out", {"help": "write the form file here"}),
         ]),
     }),
@@ -722,7 +691,7 @@ COMMANDS = {
             ("--n", _REQ), _WORKERS,
         ]),
         "certificate": ("certificate of E -> G (x) O(t) over twists t", _cmd_sweep_certificate, [
-            ("--E", _REQ), ("--G", _REQ), _N,
+            ("--E", _REQ), ("--G", _REQ), _N_REQ,
             ("--twist", {"required": True, "help": "twist range for G"}), _WORKERS,
         ]),
     }),

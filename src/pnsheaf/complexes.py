@@ -38,7 +38,7 @@ from .bundles import (
     wedge,
 )
 from .cohomology import CohomologyTable, _count_map_table
-from .errors import InputError, UnsupportedPlethysm
+from .errors import ScaleExceeded, UnsupportedPlethysm
 from .grammar import render_expression
 
 
@@ -123,8 +123,6 @@ def en_resolution(E: BundleExpr, G: BundleExpr, twisted: bool = False) -> ENReso
     """The e - g + 1 bundle terms resolving the maximal-minor ideal sheaf, each
     normalized as it is built, so the first term a guard refuses stops the walk."""
     e, g = _map_ranks(E, G)
-    if g < 1:
-        raise InputError("G must have positive rank")
     terms = []
     for i in range(g, e + 1):
         terms.append(_en_term(E, G, i, g, twisted))
@@ -159,15 +157,42 @@ def _chain_trace(e: int, g: int, verdict: bool, failed: tuple[int, ...]) -> tupl
     return tuple(lines)
 
 
+# A product of count maps in a bracket is refused before it starts above this
+# LR work: n * (|lam| + |mu|) * lam_1 * mu_1 for each distinct pair of weights
+# that needs an LR tableau enumeration (both first rows 2 or more; Pieri's rule
+# does the rest).  Fitted to measured time (2 CPUs, Python 3.11): 0.14-1.5 us a
+# unit (5th to 95th percentile, products of 5 ms or more), 15-150 ms at the bound.
+MAX_BRACKET_WORK = 100_000
+
+
+def _product_work(a: Terms, b: Terms, n: int) -> int:
+    """The LR work of a (x) b, summed over the weight pairs in one pass per side."""
+    left = {lam for (lam, _), _ in a if lam[0] > 1}
+    right = left and {lam for (lam, _), _ in b if lam[0] > 1}
+    if not right:
+        return 0
+    rows = [sum(lam[0] for lam in side) for side in (left, right)]
+    boxes = [sum(sum(lam) * lam[0] for lam in side) for side in (left, right)]
+    return n * (boxes[0] * rows[1] + rows[0] * boxes[1])
+
+
+def _tensor_bracket(a: Terms, b: Terms, n: int, term: int) -> dict:
+    """a (x) b as a count map, refused before any product above MAX_BRACKET_WORK."""
+    if (work := _product_work(a, b, n)) > MAX_BRACKET_WORK:
+        raise ScaleExceeded(f"the certificate term M_{term} needs {work} units of LR work;"
+                            f" the bound is {MAX_BRACKET_WORK}")
+    return _tensor_into({}, a, b)
+
+
 @lru_cache(maxsize=1024)  # a benchmark or golden request fills at most 27
 def _en_bracket(E: BundleExpr, G0_dual: Terms, g: int, i: int) -> Terms:
     """wedge^g(E*) (x) wedge^(g+i)(E) (x) Sym^i(G0*) as a count map, G0_dual
     being G0*'s; i = 0 gives the endomorphism space, for any G0_dual."""
     n = E.ambient
     wedge_g_dual = _normalize_cached(wedge(g, dual(E)))
-    acc = _tensor_into({}, wedge_g_dual, _normalize_cached(wedge(g + i, E)))
+    acc = _tensor_bracket(wedge_g_dual, _normalize_cached(wedge(g + i, E)), n, g + i)
     if i:
-        acc = _tensor_into({}, acc.items(), _graded_power(G0_dual, n, i, False))
+        acc = _tensor_bracket(acc.items(), _graded_power(G0_dual, n, i, False), n, g + i)
     return tuple(acc.items())
 
 

@@ -30,7 +30,6 @@ from pnsheaf import (
     ScaleExceeded,
     Tangent,
     Tensor,
-    TheoremReport,
     TwistedOneForm,
     Wedge,
     cohomology_table,
@@ -42,7 +41,7 @@ from pnsheaf import (
     render_form_file,
 )
 from pnsheaf.bundles import _normalize_cached
-from pnsheaf.cli import CHECK_ALIASES, CHECKS, main
+from pnsheaf.cli import COMMANDS, _join_negative_values, main
 from pnsheaf.cohomology import _bott
 
 from helpers import random_expression
@@ -135,6 +134,8 @@ def test_bad_input_is_two(capsys):
     capsys.readouterr()
     assert main(["check", "thm-1-2", "--n", "3", "--k", "2"]) == 2  # missing flag
     capsys.readouterr()
+    assert main(["check", "--n", "3", "thm-1-4", "--r", "5"]) == 2  # flags before the id
+    capsys.readouterr()
     assert main(["pfaff", "uniqueness", "--file", "/nonexistent.form"]) == 2
     capsys.readouterr()
     assert main([]) == 2  # missing subcommand
@@ -188,6 +189,43 @@ def test_large_power_of_a_sum_is_refused_before_it_starts(capsys):
         "error: sym^3000 of a sum of 2 summands needs 9009002 expansion steps;"
         " the bound is 1000000\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, term, work",
+    [
+        # 13.7 s and exit 1 before the bracket guard
+        (["certificate", "T (+) T", "O(1) (+) O(1)", "--n", "50"], 10, 108000),
+        # 4.7 s, inside the sweep bound
+        (["sweep", "certificate", "--E", "T (+) T", "--G", "O(1) (+) O(1)", "--n", "40",
+          "--twist", "0:1"], 14, 103040),
+    ],
+    ids=["certificate-p50", "sweep-certificate-p40"],
+)
+def test_bracket_lr_work_is_refused_at_once(capsys, argv, term, work):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: the certificate term M_{term} needs {work} units of LR work;"
+        " the bound is 100000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certificate", "T", "wedge(3,T)", "--n", "2"],
+        ["check", "thm-1-1", "--E", "O(2)", "--G", "wedge(4,T)", "--n", "3"],
+        ["porteous", "O(1)", "wedge(4,T)", "--n", "3"],
+        ["en-resolution", "T", "wedge(3,T)", "--n", "2"],
+        ["sweep", "certificate", "--E", "T", "--G", "wedge(3,T)", "--n", "2", "--twist", "0:2"],
+    ],
+    ids=lambda argv: argv[0] if argv[0] != "sweep" else "sweep-certificate",
+)
+def test_a_map_into_a_zero_rank_bundle_is_bad_input(capsys, argv):
+    assert _run(capsys, argv) == (2, "", "error: G must have positive rank\n")
 
 
 def test_sym_of_a_repeated_summand_is_fast(capsys):
@@ -790,28 +828,53 @@ def test_check_alias_matches_canonical_id(capsys):
     assert alias == canonical
 
 
-def test_every_check_id_and_alias_reaches_the_check_table(monkeypatch, capsys):
-    assert tuple(CHECKS) == CHECK_IDS
-    stubs = {
-        ident: ([], [], lambda args, ident=ident: TheoremReport(ident, {}, (), (), HOLD))
-        for ident in CHECKS
-    }
-    monkeypatch.setattr("pnsheaf.cli.CHECKS", stubs)
-    for name in CHECK_IDS + tuple(CHECK_ALIASES):
-        code, payload = _run_json(capsys, ["check", name])
-        assert (code, payload["theorem"]) == (0, CHECK_ALIASES.get(name, name))
+CHECK_GROUP = COMMANDS["check"][1]
+# a value for each flag a check can take: every check below runs on P^3
+_CHECK_VALUES = {"--E": "T", "--G": "O(1)", "--n": "3", "--k": "1", "--r": "5", "--degrees": "-3"}
+
+
+def _check_argv(name: str, leave_out: str | None = None) -> list[str]:
+    """check NAME with a value for every flag its entry lists, but leave_out."""
+    flags = [flag for flag, _ in CHECK_GROUP[name][2] if flag != leave_out]
+    return ["check", name, *(word for flag in flags for word in (flag, _CHECK_VALUES[flag]))]
+
+
+def test_every_check_id_and_alias_reaches_the_check_table(capsys):
+    ids = [name for name, (help_text, *_) in CHECK_GROUP.items()
+           if not help_text.startswith("alias of ")]
+    assert tuple(ids) == CHECK_IDS
+    for name, (help_text, handler, flags) in CHECK_GROUP.items():
+        ident = help_text.removeprefix("alias of ") if name not in ids else name
+        # an alias is one more entry with its id's handler and flag list
+        assert handler is CHECK_GROUP[ident][1] and flags is CHECK_GROUP[ident][2]
+        code, payload = _run_json(capsys, _check_argv(name))
+        assert (code, payload["theorem"]) == (0, ident), name
+
+
+def _refused(capsys, argv: list[str], error: str) -> None:
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, ""), argv
+    assert err.endswith(f" error: {error}\n"), argv
 
 
 def test_check_refuses_flags_it_does_not_take(capsys):
-    code, out, err = _run(
-        capsys,
-        ["check", "thm-1-4", "--n", "3", "--r", "5", "--k", "2", "--degrees=-1", "--E", "T"],
-    )
-    assert (code, out) == (2, "")
-    assert err == "error: check thm-1-4 does not take --k, --degrees, --E\n"
-    argv = ["check", "map", "--E", "T", "--G", "O(1)", "--n", "2", "--r", "3"]
-    code, _, err = _run(capsys, argv)
-    assert (code, err) == (2, "error: check thm-1-1 does not take --r\n")
+    # each flag of _CHECK_VALUES that a check or alias does not read
+    for name, (_, _, flags) in CHECK_GROUP.items():
+        taken = [flag for flag, _ in flags]
+        for flag, value in _CHECK_VALUES.items():
+            if flag not in taken:
+                # main glues '--degrees -3' into '--degrees=-3' before argparse
+                words = " ".join(_join_negative_values([flag, value]))
+                _refused(capsys, _check_argv(name) + [flag, value],
+                         f"unrecognized arguments: {words}")
+
+
+def test_check_needs_each_required_flag(capsys):
+    for name, (_, _, flags) in CHECK_GROUP.items():
+        for flag, kwargs in flags:
+            if kwargs.get("required"):
+                _refused(capsys, _check_argv(name, flag),
+                         f"the following arguments are required: {flag}")
 
 
 def test_map_check_takes_the_ambient_from_n(capsys):

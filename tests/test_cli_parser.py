@@ -176,12 +176,20 @@ VOCABULARY = sorted({
     "--format=json", "--n=3", "--form", "--", "-1 on P^2",
 })
 
-# a command path then any words, or any words at all
+CHECK_NAMES = sorted(COMMANDS["check"][1]) + ["bogus"]
+CHECK_WORDS = sorted({*_words(COMMANDS["check"][1]), "3", "-1", "T", "O(1)"} - set(CHECK_NAMES))
+
+# a command path then any words, any words at all, or check misuse: check
+# flags and values around a check name or an unknown one
 ARGVS = st.one_of(
     st.builds(lambda path, rest: path + rest,
               st.sampled_from(list(_paths(COMMANDS))),
               st.lists(st.sampled_from(VOCABULARY), max_size=8)),
     st.lists(st.sampled_from(VOCABULARY), max_size=6),
+    st.builds(lambda before, name, after: ["check", *before, name, *after],
+              st.lists(st.sampled_from(CHECK_WORDS), max_size=3),
+              st.sampled_from(CHECK_NAMES),
+              st.lists(st.sampled_from(CHECK_WORDS), max_size=8)),
 )
 
 
@@ -204,6 +212,11 @@ def _golden_examples(test):
 @example(["en-resolution", "T", "O(1)", "--twisted=yes", "--n=3"])
 @example(["chi", "x", "--format", "xml"])
 @example(["chi", "x", "--n", "x"])
+@example(["check", "thm-1-4", "--n", "3", "--r", "5", "--k", "2"])  # a flag it does not read
+@example(["check", "thm-1-2", "--n", "3", "--k", "2"])  # a required flag missing
+@example(["check", "bogus", "--n", "3"])  # an unknown id
+@example(["check", "--n", "3", "thm-1-4", "--r", "5"])  # flags before the id
+@example(["check", "map", "--E", "T", "--G", "O(1)"])  # --n is optional for thm-1-1
 @_golden_examples
 def test_fast_path_agrees_with_argparse(argv):
     assert _agrees(argv)

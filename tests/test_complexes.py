@@ -136,3 +136,22 @@ def test_certificate_json_schema_keys():
         assert isinstance(entry["expr"], str)
         assert len(entry["h"]) == d["n"] + 1
 
+
+
+def test_bracket_work_is_the_sum_over_pairs_of_tableau_weights():
+    # the charge sums n * (|lam| + |mu|) * lam_1 * mu_1 over the distinct pairs
+    # whose product needs an LR tableau enumeration, in one pass per side
+    from pnsheaf.bundles import _normalize_cached
+    from pnsheaf.complexes import _product_work
+
+    for n, left, right in [
+        (5, "wedge(2, dual(T (+) T))", "wedge(4, T (+) T)"),
+        (4, "wedge(3, dual(3*T)) (+) O(1)", "sym(2, T) (+) wedge(2, T) (+) O(2)"),
+        (6, "wedge(2, dual(Omega^1 (+) T))", "wedge(5, Omega^1 (+) T (+) O(1))"),
+        (3, "T (+) O(1)", "wedge(2, 2*T)"),
+    ]:
+        a = _normalize_cached(parse_expression(left, n))
+        b = _normalize_cached(parse_expression(right, n))
+        lams = [{lam for (lam, _), _ in terms if lam[0] > 1} for terms in (a, b)]
+        pairs = sum(n * (sum(x) + sum(y)) * x[0] * y[0] for x in lams[0] for y in lams[1])
+        assert _product_work(a, b, n) == pairs
