@@ -4,13 +4,15 @@ The Chow ring is Q[h]/(h^(n+1)); a public class (``ChowClass``) is the
 vector of Fraction coefficients of 1, h, ..., h^n.  Chern characters are
 computed over int, as the power sums p_k = k! ch_k of the Chern roots.  As
 Q = (n+1) O - O(-1) in K-theory, S_lam(Q)(t) has the character
-sum_j v_j e^((t-j)h), where v_j = (-1)^j s_(lam/1^j)(1^(n+1)) comes from one
-fraction-free solve of a skew Jacobi-Trudi system; Newton's identities turn
-power sums into Chern classes, of a bundle or, from p(G) - p(E), of a
-difference G - E.  The Todd class (h/(1 - e^(-h)))^(n+1) is a power of a
-series by Miller's recurrence, and Euler characteristics are the degree-n
-coefficient of ch * td.  Maximal-minor degeneracy classes use the
-determinant det[c_(1+j-i)(G - E)] of size e - g + 1, by the same solve."""
+sum_j v_j e^((t-j)h), where v_j = (-1)^j s_(lam/1^j)(1^(n+1)) spans the
+kernel of a skew Jacobi-Trudi matrix, read from ``linalg._kernel`` and
+scaled to sum to the rank; Newton's identities turn power sums into Chern
+classes, of a bundle or, from p(E) - p(G), of a difference E - G.  The Todd
+class (h/(1 - e^(-h)))^(n+1) is a power of a series by Miller's recurrence,
+and Euler characteristics are the degree-n coefficient of ch * td.  The
+maximal-minor degeneracy class, the determinant det[c_(1+j-i)(G - E)] of
+size k = e - g + 1, is h_k(G - E) = (-1)^k c_k(E - G) by the dual
+Jacobi-Trudi identity (Macdonald, I.3), so no determinant is formed."""
 
 from __future__ import annotations
 
@@ -20,21 +22,17 @@ from functools import lru_cache
 from ._record import record
 from .bundles import BundleExpr, _map_ranks, _normalize_cached
 from .errors import ConsistencyError, InputError, ScaleExceeded
-from .weights import binom
+from .linalg import _kernel
+from .weights import binom, weyl_dim
 
 # Chow-ring work is refused above this P^n, before it starts; at the bound,
 # todd_class(64) takes about 0.03 s (2 CPUs, Python 3.11).
 MAX_CHOW_AMBIENT = 64
-# A Chern character is refused before any skew Jacobi-Trudi solve when the
+# A Chern character is refused before any skew Jacobi-Trudi kernel when the
 # sum of l^3 over the distinct partitions of its summands, l their numbers of
-# nonzero parts, exceeds the cost of one solve of the largest size at the
-# ambient bound; that one solve takes 0.3-1.9 s on P^64 (2 CPUs, Python 3.11).
+# nonzero parts, exceeds the cost of one kernel of the largest size at the
+# ambient bound; that one kernel takes 0.05-0.3 s on P^64 (2 CPUs, Python 3.11).
 MAX_SKEW_WORK = MAX_CHOW_AMBIENT**3
-# A Porteous determinant of size l whose entries have at most b bits has
-# Bareiss intermediates of about l * (b + log2 l) bits (Hadamard's bound);
-# above this bound, with l.bit_length() for log2 l, it is refused before the
-# solve.  At the bound a 64 x 64 solve takes about 1 s (2 CPUs, Python 3.11).
-MAX_PORTEOUS_BITS = 2**17
 
 
 def _check_ambient(n: int) -> None:
@@ -86,41 +84,21 @@ def hyperplane_power(n: int, i: int, c=1) -> ChowClass:
 # Chern character
 
 
-def _solve(rows: list[list[int]]) -> tuple[int, tuple[int, ...]]:
-    """det A and det(A) A^-1 c for the integer rows [A | c], which it
-    overwrites, by Bareiss's fraction-free Gauss-Jordan elimination (Math.
-    Comp. 22, 1968): after step k the pivot is a (k+1)-minor of A and every
-    division by the previous pivot is exact.  A singular A gives (0, 0...)."""
-    size, det, sign = len(rows), 1, 1
-    for k in range(size):
-        p = next((i for i in range(k, size) if rows[i][k]), None)
-        if p is None:
-            return 0, (0,) * size
-        if p != k:
-            rows[k], rows[p], sign = rows[p], rows[k], -sign
-        pivot = rows[k]
-        for i, row in enumerate(rows):
-            if i != k:
-                f, a = row[k], pivot[k]
-                row[k + 1 :] = [(a * x - f * y) // det for x, y in zip(row[k + 1 :], pivot[k + 1 :])]
-        det = pivot[k]
-    return sign * det, tuple(sign * row[-1] for row in rows)
-
-
 @lru_cache(maxsize=256)  # a benchmark or golden request fills at most 40
 def _skew_dims(lam: tuple[int, ...], n: int) -> tuple[int, ...]:
     """v_j = (-1)^j s_(lam/1^j)(1^(n+1)), j = 0..l, for the l nonzero parts of lam.
 
     With h_m = C(n+m, n), the skew Jacobi-Trudi determinant s_(lam/1^j) is the
     maximal minor without column j of N = [h_(lam_a - a + b - 1)], a l x (l+1)
-    matrix (Macdonald, Symmetric Functions, I.(5.4)); so v spans the kernel of
-    N = [c | A], and v = (det A, -det(A) A^-1 c).
+    matrix of rank l (Macdonald, Symmetric Functions, I.(5.4)); so v is N's one
+    kernel vector, scaled so that sum_j v_j = rank S_lam(Q) = weyl_dim(lam, n).
     """
-    lam = tuple(x for x in lam if x)
-    size = len(lam)
-    h = [[binom(n + lam[a] - a + b - 1, n) for b in range(size + 1)] for a in range(size)]
-    det, x = _solve([row[1:] + row[:1] for row in h])
-    return (det,) + tuple(-y for y in x)
+    size = sum(1 for x in lam if x)
+    rows = [{b: h for b in range(size + 1) if (h := binom(n + lam[a] - a + b - 1, n))}
+            for a in range(size)]
+    ((vec, _),) = _kernel(rows, size + 1)
+    scale = weyl_dim(lam, n) // sum(vec.values())
+    return tuple(scale * vec.get(j, 0) for j in range(size + 1))
 
 
 def _ch_schur_q(lam: tuple[int, ...], n: int, t: int) -> tuple[int, ...]:
@@ -216,8 +194,9 @@ def _chern_classes(p: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _difference_classes(E: BundleExpr, G: BundleExpr) -> tuple[int, ...]:
-    """c_0, ..., c_n of G - E from p(G) - p(E); G's are taken first, as c(G) was."""
-    return _chern_classes(tuple(a - b for a, b in zip(_power_sums(G), _power_sums(E))))
+    """c_0, ..., c_n of E - G from p(E) - p(G); G's power sums are taken
+    first, so that a refusal of both names G."""
+    return _chern_classes(tuple(b - a for a, b in zip(_power_sums(G), _power_sums(E))))
 
 
 @record
@@ -232,25 +211,16 @@ class PorteousResult:
 def porteous_class(E: BundleExpr, G: BundleExpr) -> PorteousResult:
     """Class of the locus where a generic map E -> G drops to rank < rank(G).
 
-    Expected codimension is e - g + 1; the class is the determinant of the
-    (e-g+1) x (e-g+1) matrix with (i, j) entry c_(1+j-i)(G - E).  When the
-    codimension exceeds n the zero class is returned and flagged.  A matrix
-    whose entries are too long for MAX_PORTEOUS_BITS is refused before the
-    solve.
+    Expected codimension is k = e - g + 1; the class is the determinant of
+    the k x k matrix with (i, j) entry c_(1+j-i)(G - E), which is
+    h_k(G - E) = (-1)^k c_k(E - G) (Fulton, Intersection Theory, 14.4).
+    When the codimension exceeds n the zero class is returned and flagged.
     """
     e, g = _map_ranks(E, G)
     n = E.ambient
     codim = e - g + 1
-    diff = _difference_classes(E, G)
+    c = _difference_classes(E, G)
     if codim > n:
         return PorteousResult(n, codim, chow_zero(n), 0, False)
-    # the entries c_(1+j-i) reach at most c_codim, and codim <= n
-    bits = max(abs(x).bit_length() for x in diff[: codim + 1])
-    if (size_bits := codim * (bits + codim.bit_length())) > MAX_PORTEOUS_BITS:
-        raise ScaleExceeded(
-            f"the Porteous determinant of size {codim} has entries of up to {bits} bits, so"
-            f" its solve needs about {size_bits} bits; the bound is {MAX_PORTEOUS_BITS}"
-        )
-    rows = [[diff[1 + j - i] if j + 1 >= i else 0 for j in range(codim)] + [0] for i in range(codim)]
-    det, _ = _solve(rows)
-    return PorteousResult(n, codim, hyperplane_power(n, codim, det), det, True)
+    degree = (-1) ** codim * c[codim]
+    return PorteousResult(n, codim, hyperplane_power(n, codim, degree), degree, True)

@@ -255,11 +255,12 @@ def _cmd_cohomology(args) -> int:
     }
 
     def lines():
+        by_degree = [[] for _ in table.dims]
+        for c in table.contributions:
+            by_degree[c.degree].append(f"{c.summand} x{c.multiplicity} (dim {c.dim})")
         out = [f"P^{table.ambient}: {text}"]
-        for p, d in enumerate(table.dims):
-            contribs = ", ".join(f"{c.summand} x{c.multiplicity} (dim {c.dim})"
-                                 for c in table.contributions if c.degree == p)
-            out.append(f"h^{p} = {d}" + (f"   from {contribs}" if contribs else ""))
+        for p, (d, contribs) in enumerate(zip(table.dims, by_degree)):
+            out.append(f"h^{p} = {d}" + (f"   from {', '.join(contribs)}" if contribs else ""))
         out.append(f"chi = {chi}")
         return out
 

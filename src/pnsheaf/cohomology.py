@@ -6,8 +6,9 @@ some a_k, and otherwise one nonzero group, in degree #{k : a_k < x}, of
 dimension rank(S_lam(Q)) * prod_k |a_k - x| / n! (the Weyl dimension of
 the dotted-Weyl reduction of (lam, x), without sorting it).  A table is
 read straight off the engine's count map of (lam, twist) pairs, with one
-cached Bott lookup (_bott) per summand; the public IrreducibleBundle and
-Contribution objects are built only when a table's contributions are read.
+cached Bott lookup (_bott) per summand, whose group it keeps; the public
+IrreducibleBundle and Contribution objects are built from those only when a
+table's contributions are read.
 """
 
 from __future__ import annotations
@@ -32,26 +33,21 @@ class Contribution:
 
 @record
 class CohomologyTable:
-    """(h^0, ..., h^n) of expr; _terms is its count map, in any order, read only
-    for contributions.  A table read straight off a count map has expr None."""
+    """(h^0, ..., h^n) of expr; _groups holds (degree, lam, twist, multiplicity,
+    dim) for each summand with cohomology, in any order, read only for
+    contributions.  A table read straight off a count map has expr None."""
 
     ambient: int
     dims: tuple[int, ...]
     expr: BundleExpr | None = None
-    _terms: Terms = field(default=(), repr=False, compare=False)
+    _groups: tuple = field(default=(), repr=False, compare=False)
 
     @cached_property
     def contributions(self) -> tuple[Contribution, ...]:
         """Each summand with cohomology, by (degree, lam, twist); built on first read."""
         n = self.ambient
-        out = []
-        for (lam, twist), mult in sorted(self._terms):  # ascending by (lam, twist)
-            group = _bott(n, lam, twist)
-            if group is not None:
-                degree, dim = group
-                out.append(Contribution(degree, IrreducibleBundle(n, lam, twist), mult, dim))
-        out.sort(key=lambda c: c.degree)  # stable, so (lam, twist) order holds within a degree
-        return tuple(out)
+        return tuple(Contribution(degree, IrreducibleBundle(n, lam, twist), mult, dim)
+                     for degree, lam, twist, mult, dim in sorted(self._groups))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * d for p, d in enumerate(self.dims))
@@ -92,11 +88,14 @@ def _bott(n: int, lam: tuple[int, ...], twist: int) -> tuple[int, int] | None:
 def _count_map_table(n: int, terms: Terms, expr: BundleExpr | None = None) -> CohomologyTable:
     """The table of a count map on P^n, in any order: one Bott lookup per summand."""
     dims = [0] * (n + 1)
+    groups = []
     for (lam, twist), mult in terms:
         group = _bott(n, lam, twist)
         if group is not None:
-            dims[group[0]] += mult * group[1]
-    return CohomologyTable(n, tuple(dims), expr, terms)
+            degree, dim = group
+            dims[degree] += mult * dim
+            groups.append((degree, lam, twist, mult, dim))
+    return CohomologyTable(n, tuple(dims), expr, tuple(groups))
 
 
 def cohomology_table(e: BundleExpr) -> CohomologyTable:

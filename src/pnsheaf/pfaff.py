@@ -180,7 +180,8 @@ def random_pencil_form(n: int, d: int, seed: int) -> TwistedOneForm:
 
     Refuses, before drawing, a pencil whose singular scheme the Groebner
     layer would refuse: its coefficients have degree 2d - 1 and its charts
-    n variables.
+    n variables; then a seed of None, as random.Random would draw it from the
+    operating system and the pencil could not be drawn again.
     """
     if n < 1 or d < 1:
         raise InputError(f"a random pencil needs n >= 1 and degree >= 1; got n={n}, degree={d}")
@@ -190,6 +191,8 @@ def random_pencil_form(n: int, d: int, seed: int) -> TwistedOneForm:
             f" {n}-variable charts; the Groebner layer takes degree at most"
             f" {MAX_GENERATOR_DEGREE} and at most {MAX_CHART_VARS} variables"
         )
+    if seed is None:
+        raise InputError("a random pencil needs a seed (--seed N), so that it can be drawn again")
     rng = random.Random(seed)
     nvars = n + 1
     monos = monomials_of_degree(nvars, d)

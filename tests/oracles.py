@@ -3,7 +3,9 @@
 Each is independent of the path the CLI runs, so it can be an oracle for it:
 Bott's closed form for Omega^k(s) and Serre duality against the cohomology
 engine, the sort-and-count dotted Weyl action against the closed form the
-engine uses, and division, S-polynomials and chart membership against the
+engine uses, a Bareiss solve of the skew Jacobi-Trudi system and of the
+Porteous determinant against the kernel vectors and Newton's identities of
+the Chow ring, and division, S-polynomials and chart membership against the
 Groebner bases and section spaces.  The bodies are the library's former
 ones, unchanged except that ``unit_ideal`` builds 1 with ``Poly.constant``.
 It needs the standard library and pnsheaf only, so the plain-script tests
@@ -24,8 +26,10 @@ from pnsheaf import (
     dual,
     o,
     omega,
+    rank,
     tensor,
 )
+from pnsheaf.chow import _chern_classes, _power_sums
 from pnsheaf.polyideal import (
     _BITS,
     _divide,
@@ -102,6 +106,57 @@ def dotted_weyl_reduce(
 def rho_weight(n_amb: int) -> tuple[int, ...]:
     """The staircase (N-1, N-2, ..., 0) used by the dotted Weyl action."""
     return tuple(range(n_amb - 1, -1, -1))
+
+
+# ---------------------------------------------------------------------------
+# Chow ring
+
+
+def bareiss_solve(rows: list[list[int]]) -> tuple[int, tuple[int, ...]]:
+    """det A and det(A) A^-1 c for the integer rows [A | c], which it
+    overwrites, by Bareiss's fraction-free Gauss-Jordan elimination (Math.
+    Comp. 22, 1968): after step k the pivot is a (k+1)-minor of A and every
+    division by the previous pivot is exact.  A singular A gives (0, 0...)."""
+    size, det, sign = len(rows), 1, 1
+    for k in range(size):
+        p = next((i for i in range(k, size) if rows[i][k]), None)
+        if p is None:
+            return 0, (0,) * size
+        if p != k:
+            rows[k], rows[p], sign = rows[p], rows[k], -sign
+        pivot = rows[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                f, a = row[k], pivot[k]
+                row[k + 1 :] = [(a * x - f * y) // det for x, y in zip(row[k + 1 :], pivot[k + 1 :])]
+        det = pivot[k]
+    return sign * det, tuple(sign * row[-1] for row in rows)
+
+
+def skew_dims(lam: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """v_j = (-1)^j s_(lam/1^j)(1^(n+1)), j = 0..l, for the l nonzero parts of lam.
+
+    With h_m = C(n+m, n), the skew Jacobi-Trudi determinant s_(lam/1^j) is the
+    maximal minor without column j of N = [h_(lam_a - a + b - 1)], a l x (l+1)
+    matrix (Macdonald, Symmetric Functions, I.(5.4)); so v spans the kernel of
+    N = [c | A], and v = (det A, -det(A) A^-1 c).
+    """
+    lam = tuple(x for x in lam if x)
+    size = len(lam)
+    h = [[binom(n + lam[a] - a + b - 1, n) for b in range(size + 1)] for a in range(size)]
+    det, x = bareiss_solve([row[1:] + row[:1] for row in h])
+    return (det,) + tuple(-y for y in x)
+
+
+def porteous_degree(E: BundleExpr, G: BundleExpr) -> int:
+    """The determinant of the (e-g+1) x (e-g+1) matrix with (i, j) entry
+    c_(1+j-i)(G - E), for e - g + 1 <= n, by one Bareiss solve; c(G - E)
+    comes from Newton's identities of p(G) - p(E)."""
+    codim = rank(E) - rank(G) + 1
+    diff = _chern_classes(tuple(a - b for a, b in zip(_power_sums(G), _power_sums(E))))
+    rows = [[diff[1 + j - i] if j + 1 >= i else 0 for j in range(codim)] + [0] for i in range(codim)]
+    det, _ = bareiss_solve(rows)
+    return det
 
 
 # ---------------------------------------------------------------------------

@@ -431,13 +431,11 @@ def test_chow_commands_refuse_large_ambients_before_they_start(capsys, argv):
 def test_porteous_refuses_large_entries_before_the_solve(capsys):
     start = time.perf_counter()
     code, out, err = _run(capsys, ["porteous", f"64*O(-{10**80})", "O(1)", "--n", "64"])
-    # the solve ran 38 s before the output bound refused its determinant
+    # the degree c_64(E - G) comes from Newton's identities, with no determinant
+    # to solve, and is too long to print
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
-    assert err == (
-        "error: the Porteous determinant of size 64 has entries of up to 17132 bits, so"
-        " its solve needs about 1096896 bits; the bound is 131072\n"
-    )
+    assert err == "error: a result has 17009 bits; the output bound is 14284 bits (4300 digits)\n"
 
 
 def test_chern_refuses_large_skew_solves_before_they_start(capsys):
@@ -917,7 +915,7 @@ def test_random_pencil_rejects_impossible_sizes(capsys, n, degree):
 
 
 def test_smallest_random_pencil_still_draws(capsys):
-    code, out, _ = _run(capsys, ["pfaff", "random-pencil", "--n", "1", "--degree", "1"])
+    code, out, _ = _run(capsys, ["pfaff", "random-pencil", "--n", "1", "--degree", "1", "--seed", "1"])
     assert code == 0
     assert parse_form_file(out).twist == 2
 
@@ -933,7 +931,7 @@ def test_random_pencil_refuses_sizes_singular_would_refuse(capsys, n, degree):
 
 
 def test_largest_random_pencil_singular_accepts_still_draws(capsys):
-    code, out, _ = _run(capsys, ["pfaff", "random-pencil", "--n", "2", "--degree", "4"])
+    code, out, _ = _run(capsys, ["pfaff", "random-pencil", "--n", "2", "--degree", "4", "--seed", "1"])
     assert code == 0
     assert parse_form_file(out).twist == 8
 
