@@ -445,6 +445,9 @@ def _graded_power(terms: Terms, n: int, k: int, is_wedge: bool) -> Terms:
 
 
 def rank(e: BundleExpr) -> int:
+    """The rank of e; a tensor product's is its factors' product, formed without LR."""
+    if isinstance(e, Tensor):
+        return rank(e.left) * rank(e.right)
     return sum(mult * weyl_dim(lam, e.ambient) for (lam, _), mult in _normalize_cached(e))
 
 

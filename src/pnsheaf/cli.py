@@ -280,7 +280,7 @@ def _cmd_chern(args) -> int:
         "expression": text,
         "rank": r,
         "chern_character": list(ch.coeffs),
-        "total_chern": [int(x) for x in c.coeffs],
+        "total_chern": list(c.coeffs),
     }
     _emit(args, payload, lambda: [
         f"P^{e.ambient}: {text}",
@@ -360,7 +360,7 @@ def _cmd_porteous(args) -> int:
         "within_ambient": result.within_ambient,
         "expected_dimension": n - result.codim if result.within_ambient else None,
         "degree": result.degree,
-        "class": [int(x) for x in result.cls.coeffs],
+        "class": list(result.cls.coeffs),
     }
 
     def lines():

@@ -33,6 +33,7 @@ from .bundles import (
     _tensor_into,
     det_bundle,
     dual,
+    rank,
     sym,
     tensor,
     wedge,
@@ -121,12 +122,12 @@ def _en_term(E: BundleExpr, G: BundleExpr, i: int, g: int, twisted: bool) -> Bun
 
 def en_resolution(E: BundleExpr, G: BundleExpr, twisted: bool = False) -> ENResolutionReport:
     """The e - g + 1 bundle terms resolving the maximal-minor ideal sheaf, each
-    normalized as it is built, so the first term a guard refuses stops the walk."""
+    ranked as built, its factors in tree order, so the first refused stops the walk."""
     e, g = _map_ranks(E, G)
     terms = []
     for i in range(g, e + 1):
         terms.append(_en_term(E, G, i, g, twisted))
-        _normalize_cached(terms[-1])
+        rank(terms[-1])
     return ENResolutionReport(E, G, e, g, twisted, tuple(terms))
 
 

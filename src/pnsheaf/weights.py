@@ -39,7 +39,7 @@ def schur_dim(nu: tuple[int, ...], m: int) -> int:
     return _weyl_dim_cached(tuple(nu), m)
 
 
-@lru_cache(maxsize=2048)  # a benchmark or golden request fills at most 287
+@lru_cache(maxsize=4096)  # a benchmark or golden request fills at most 959
 def _weyl_dim_cached(entries: tuple[int, ...], width: int) -> int:
     """Weyl dimension of entries padded with zeros to length width."""
     for a, b in zip(entries, entries[1:]):

@@ -5,7 +5,8 @@ Bott's closed form for Omega^k(s) and Serre duality against the cohomology
 engine, the sort-and-count dotted Weyl action against the closed form the
 engine uses, a Bareiss solve of the skew Jacobi-Trudi system and of the
 Porteous determinant against the kernel vectors and Newton's identities of
-the Chow ring, and division, S-polynomials and chart membership against the
+the Chow ring, Miller's series power for the Todd class against its integer
+Riemann-Roch row, and division, S-polynomials and chart membership against the
 Groebner bases and section spaces.  The bodies are the library's former
 ones, unchanged except that ``unit_ideal`` builds 1 with ``Poly.constant``.
 It needs the standard library and pnsheaf only, so the plain-script tests
@@ -14,7 +15,9 @@ can import it.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right, insort
+from fractions import Fraction
 
 from pnsheaf import (
     BundleExpr,
@@ -157,6 +160,23 @@ def porteous_degree(E: BundleExpr, G: BundleExpr) -> int:
     rows = [[diff[1 + j - i] if j + 1 >= i else 0 for j in range(codim)] + [0] for i in range(codim)]
     det, _ = bareiss_solve(rows)
     return det
+
+
+def series_power(a: list[Fraction], m: int) -> list[Fraction]:
+    """a^m truncated to len(a) terms, for a_0 != 0, by J. C. P. Miller's
+    recurrence k a_0 b_k = sum_(i=1..k) ((m+1) i - k) a_i b_(k-i)
+    (Knuth, TAOCP vol. 2, 4.7).  a holds Fractions, so every b_k is one."""
+    b = [a[0] ** m]
+    for k in range(1, len(a)):
+        b.append(sum(((m + 1) * i - k) * a[i] * b[k - i] for i in range(1, k + 1)) / (k * a[0]))
+    return b
+
+
+def todd_series(n: int) -> tuple[Fraction, ...]:
+    """td(P^n) = (h / (1 - e^(-h)))^(n+1), truncated at degree n, as the
+    (-(n+1))-th power of (1 - e^(-h)) / h = sum_(i>=0) (-h)^i / (i+1)!."""
+    series = [Fraction((-1) ** i, math.factorial(i + 1)) for i in range(n + 1)]
+    return tuple(series_power(series, -(n + 1)))
 
 
 # ---------------------------------------------------------------------------

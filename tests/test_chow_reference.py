@@ -1,18 +1,26 @@
-"""Chow-ring results against the Bareiss solves they replaced.
+"""Chow-ring results against the solves and series they replaced.
 
 ``chow._skew_dims`` reads the vector v_j = (-1)^j s_(lam/1^j)(1^(n+1)) of
 S_lam(Q) on P^n off ``linalg._kernel``, scaled to sum to the rank, and
 ``porteous_class`` reads the degree of a degeneracy locus of codimension k as
-(-1)^k c_k(E - G), by Newton's identities.  The references kept here, in
-``tests/oracles.py``, are the library's former ones: a Bareiss solve of the
-skew Jacobi-Trudi system, and of the k x k determinant det[c_(1+j-i)(G - E)].
-It checks:
+(-1)^k c_k(E - G), by Newton's identities.  ``hrr_chi`` is one integer dot
+product n! chi = sum_k p_k s_k of the power sums and the coefficients of
+(a+1)...(a+n), and ``todd_class`` reads td_(n-k) = k! s_k / n! off the same
+row.  The references kept here, in ``tests/oracles.py``, are the library's
+former ones: a Bareiss solve of the skew Jacobi-Trudi system and of the
+k x k determinant det[c_(1+j-i)(G - E)], and Miller's recurrence for the
+power (h / (1 - e^(-h)))^(n+1).  It checks:
 
 * ``_skew_dims`` against ``oracles.skew_dims`` on seeded weights on
   P^3..P^64, the staircase (63, ..., 1, 0) and (300^63, 0) on P^64 among
   them;
 * ``porteous_class`` against ``oracles.porteous_degree`` on seeded (E, G)
   pairs on P^1..P^9 whose codimension e - g + 1 fits the ambient;
+* ``todd_class(n)`` against ``oracles.todd_series(n)`` for n = 0..64;
+* ``hrr_chi`` against the Fraction pairing sum_k ch_k td_(n-k), td from
+  Miller's series, and against the cohomology table's chi, on seeded
+  expressions on P^1..P^12 and every golden ``chi`` case (``T on P^64``
+  among them);
 * ``chi`` and ``chern`` on ``sym(1000, Omega^1) on P^64`` through ``main``,
   every cache cleared first: each finishes in under 1 s with the exit code,
   stdout and stderr that the Bareiss solve printed in about 7 s.
@@ -30,13 +38,23 @@ import random
 import sys
 import time
 
-from pnsheaf import hyperplane_power, porteous_class, rank
-from pnsheaf.chow import _skew_dims
+from pnsheaf import (
+    chern_character,
+    cohomology_table,
+    hrr_chi,
+    hyperplane_power,
+    porteous_class,
+    rank,
+    todd_class,
+)
+from pnsheaf.chow import MAX_CHOW_AMBIENT, _skew_dims
 from pnsheaf.cli import main
+from pnsheaf.grammar import parse_expression, split_ambient
 
 from helpers import random_expression
-from oracles import porteous_degree, skew_dims
+from oracles import porteous_degree, skew_dims, todd_series
 from test_cache_bounds import clear_all
+from test_golden_cli import CORPUS
 
 SEED = 313131
 STAIRCASE = tuple(range(63, -1, -1))
@@ -103,6 +121,34 @@ def check_porteous() -> tuple[list[str], int]:
     return failures, len(admitted)
 
 
+def check_todd() -> tuple[list[str], int]:
+    failures = [f"todd_class({n}) differs from Miller's series"
+                for n in range(MAX_CHOW_AMBIENT + 1) if todd_class(n).coeffs != todd_series(n)]
+    return failures, MAX_CHOW_AMBIENT + 1
+
+
+def expressions(count: int = 8) -> list:
+    """count seeded expressions on each P^1..P^12, then the expressions of
+    the golden chi cases that exit 0."""
+    rng = random.Random(SEED)
+    out = [random_expression(rng, n, 2) for n in range(1, 13) for _ in range(count)]
+    texts = {c["argv"][1] for c in CORPUS["cases"] if c["argv"][:1] == ["chi"] and c["exit"] == 0}
+    return out + [parse_expression(t, split_ambient(t)[1]) for t in sorted(texts - {"--help"})]
+
+
+def check_chi() -> tuple[list[str], int]:
+    failures = []
+    cases = expressions()
+    for e in cases:
+        n = e.ambient
+        td = todd_series(n)
+        pairing = sum(ch * td[n - k] for k, ch in enumerate(chern_character(e).coeffs))
+        chi, table = hrr_chi(e), cohomology_table(e).euler_characteristic()
+        if not chi == pairing == table:
+            failures.append(f"hrr_chi({e}) is {chi}; ch td gives {pairing}, the table {table}")
+    return failures, len(cases)
+
+
 def run(command: str) -> tuple[float, tuple[int, str, str]]:
     """Seconds and (exit, sha256 of stdout, stderr) of one cold run."""
     clear_all()
@@ -137,6 +183,18 @@ def test_porteous_degrees_match_the_determinant():
     assert count > 100
 
 
+def test_todd_classes_match_millers_series():
+    failures, count = check_todd()
+    assert not failures, failures[:10]
+    assert count == 65
+
+
+def test_chi_matches_the_fraction_pairing_and_the_table():
+    failures, count = check_chi()
+    assert not failures, failures[:10]
+    assert count > 96
+
+
 def test_the_slow_skew_inputs_print_the_same_in_under_a_second():
     assert not check_slow_inputs()
 
@@ -144,9 +202,13 @@ def test_the_slow_skew_inputs_print_the_same_in_under_a_second():
 if __name__ == "__main__":
     skew_failures, weight_count = check_skew_dims()
     porteous_failures, pair_count = check_porteous()
-    failures = skew_failures + porteous_failures + check_slow_inputs()
+    todd_failures, todd_count = check_todd()
+    chi_failures, chi_count = check_chi()
+    failures = (skew_failures + porteous_failures + todd_failures + chi_failures
+                + check_slow_inputs())
     for line in failures:
         print(line)
     print(f"Python {sys.version.split()[0]}: {weight_count} weights, {pair_count} (E, G) pairs,"
-          f" {len(PRINTED)} slow inputs, {len(failures)} failures")
+          f" {todd_count} Todd classes, {chi_count} chi cases, {len(PRINTED)} slow inputs,"
+          f" {len(failures)} failures")
     sys.exit(1 if failures else 0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 import math
 import os
@@ -45,6 +46,7 @@ from pnsheaf.cli import COMMANDS, _join_negative_values, main
 from pnsheaf.cohomology import _bott
 
 from helpers import random_expression
+from test_cache_bounds import clear_all
 
 
 def _run(capsys, argv) -> tuple[int, str, str]:
@@ -387,6 +389,19 @@ def test_en_resolution_stops_at_its_first_refused_term(capsys):
     code, out, err = _run(capsys, ["en-resolution", "1000000*O(1)", "O(2)", "--n", "2"])
     assert time.perf_counter() - start < 1.0
     assert (code, out, err) == (3, "", "error: wedge^282 has rank above 10^1000, the bound\n")
+
+
+def test_en_resolution_ranks_its_terms_without_forming_them(capsys):
+    # 59 terms wedge^2(E*) (x) wedge^i(E) (x) Sym^(i-2)(G*) on P^50, whose
+    # tableau products took about 10 s when each term was normalized
+    clear_all()
+    argv = ["en-resolution", "T (+) T", "O(1) (+) O(1)", "--n", "50", "--twisted"]
+    start = time.perf_counter()
+    code, out, err = _run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, len(out), err) == (0, 12098, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3411da7164dd7520589c1d678c0a6e8d2717928e84c041758ea887bcd854a793")
 
 
 def test_results_become_text_only_in_emit():

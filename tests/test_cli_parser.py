@@ -12,7 +12,8 @@ Run as a script, ``PYTHONPATH=src python tests/test_cli_parser.py`` checks
 the golden-corpus argvs fast-vs-full with the standard library only, for
 interpreters that have neither pytest nor hypothesis, and pins the import
 set of a fresh run: ``fractions`` (with ``decimal`` and ``numbers``) loads
-only inside a request that makes a Fraction, and ``heapq`` never.
+only inside a request that prints a Fraction (``chern``), and ``heapq``
+never.
 """
 
 from __future__ import annotations
@@ -100,6 +101,12 @@ def test_fresh_chern_run_loads_fractions_only_in_its_request():
     assert _fresh_golden_run(["chern"]) == ["decimal", "fractions", "numbers"]
 
 
+def test_fresh_chi_and_porteous_runs_load_no_fraction():
+    # Riemann-Roch and the Porteous class stay in int; only chern prints a Fraction
+    for prefix in (["chi"], ["porteous"]):
+        assert _fresh_golden_run(prefix) == [], prefix
+
+
 def test_size_check_refuses_a_fraction_made_after_the_cli_import():
     code = (
         "from pnsheaf.cli import _check_size\n"
@@ -121,6 +128,7 @@ def test_size_check_refuses_a_fraction_made_after_the_cli_import():
 IMPORT_SET_CHECKS = (
     test_fresh_sweep_cohomology_and_pfaff_runs_load_no_fraction_or_heap,
     test_fresh_chern_run_loads_fractions_only_in_its_request,
+    test_fresh_chi_and_porteous_runs_load_no_fraction,
     test_size_check_refuses_a_fraction_made_after_the_cli_import,
 )
 
