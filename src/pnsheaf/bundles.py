@@ -275,7 +275,7 @@ def _canon_summand(lam: tuple[int, ...], d: int) -> tuple[tuple[int, ...], int]:
     return lam, d
 
 
-@lru_cache(maxsize=512)  # a benchmark or golden request fills at most 93
+@lru_cache(maxsize=512)  # a benchmark or golden request fills at most 125
 def _normalize_cached(e: BundleExpr) -> Terms:
     n = e.ambient
     if isinstance(e, LineBundle):

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from ._record import field, record
 from .bundles import BundleExpr, dual, o, omega, split_bundle, tangent, tensor, wedge
-from .cohomology import cohomology_table
-from .complexes import ENCertificate, vanishing_certificate
+from .cohomology import cohomology_dims
+from .complexes import ENCertificate, _failed, required_dims, vanishing_certificate
 from .errors import InputError
 from .grammar import render_expression
 
@@ -72,6 +72,29 @@ def _required_groups(cert: ENCertificate) -> tuple[GroupDim, ...]:
     return tuple(GroupDim(req.i, req.i, req.table.h(req.i)) for req in cert.required)
 
 
+def _dims(cert: ENCertificate) -> list[tuple[int, ...]]:
+    return [req.table.dims for req in cert.required]
+
+
+def _split_inputs(n: int, k: int, degrees) -> tuple[tuple[int, ...], tuple[bool, bool]]:
+    """thm-1-2's degrees as ints and its two conditions, after its input checks."""
+    degrees = tuple(int(d) for d in degrees)
+    if not 1 <= k <= n:
+        raise InputError(f"need 1 <= k <= n; got k={k}, n={n}")
+    if len(degrees) != k:
+        raise InputError(f"need exactly k={k} degrees; got {len(degrees)}")
+    return degrees, tuple(all(-d + k - n + shift >= 1 for d in degrees) for shift in (0, 1))
+
+
+def split_verdict(n: int, k: int, degrees, hs=None) -> str:
+    """thm-1-2 holds when a condition holds and h^p(M_(k+i)) = 0 for 1 <= p <= i, hs
+    being the h-vectors of the certificate of Omega^1 -> F* (default: one Bott pass)."""
+    degrees, conditions = _split_inputs(n, k, degrees)
+    hs = required_dims(omega(1, n), dual(split_bundle(degrees, n))) if hs is None else hs
+    vanish = not any(h[p] for i, h in enumerate(hs, 1) for p in range(1, i + 1))
+    return HOLD if any(conditions) and vanish else FAIL
+
+
 def check_split_distribution(n: int, k: int, degrees) -> TheoremReport:
     """Uniqueness hypotheses for a codimension-k distribution with split
     tangent complement F = O(d_1) (+) ... (+) O(d_k) on P^n.
@@ -87,33 +110,38 @@ def check_split_distribution(n: int, k: int, degrees) -> TheoremReport:
     is read off the certificate's tables, and the ones with p = i-k are its
     own required groups.
     """
-    degrees = tuple(int(d) for d in degrees)
-    if not 1 <= k <= n:
-        raise InputError(f"need 1 <= k <= n; got k={k}, n={n}")
-    if len(degrees) != k:
-        raise InputError(f"need exactly k={k} degrees; got {len(degrees)}")
-    cond1 = all(-d + k - n >= 1 for d in degrees)
-    cond2 = all(-d + k - n + 1 >= 1 for d in degrees)
+    degrees, (cond1, cond2) = _split_inputs(n, k, degrees)
     conditions = (
         ConditionCheck("dual twisted by O(k-n) ample", cond1),
         ConditionCheck("split form: dual twisted by O(k-n+1) ample", cond2),
     )
     cert = vanishing_certificate(omega(1, n), dual(split_bundle(degrees, n)))
-    groups = tuple(
-        GroupDim(k + req.i, p, req.table.h(p))
-        for req in cert.required
-        for p in range(1, req.i + 1)
-    )
-    verdict = HOLD if (cond1 or cond2) and not any(g.dim for g in groups) else FAIL
+    hs = _dims(cert)
+    groups = tuple(GroupDim(k + i, p, h[p]) for i, h in enumerate(hs, 1) for p in range(1, i + 1))
     return TheoremReport(
         "thm-1-2",
         {"n": n, "k": k, "degrees": list(degrees)},
         conditions,
         groups,
-        verdict,
+        split_verdict(n, k, degrees, hs),
         (PURITY_NOTE,),
         cert,
     )
+
+
+def _codim1_inputs(n: int, r: int) -> tuple[bool, BundleExpr, BundleExpr]:
+    """thm-1-4's condition r > n + 1 and its map T -> O(r), after its input check."""
+    if n < 2:
+        raise InputError(f"need n >= 2; got n={n}")
+    return r > n + 1, tangent(n), o(r, n)
+
+
+def codim1_verdict(n: int, r: int, hs=None) -> str:
+    """thm-1-4 holds when r > n + 1 and h^i(M_(1+i)) = 0 for 1 <= i <= n-1, hs being
+    the h-vectors of the certificate of T -> O(r) (default: one Bott pass)."""
+    condition, T, O_r = _codim1_inputs(n, r)
+    hs = required_dims(T, O_r) if hs is None else hs
+    return HOLD if condition and not _failed(hs) else FAIL
 
 
 def check_codim1_generic(n: int, r: int) -> TheoremReport:
@@ -126,18 +154,16 @@ def check_codim1_generic(n: int, r: int) -> TheoremReport:
     term M_(1+i) = wedge^1 T* (x) wedge^(i+1) T (x) Sym^i O(-r) is that
     bundle, so they are read off the certificate.
     """
-    if n < 2:
-        raise InputError(f"need n >= 2; got n={n}")
-    cond = ConditionCheck("twist exceeds n + 1", r > n + 1)
-    cert = vanishing_certificate(tangent(n), o(r, n))
-    verdict = HOLD if cond.ok and cert.verdict else FAIL
+    condition, T, O_r = _codim1_inputs(n, r)
+    cert = vanishing_certificate(T, O_r)
     notes = (
         PURITY_NOTE,
         "zero-dimensionality of the singular scheme is a separate input, "
         "certified by the polynomial layer when available",
     )
     return TheoremReport(
-        "thm-1-4", {"n": n, "r": r}, (cond,), _required_groups(cert), verdict, notes, cert
+        "thm-1-4", {"n": n, "r": r}, (ConditionCheck("twist exceeds n + 1", condition),),
+        _required_groups(cert), codim1_verdict(n, r, _dims(cert)), notes, cert
     )
 
 
@@ -149,7 +175,12 @@ def endomorphism_space_dim(k: int, n: int) -> int:
     if n == 0:
         # on a point both factors collapse to the structure sheaf
         return 1
-    return cohomology_table(tensor(wedge(k, tangent(n)), omega(k, n))).h(0)
+    return cohomology_dims(tensor(wedge(k, tangent(n)), omega(k, n)))[0]
+
+
+def endo_verdict(dim: int) -> str:
+    """lemma-4-4 holds when the endomorphism space is one-dimensional."""
+    return HOLD if dim == 1 else FAIL
 
 
 def check_endomorphism_space(k: int, n: int) -> TheoremReport:
@@ -159,7 +190,7 @@ def check_endomorphism_space(k: int, n: int) -> TheoremReport:
         {"n": n, "k": k},
         (ConditionCheck("0 <= k <= n", True),),
         (GroupDim(k, 0, dim),),
-        HOLD if dim == 1 else FAIL,
+        endo_verdict(dim),
     )
 
 

@@ -28,10 +28,11 @@ from .weights import binom, weyl_dim
 # todd_class(64) takes about 0.001 s (2 CPUs, Python 3.11).
 MAX_CHOW_AMBIENT = 64
 # A Chern character is refused before any skew Jacobi-Trudi kernel when the
-# sum of l^3 over the distinct partitions of its summands, l their numbers of
-# nonzero parts, exceeds the cost of one kernel of the largest size at the
-# ambient bound; that one kernel takes 0.05-0.3 s on P^64 (2 CPUs, Python 3.11).
-MAX_SKEW_WORK = MAX_CHOW_AMBIENT**3
+# sum of l^2 * (b_1 + ... + b_l) over the distinct partitions of its summands,
+# l their numbers of nonzero parts and b_a the bits of row a's largest entry,
+# exceeds this.  Fitted to measured time (2 CPUs, Python 3.11), a unit takes
+# 0.6-1.5 ns for l >= 31, so the bound (63 rows of 540 bits) takes 0.1-0.2 s.
+MAX_SKEW_WORK = MAX_CHOW_AMBIENT**3 * 512
 
 
 def _check_ambient(n: int) -> None:
@@ -112,12 +113,14 @@ def _power_sums(e: BundleExpr) -> tuple[int, ...]:
     _check_ambient(e.ambient)
     n = e.ambient
     terms = _normalize_cached(e)
-    lams = {lam for (lam, _), _ in terms}
-    work = sum(sum(1 for x in lam if x) ** 3 for lam in lams)
+    sizes = {lam: sum(1 for x in lam if x) for (lam, _), _ in terms}
+    # the largest entry of row a of a kernel's matrix is h_(lam_a - a + l - 1)
+    work = sum(l * l * sum(binom(n + lam[a] - a + l - 1, n).bit_length() for a in range(l))
+               for lam, l in sizes.items())
     if work > MAX_SKEW_WORK:
         raise ScaleExceeded(
-            f"the Chern character of {len(lams)} distinct summands needs skew Jacobi-Trudi"
-            f" solves of work {work} (sum of cubed lengths); the bound is {MAX_SKEW_WORK}"
+            f"the Chern character of {len(sizes)} distinct summands needs skew Jacobi-Trudi"
+            f" solves of work {work} (squared lengths times row bits); the bound is {MAX_SKEW_WORK}"
         )
     total = [0] * (n + 1)
     for (lam, t), mult in terms:

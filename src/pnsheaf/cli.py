@@ -51,10 +51,14 @@ from .checkers import (
     check_map_recovery,
     check_split_distribution,
     check_split_vanishing,
+    codim1_verdict,
+    endo_verdict,
+    endomorphism_space_dim,
+    split_verdict,
 )
 from .chow import ChowClass, chern_character, hrr_chi, porteous_class, total_chern
 from .cohomology import cohomology_table
-from .complexes import en_resolution, vanishing_certificate
+from .complexes import _failed, en_resolution, required_dims, vanishing_certificate
 from .errors import (
     ConsistencyError,
     InputError,
@@ -535,22 +539,21 @@ def _series(lo: int, hi: int, shift: int) -> int:
 
 
 def _sweep_task_codim1(n: int, r: int) -> dict:
-    return {"n": n, "r": r, "verdict": check_codim1_generic(n, r).verdict}
+    return {"n": n, "r": r, "verdict": codim1_verdict(n, r)}
 
 
 def _sweep_task_split(n: int, k: int, d: int) -> dict:
-    report = check_split_distribution(n, k, (d,) * k)
-    return {"n": n, "k": k, "d": d, "verdict": report.verdict}
+    return {"n": n, "k": k, "d": d, "verdict": split_verdict(n, k, (d,) * k)}
 
 
 def _sweep_task_endo(n: int, k: int) -> dict:
-    report = check_endomorphism_space(k, n)
-    return {"n": n, "k": k, "dim": report.groups[0].dim, "verdict": report.verdict}
+    dim = endomorphism_space_dim(k, n)
+    return {"n": n, "k": k, "dim": dim, "verdict": endo_verdict(dim)}
 
 
 def _sweep_task_certificate(E: BundleExpr, G: BundleExpr, t: int) -> dict:
-    cert = vanishing_certificate(E, tensor(G, o(t, E.ambient)))
-    return {"twist": t, "verdict": HOLD if cert.verdict else "hypotheses-fail"}
+    failed = _failed(required_dims(E, tensor(G, o(t, E.ambient))))
+    return {"twist": t, "verdict": "hypotheses-fail" if failed else HOLD}
 
 
 def _sweep(args, task, grid, points: int, n: int) -> int:

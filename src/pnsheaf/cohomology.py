@@ -6,9 +6,9 @@ some a_k, and otherwise one nonzero group, in degree #{k : a_k < x}, of
 dimension rank(S_lam(Q)) * prod_k |a_k - x| / n! (the Weyl dimension of
 the dotted-Weyl reduction of (lam, x), without sorting it).  A table is
 read straight off the engine's count map of (lam, twist) pairs, with one
-cached Bott lookup (_bott) per summand, whose group it keeps; the public
-IrreducibleBundle and Contribution objects are built from those only when a
-table's contributions are read.
+cached Bott lookup (_bott) per summand, and keeps that count map; the public
+IrreducibleBundle and Contribution objects are built from its groups, looked
+up again, only when a table's contributions are read.
 """
 
 from __future__ import annotations
@@ -33,21 +33,23 @@ class Contribution:
 
 @record
 class CohomologyTable:
-    """(h^0, ..., h^n) of expr; _groups holds (degree, lam, twist, multiplicity,
-    dim) for each summand with cohomology, in any order, read only for
-    contributions.  A table read straight off a count map has expr None."""
+    """(h^0, ..., h^n) of expr; _terms is the count map the table was read
+    from, looked up again only for contributions.  A table read straight off
+    a count map has expr None."""
 
     ambient: int
     dims: tuple[int, ...]
     expr: BundleExpr | None = None
-    _groups: tuple = field(default=(), repr=False, compare=False)
+    _terms: tuple = field(default=(), repr=False, compare=False)
 
     @cached_property
     def contributions(self) -> tuple[Contribution, ...]:
         """Each summand with cohomology, by (degree, lam, twist); built on first read."""
         n = self.ambient
+        groups = sorted((group[0], lam, twist, mult, group[1]) for (lam, twist), mult in self._terms
+                        if (group := _bott(n, lam, twist)) is not None)
         return tuple(Contribution(degree, IrreducibleBundle(n, lam, twist), mult, dim)
-                     for degree, lam, twist, mult, dim in sorted(self._groups))
+                     for degree, lam, twist, mult, dim in groups)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * d for p, d in enumerate(self.dims))
@@ -56,7 +58,7 @@ class CohomologyTable:
         return self.dims[p] if 0 <= p <= self.ambient else 0
 
 
-@lru_cache(maxsize=4096)  # a benchmark or golden request fills at most 753
+@lru_cache(maxsize=4096)  # a benchmark or golden request fills at most 744
 def _bott(n: int, lam: tuple[int, ...], twist: int) -> tuple[int, int] | None:
     """(degree, dim) of the one nonzero group of S_lam(Q)(twist) on P^n, or None."""
     x = -twist
@@ -87,15 +89,21 @@ def _bott(n: int, lam: tuple[int, ...], twist: int) -> tuple[int, int] | None:
 
 def _count_map_table(n: int, terms: Terms, expr: BundleExpr | None = None) -> CohomologyTable:
     """The table of a count map on P^n, in any order: one Bott lookup per summand."""
+    return CohomologyTable(n, tuple(_count_map_dims(n, terms)), expr, terms)
+
+
+def _count_map_dims(n: int, terms: Terms, shift: int = 0) -> list[int]:
+    """(h^0, ..., h^n) of a count map on P^n, its twists shifted, with no table."""
     dims = [0] * (n + 1)
-    groups = []
     for (lam, twist), mult in terms:
-        group = _bott(n, lam, twist)
-        if group is not None:
-            degree, dim = group
-            dims[degree] += mult * dim
-            groups.append((degree, lam, twist, mult, dim))
-    return CohomologyTable(n, tuple(dims), expr, tuple(groups))
+        if (group := _bott(n, lam, twist + shift)) is not None:
+            dims[group[0]] += mult * group[1]
+    return dims
+
+
+def cohomology_dims(e: BundleExpr) -> list[int]:
+    """(h^0, ..., h^n) of a normalizable expression, building no table."""
+    return _count_map_dims(e.ambient, _normalize_cached(e))
 
 
 def cohomology_table(e: BundleExpr) -> CohomologyTable:

@@ -13,8 +13,9 @@ certificate is printed.
 The certificate is twist-equivariant in G: Sym^i(G* (x) O(s)) =
 Sym^i(G*) (x) O(i*s), so twisting G by O(-s) twists every summand of
 M_(g+i) by O(i*s) and leaves its Schur weights alone.  The twist-free part
-of each term is cached per (E, G up to twist), and the points of a sweep
-over the twist of G pay only their Bott lookups.
+of each term is cached per (E, G up to twist).  One pass, required_dims,
+reads each term's h-vector with one Bott lookup per summand: that is all a
+sweep point pays, and the certificate builds its tables and records on it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .bundles import (
     tensor,
     wedge,
 )
-from .cohomology import CohomologyTable, _count_map_table
+from .cohomology import CohomologyTable, _count_map_dims, _count_map_table
 from .errors import ScaleExceeded, UnsupportedPlethysm
 from .grammar import render_expression
 
@@ -185,7 +186,7 @@ def _tensor_bracket(a: Terms, b: Terms, n: int, term: int) -> dict:
     return _tensor_into({}, a, b)
 
 
-@lru_cache(maxsize=1024)  # a benchmark or golden request fills at most 27
+@lru_cache(maxsize=1024)  # a benchmark or golden request fills at most 21
 def _en_bracket(E: BundleExpr, G0_dual: Terms, g: int, i: int) -> Terms:
     """wedge^g(E*) (x) wedge^(g+i)(E) (x) Sym^i(G0*) as a count map, G0_dual
     being G0*'s; i = 0 gives the endomorphism space, for any G0_dual."""
@@ -197,15 +198,13 @@ def _en_bracket(E: BundleExpr, G0_dual: Terms, g: int, i: int) -> Terms:
     return tuple(acc.items())
 
 
-def vanishing_certificate(E: BundleExpr, G: BundleExpr) -> ENCertificate:
-    """Check H^i(wedge^g(E*) (x) wedge^(g+i)(E) (x) Sym^i(G*)) = 0, i = 1..e-g.
+def required_dims(E: BundleExpr, G: BundleExpr, read=_count_map_dims) -> list:
+    """[read(n, terms, i*s) for i = 1..e-g], by default the h-vectors of M_(g+i).
 
-    The verdict is the conjunction; purity of the degeneracy locus is an
-    explicit, unchecked assumption carried in the report.  With G* = G0* (x)
-    O(s), s the twist of the first summand of G*, the term M_(g+i) is
-    wedge^g(E*) (x) wedge^(g+i)(E) (x) Sym^i(G0*), read from a cache shared by
-    every twist of G, with i*s added to the twist of each summand; only the
-    Bott lookups see s.
+    With G* = G0* (x) O(s), s the twist of the first summand of G*, terms is
+    the count map of wedge^g(E*) (x) wedge^(g+i)(E) (x) Sym^i(G0*), from a
+    cache shared by every twist of G, and M_(g+i) is terms with i*s added to
+    the twist of each summand; only read sees s.
     """
     n = E.ambient
     e, g = _map_ranks(E, G)
@@ -217,7 +216,7 @@ def vanishing_certificate(E: BundleExpr, G: BundleExpr) -> ENCertificate:
     # _en_bracket.  Only the shape check of Sym^i(G*), whose message names a
     # twist the bracket does not see, runs here on G* itself, at the first
     # power that makes it (i = 2) and after wedge^(g+2)(E), as in the tree.
-    required, failed = [], []
+    out = []
     for i in range(1, e - g + 1):
         if i == 2:
             try:
@@ -225,14 +224,28 @@ def vanishing_certificate(E: BundleExpr, G: BundleExpr) -> ENCertificate:
             except UnsupportedPlethysm:
                 _normalize_cached(wedge(g + 2, E))
                 raise
-        shift = i * s
-        terms = tuple(((lam, d + shift), m) for (lam, d), m in _en_bracket(E, G0_dual, g, i))
-        table = _count_map_table(n, terms)
-        ok = table.h(i) == 0
-        if not ok:
-            failed.append(i)
-        required.append(RequiredVanishing(i, table, ok, E, G, g))
-    verdict = not failed
-    endo = _count_map_table(n, _en_bracket(E, (), g, 0)).h(0)
-    trace = _chain_trace(e, g, verdict, tuple(failed))
-    return ENCertificate(E, G, n, e, g, tuple(required), verdict, trace, endo)
+        out.append(read(n, _en_bracket(E, G0_dual, g, i), i * s))
+    return out
+
+
+def _failed(hs) -> tuple[int, ...]:
+    """The i with H^i(M_(g+i)) != 0, hs being the h-vectors of M_(g+1), M_(g+2), ..."""
+    return tuple(i for i, h in enumerate(hs, 1) if i < len(h) and h[i])
+
+
+def vanishing_certificate(E: BundleExpr, G: BundleExpr) -> ENCertificate:
+    """Check H^i(wedge^g(E*) (x) wedge^(g+i)(E) (x) Sym^i(G*)) = 0, i = 1..e-g.
+
+    The verdict is the conjunction; purity of the degeneracy locus is an
+    explicit, unchecked assumption carried in the report.  Its tables come
+    from the pass of required_dims.
+    """
+    e, g = _map_ranks(E, G)
+    tables = required_dims(E, G, lambda n, terms, shift: _count_map_table(
+        n, tuple(((lam, d + shift), m) for (lam, d), m in terms)))
+    failed = _failed([table.dims for table in tables])
+    required = tuple(RequiredVanishing(i, table, i not in failed, E, G, g)
+                     for i, table in enumerate(tables, 1))
+    endo = _count_map_table(E.ambient, _en_bracket(E, (), g, 0)).h(0)
+    trace = _chain_trace(e, g, not failed, failed)
+    return ENCertificate(E, G, E.ambient, e, g, required, not failed, trace, endo)

@@ -360,18 +360,19 @@ def test_chow_layer_refuses_larger_ambients_before_it_starts(compute):
 
 
 def test_chern_character_runs_one_largest_skew_solve():
-    # a single summand with 63 nonzero parts: work 63^3 = 250,047 <= 64^3
+    # a single summand with 63 nonzero parts and entries of at most 125 bits:
+    # work 20,297,466 <= 64^3 * 512
     c = total_chern(sym(2, omega(1, MAX_CHOW_AMBIENT)))
     assert c.coeffs[1] == -2 * 65 * (64 * 65 // 2) // 64
 
 
 @pytest.mark.parametrize("compute", [chern_character, total_chern, hrr_chi])
 def test_chern_character_refuses_large_skew_solves_before_they_start(compute, monkeypatch):
-    # 11 distinct summands with 63 nonzero parts each: work 2,750,517
+    # 11 distinct summands with 63 nonzero parts each: work 279,024,669
     monkeypatch.setattr("pnsheaf.chow._kernel", lambda rows, ncols: pytest.fail("a kernel started"))
     n = MAX_CHOW_AMBIENT
     start = time.perf_counter()
-    with pytest.raises(ScaleExceeded, match="work 2750517 .* the bound is 262144"):
+    with pytest.raises(ScaleExceeded, match="work 279024669 .* the bound is 134217728"):
         compute(tensor(sym(20, omega(1, n)), sym(10, tangent(n))))
     assert time.perf_counter() - start < 1.0
 

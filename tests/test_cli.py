@@ -460,8 +460,30 @@ def test_chern_refuses_large_skew_solves_before_they_start(capsys):
     assert (code, out) == (3, "")
     assert err == (
         "error: the Chern character of 11 distinct summands needs skew Jacobi-Trudi"
-        " solves of work 2750517 (sum of cubed lengths); the bound is 262144\n"
+        " solves of work 279024669 (squared lengths times row bits); the bound is 134217728\n"
     )
+
+
+def test_chi_refuses_a_skew_solve_of_large_entries_before_it_starts(capsys):
+    # one 63-row kernel whose entries have about 3,300 bits, which ran 1.3 s;
+    # the charge weighs each row by the bits of its largest entry
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["chi", f"sym({10**17}, Omega^1) on P^64"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: the Chern character of 1 distinct summands needs skew Jacobi-Trudi"
+        " solves of work 829905993 (squared lengths times row bits); the bound is 134217728\n"
+    )
+
+
+def test_chi_runs_a_skew_solve_with_one_long_row(capsys):
+    # the 63-row kernels of sym^k(T) (x) Omega^1 have one long row, and are
+    # charged by the bits of each row, not 63 times those of the longest
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["chi", f"sym({10**17}, T) (x) Omega^1 on P^64"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "") and "Riemann-Roch and cohomology agree" in out
 
 
 BIG = "1" + "0" * 5000  # 5,001 digits, past Python's 4,300-digit int limit
