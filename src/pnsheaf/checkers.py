@@ -8,10 +8,10 @@ conditions could not be verified, never that the conclusion is false.
 
 from __future__ import annotations
 
-from ._record import field, record
-from .bundles import BundleExpr, dual, o, omega, split_bundle, tangent, tensor, wedge
+from ._record import record
+from .bundles import BundleExpr, _map_ranks, dual, o, omega, split_bundle, tangent, tensor, wedge
 from .cohomology import cohomology_dims
-from .complexes import ENCertificate, _failed, required_dims, vanishing_certificate
+from .complexes import _failed, required_dims
 from .errors import InputError
 from .grammar import render_expression
 
@@ -44,7 +44,6 @@ class TheoremReport:
     groups: tuple[GroupDim, ...]
     verdict: str
     notes: tuple[str, ...] = ()
-    certificate: ENCertificate | None = field(default=None, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -67,13 +66,9 @@ class TheoremReport:
         ]
 
 
-def _required_groups(cert: ENCertificate) -> tuple[GroupDim, ...]:
-    """H^i(M_(g+i)) for each required group of a certificate, as (i, i, dim)."""
-    return tuple(GroupDim(req.i, req.i, req.table.h(req.i)) for req in cert.required)
-
-
-def _dims(cert: ENCertificate) -> list[tuple[int, ...]]:
-    return [req.table.dims for req in cert.required]
+def _required_groups(hs) -> tuple[GroupDim, ...]:
+    """H^i(M_(g+i)) as (i, i, dim), hs being the h-vectors of M_(g+1), M_(g+2), ..."""
+    return tuple(GroupDim(i, i, h[i] if i < len(h) else 0) for i, h in enumerate(hs, 1))
 
 
 def _split_inputs(n: int, k: int, degrees) -> tuple[tuple[int, ...], tuple[bool, bool]]:
@@ -107,16 +102,15 @@ def check_split_distribution(n: int, k: int, degrees) -> TheoremReport:
     a condition holds.  These bundles are the terms of the Eagon-Northcott
     certificate of Omega^1 -> F*: its term M_(k+j) = wedge^k T (x)
     wedge^(k+j) Omega^1 (x) Sym^j F is the one at i = k + j, so every group
-    is read off the certificate's tables, and the ones with p = i-k are its
-    own required groups.
+    is read off the h-vectors of one required_dims pass, and the ones with
+    p = i-k are the certificate's own required groups.
     """
     degrees, (cond1, cond2) = _split_inputs(n, k, degrees)
     conditions = (
         ConditionCheck("dual twisted by O(k-n) ample", cond1),
         ConditionCheck("split form: dual twisted by O(k-n+1) ample", cond2),
     )
-    cert = vanishing_certificate(omega(1, n), dual(split_bundle(degrees, n)))
-    hs = _dims(cert)
+    hs = required_dims(omega(1, n), dual(split_bundle(degrees, n)))
     groups = tuple(GroupDim(k + i, p, h[p]) for i, h in enumerate(hs, 1) for p in range(1, i + 1))
     return TheoremReport(
         "thm-1-2",
@@ -125,7 +119,6 @@ def check_split_distribution(n: int, k: int, degrees) -> TheoremReport:
         groups,
         split_verdict(n, k, degrees, hs),
         (PURITY_NOTE,),
-        cert,
     )
 
 
@@ -152,10 +145,10 @@ def check_codim1_generic(n: int, r: int) -> TheoremReport:
     for 1 <= i <= n-1; they vanish for every r > n + 1.  These are the
     required groups of the Eagon-Northcott certificate of T -> O(r), whose
     term M_(1+i) = wedge^1 T* (x) wedge^(i+1) T (x) Sym^i O(-r) is that
-    bundle, so they are read off the certificate.
+    bundle, so they are read off the h-vectors of one required_dims pass.
     """
     condition, T, O_r = _codim1_inputs(n, r)
-    cert = vanishing_certificate(T, O_r)
+    hs = required_dims(T, O_r)
     notes = (
         PURITY_NOTE,
         "zero-dimensionality of the singular scheme is a separate input, "
@@ -163,7 +156,7 @@ def check_codim1_generic(n: int, r: int) -> TheoremReport:
     )
     return TheoremReport(
         "thm-1-4", {"n": n, "r": r}, (ConditionCheck("twist exceeds n + 1", condition),),
-        _required_groups(cert), codim1_verdict(n, r, _dims(cert)), notes, cert
+        _required_groups(hs), codim1_verdict(n, r, hs), notes
     )
 
 
@@ -195,23 +188,24 @@ def check_endomorphism_space(k: int, n: int) -> TheoremReport:
 
 
 def check_map_recovery(E: BundleExpr, G: BundleExpr) -> TheoremReport:
-    """Generic-statement checker: wraps the vanishing certificate for a map
-    E -> G of arbitrary supported bundles."""
-    cert = vanishing_certificate(E, G)
+    """Generic-statement checker: the required groups of the vanishing
+    certificate for a map E -> G of arbitrary supported bundles, read off
+    the h-vectors of one required_dims pass."""
+    e, g = _map_ranks(E, G)
+    hs = required_dims(E, G)
     return TheoremReport(
         "thm-1-1",
         {
             "n": E.ambient,
             "E": render_expression(E),
             "G": render_expression(G),
-            "e": cert.e,
-            "g": cert.g,
+            "e": e,
+            "g": g,
         },
-        (ConditionCheck("rank(E) >= rank(G)", cert.e >= cert.g),),
-        _required_groups(cert),
-        HOLD if cert.verdict else FAIL,
+        (ConditionCheck("rank(E) >= rank(G)", e >= g),),
+        _required_groups(hs),
+        FAIL if _failed(hs) else HOLD,
         (PURITY_NOTE,),
-        cert,
     )
 
 
@@ -220,6 +214,4 @@ def check_split_vanishing(n: int, k: int, degrees) -> TheoremReport:
     computation, reported under its own name with no ampleness conditions
     beyond the ones that power it."""
     base = check_split_distribution(n, k, degrees)
-    return TheoremReport(
-        "prop-4-5", base.inputs, base.conditions, base.groups, base.verdict, (), base.certificate
-    )
+    return TheoremReport("prop-4-5", base.inputs, base.conditions, base.groups, base.verdict)

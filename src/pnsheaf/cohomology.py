@@ -4,11 +4,11 @@ Bott's theorem in closed form, per irreducible summand S_lam(Q)(t): with
 a_k = lam_k + n + 1 - k and x = -t, the summand has no cohomology when x is
 some a_k, and otherwise one nonzero group, in degree #{k : a_k < x}, of
 dimension rank(S_lam(Q)) * prod_k |a_k - x| / n! (the Weyl dimension of
-the dotted-Weyl reduction of (lam, x), without sorting it).  A table is
-read straight off the engine's count map of (lam, twist) pairs, with one
-cached Bott lookup (_bott) per summand, and keeps that count map; the public
-IrreducibleBundle and Contribution objects are built from its groups, looked
-up again, only when a table's contributions are read.
+the dotted-Weyl reduction of (lam, x), without sorting it).  An h-vector
+is read straight off the engine's count map of (lam, twist) pairs, with one
+cached Bott lookup (_bott) per summand.  A table keeps that count map; the
+public IrreducibleBundle and Contribution objects are built from its
+groups, looked up again, only when a table's contributions are read.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ class Contribution:
 @record
 class CohomologyTable:
     """(h^0, ..., h^n) of expr; _terms is the count map the table was read
-    from, looked up again only for contributions.  A table read straight off
-    a count map has expr None."""
+    from, looked up again only for contributions."""
 
     ambient: int
     dims: tuple[int, ...]
@@ -53,9 +52,6 @@ class CohomologyTable:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * d for p, d in enumerate(self.dims))
-
-    def h(self, p: int) -> int:
-        return self.dims[p] if 0 <= p <= self.ambient else 0
 
 
 @lru_cache(maxsize=4096)  # a benchmark or golden request fills at most 744
@@ -87,11 +83,6 @@ def _bott(n: int, lam: tuple[int, ...], twist: int) -> tuple[int, int] | None:
     return degree, num // den
 
 
-def _count_map_table(n: int, terms: Terms, expr: BundleExpr | None = None) -> CohomologyTable:
-    """The table of a count map on P^n, in any order: one Bott lookup per summand."""
-    return CohomologyTable(n, tuple(_count_map_dims(n, terms)), expr, terms)
-
-
 def _count_map_dims(n: int, terms: Terms, shift: int = 0) -> list[int]:
     """(h^0, ..., h^n) of a count map on P^n, its twists shifted, with no table."""
     dims = [0] * (n + 1)
@@ -109,7 +100,8 @@ def cohomology_dims(e: BundleExpr) -> list[int]:
 def cohomology_table(e: BundleExpr) -> CohomologyTable:
     """Full table (h^0, ..., h^n) of a normalizable expression.
 
-    Reads the engine's normal form summand by summand; no Contribution is
-    built unless the contributions are read.
+    Reads the engine's normal form summand by summand, one Bott lookup
+    each; no Contribution is built unless the contributions are read.
     """
-    return _count_map_table(e.ambient, _normalize_cached(e), e)
+    terms = _normalize_cached(e)
+    return CohomologyTable(e.ambient, tuple(_count_map_dims(e.ambient, terms)), e, terms)

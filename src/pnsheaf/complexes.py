@@ -15,7 +15,7 @@ Sym^i(G*) (x) O(i*s), so twisting G by O(-s) twists every summand of
 M_(g+i) by O(i*s) and leaves its Schur weights alone.  The twist-free part
 of each term is cached per (E, G up to twist).  One pass, required_dims,
 reads each term's h-vector with one Bott lookup per summand: that is all a
-sweep point pays, and the certificate builds its tables and records on it.
+sweep point or a checker pays, and the certificate keeps those h-vectors.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .bundles import (
     tensor,
     wedge,
 )
-from .cohomology import CohomologyTable, _count_map_dims, _count_map_table
+from .cohomology import _count_map_dims
 from .errors import ScaleExceeded, UnsupportedPlethysm
 from .grammar import render_expression
 
@@ -57,16 +57,8 @@ class ENResolutionReport:
 @record
 class RequiredVanishing:
     i: int
-    table: CohomologyTable  # read off a count map, so its expr is None
+    dims: tuple[int, ...]  # (h^0, ..., h^n) of M_(g+i)
     ok: bool
-    E: BundleExpr
-    G: BundleExpr
-    g: int
-
-    @property
-    def expr(self) -> BundleExpr:
-        """The term M_(g+i), built only when printed."""
-        return _en_term(self.E, self.G, self.g + self.i, self.g, True)
 
 
 @record
@@ -82,6 +74,10 @@ class ENCertificate:
     endomorphism_dim: int
     assumptions: tuple[str, ...] = ("purity",)
 
+    def term(self, i: int) -> BundleExpr:
+        """The term M_(g+i), built only when printed."""
+        return _en_term(self.E, self.G, self.g + i, self.g, True)
+
     def to_json_dict(self) -> dict:
         return {
             "e": self.e,
@@ -90,8 +86,8 @@ class ENCertificate:
             "required": [
                 {
                     "i": r.i,
-                    "expr": render_expression(r.expr),
-                    "h": list(r.table.dims),
+                    "expr": render_expression(self.term(r.i)),
+                    "h": list(r.dims),
                     "ok": r.ok,
                 }
                 for r in self.required
@@ -104,8 +100,9 @@ class ENCertificate:
         return [
             f"certificate on P^{self.n}: E = {render_expression(self.E)}, "
             f"G = {render_expression(self.G)} (e = {self.e}, g = {self.g})",
-            *(f"H^{req.i}({render_expression(req.expr)}) = {req.table.h(req.i)}"
-              f"  [{'ok' if req.ok else 'NONZERO'}]" for req in self.required),
+            *(f"H^{req.i}({render_expression(self.term(req.i))}) = "
+              f"{0 if req.ok else req.dims[req.i]}  [{'ok' if req.ok else 'NONZERO'}]"
+              for req in self.required),
             *(f"chase: {step}" for step in self.chain_trace),
             *(f"assumption: {assumption}" for assumption in self.assumptions),
             f"endomorphism space dimension: {self.endomorphism_dim}",
@@ -198,13 +195,13 @@ def _en_bracket(E: BundleExpr, G0_dual: Terms, g: int, i: int) -> Terms:
     return tuple(acc.items())
 
 
-def required_dims(E: BundleExpr, G: BundleExpr, read=_count_map_dims) -> list:
-    """[read(n, terms, i*s) for i = 1..e-g], by default the h-vectors of M_(g+i).
+def required_dims(E: BundleExpr, G: BundleExpr) -> list:
+    """The h-vectors (h^0, ..., h^n) of M_(g+i) for i = 1..e-g.
 
-    With G* = G0* (x) O(s), s the twist of the first summand of G*, terms is
-    the count map of wedge^g(E*) (x) wedge^(g+i)(E) (x) Sym^i(G0*), from a
-    cache shared by every twist of G, and M_(g+i) is terms with i*s added to
-    the twist of each summand; only read sees s.
+    With G* = G0* (x) O(s), s the twist of the first summand of G*, M_(g+i)
+    is the count map of wedge^g(E*) (x) wedge^(g+i)(E) (x) Sym^i(G0*), from a
+    cache shared by every twist of G, with i*s added to the twist of each
+    summand; only the Bott lookups see s.
     """
     n = E.ambient
     e, g = _map_ranks(E, G)
@@ -224,7 +221,7 @@ def required_dims(E: BundleExpr, G: BundleExpr, read=_count_map_dims) -> list:
             except UnsupportedPlethysm:
                 _normalize_cached(wedge(g + 2, E))
                 raise
-        out.append(read(n, _en_bracket(E, G0_dual, g, i), i * s))
+        out.append(_count_map_dims(n, _en_bracket(E, G0_dual, g, i), i * s))
     return out
 
 
@@ -237,15 +234,13 @@ def vanishing_certificate(E: BundleExpr, G: BundleExpr) -> ENCertificate:
     """Check H^i(wedge^g(E*) (x) wedge^(g+i)(E) (x) Sym^i(G*)) = 0, i = 1..e-g.
 
     The verdict is the conjunction; purity of the degeneracy locus is an
-    explicit, unchecked assumption carried in the report.  Its tables come
-    from the pass of required_dims.
+    explicit, unchecked assumption carried in the report.  Its h-vectors
+    come from the pass of required_dims.
     """
     e, g = _map_ranks(E, G)
-    tables = required_dims(E, G, lambda n, terms, shift: _count_map_table(
-        n, tuple(((lam, d + shift), m) for (lam, d), m in terms)))
-    failed = _failed([table.dims for table in tables])
-    required = tuple(RequiredVanishing(i, table, i not in failed, E, G, g)
-                     for i, table in enumerate(tables, 1))
-    endo = _count_map_table(E.ambient, _en_bracket(E, (), g, 0)).h(0)
+    hs = required_dims(E, G)
+    failed = _failed(hs)
+    required = tuple(RequiredVanishing(i, tuple(h), i not in failed) for i, h in enumerate(hs, 1))
+    endo = _count_map_dims(E.ambient, _en_bracket(E, (), g, 0))[0]
     trace = _chain_trace(e, g, not failed, failed)
     return ENCertificate(E, G, E.ambient, e, g, required, not failed, trace, endo)

@@ -76,7 +76,7 @@ def _weyl_dim_cached(entries: tuple[int, ...], width: int) -> int:
     return num // den
 
 
-@lru_cache(maxsize=256)  # a benchmark or golden request fills at most 52
+@lru_cache(maxsize=2048)  # a benchmark or golden request fills at most 495
 def lr_product(
     lam: tuple[int, ...], mu: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, ...], int], ...]:

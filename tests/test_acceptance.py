@@ -95,10 +95,10 @@ def test_criterion_2_endomorphism_line_and_chase():
                 # middle terms Omega^k(j) have no H^i or H^(i+1)
                 for i in range(k + 1):
                     step = cohomology_table(tensor(wedge(k - i, tangent(n)), omega(k, n)))
-                    assert step.h(i) == 1, (k, n, i)
+                    assert step.dims[i] == 1, (k, n, i)
                 for i in range(k):
                     middle = cohomology_table(tensor(omega(k, n), o(k - i, n)))
-                    assert middle.h(i) == middle.h(i + 1) == 0, (k, n, i)
+                    assert middle.dims[i] == middle.dims[i + 1] == 0, (k, n, i)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,7 @@ def test_criterion_4_codim1_proof_vanishings():
                     e = tensor(
                         tensor(omega(1, n), wedge(i + 1, tangent(n))), o(-i * r, n)
                     )
-                    assert cohomology_table(e).h(i) == 0, (n, r, i)
+                    assert cohomology_table(e).dims[i] == 0, (n, r, i)
                     checked += 1
         print(f"checked {checked} groups")
 

@@ -38,15 +38,15 @@ def test_sections_of_line_bundles():
     for n in range(1, 6):
         for d in range(0, 5):
             table = cohomology_table(o(d, n))
-            assert table.h(0) == binom(n + d, n)
-            assert all(table.h(p) == 0 for p in range(1, n + 1))
+            assert table.dims[0] == binom(n + d, n)
+            assert all(table.dims[p] == 0 for p in range(1, n + 1))
 
 
 def test_canonical_bundle_top_cohomology():
     for n in range(1, 6):
         table = cohomology_table(o(-n - 1, n))
-        assert table.h(n) == 1
-        assert all(table.h(p) == 0 for p in range(n))
+        assert table.dims[n] == 1
+        assert all(table.dims[p] == 0 for p in range(n))
 
 
 def test_intermediate_negative_twists_vanish_entirely():

@@ -94,7 +94,7 @@ def test_certificate_positive_case():
 def test_certificate_negative_case():
     cert = vanishing_certificate(omega(1, 3), _split(3, 0, -1))
     assert cert.verdict is False
-    failing = [(r.i, max(p for p, d in enumerate(r.table.dims) if d)) for r in cert.required if not r.ok]
+    failing = [(r.i, max(p for p, d in enumerate(r.dims) if d)) for r in cert.required if not r.ok]
     assert failing  # at least one required group is nonzero
     assert any("hypothesis not satisfied" in line for line in cert.chain_trace)
 
@@ -116,8 +116,8 @@ def test_certificate_two_step_descending_induction():
 def test_certificate_required_tables_are_reproducible():
     cert = vanishing_certificate(omega(1, 3), _split(3, 1, 1))
     for r in cert.required:
-        assert r.table.dims == cohomology_table(r.expr).dims
-        assert r.ok == (r.table.h(r.i) == 0)
+        assert r.dims == cohomology_table(cert.term(r.i)).dims
+        assert r.ok == (r.dims[r.i] == 0)
 
 
 def test_certificate_rejects_rank_deficit():

@@ -140,7 +140,7 @@ def check_random() -> list[str]:
 def test_golden_payloads_are_written_as_json_dumps_writes_them():
     failures, count = check_golden()
     assert not failures, failures[:10]
-    assert count == 72
+    assert count == 73
 
 
 def test_seeded_payloads_are_written_as_json_dumps_writes_them():

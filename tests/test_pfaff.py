@@ -158,7 +158,7 @@ def test_unconstrained_section_space_matches_closed_form():
     for n in range(2, 4):
         for r in range(2, 6):
             space = vanishing_section_space(n, r, unit_ideal(n + 1))
-            assert space.dim == bott_closed_form(1, r, n).h(0), (n, r)
+            assert space.dim == bott_closed_form(1, r, n).dims[0], (n, r)
             assert len(space.basis) == space.dim
 
 

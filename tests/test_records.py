@@ -72,7 +72,6 @@ RECORD_COUNT = 27
 # the fields declared with field(): (class, field) -> dataclasses.field flags
 FLAGGED = {
     ("CohomologyTable", "_terms"): {"repr": False, "compare": False},
-    ("TheoremReport", "certificate"): {"compare": False},
 }
 # seeded bad values tried in each field, against __post_init__
 BAD_VALUES = (0, -1, 10**5 + 1, (), (1, 0, 2), ("x",), None)
@@ -125,8 +124,8 @@ def _walk(value, out: dict, seen: set) -> None:
         children = list(vars(value).values())
         if type(value).__name__ == "CohomologyTable":
             children.append(value.contributions)
-        if type(value).__name__ == "RequiredVanishing":
-            children.append(value.expr)
+        if type(value).__name__ == "ENCertificate":
+            children += [value.term(r.i) for r in value.required]
     elif isinstance(value, (tuple, list)):
         children = list(value)
     elif isinstance(value, dict):

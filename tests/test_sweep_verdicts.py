@@ -14,7 +14,10 @@ same line with the same exit code.  Under patches that make
 ``CohomologyTable``, ``RequiredVanishing``, ``ENCertificate``,
 ``TheoremReport``, ``ConditionCheck``, ``GroupDim``, the chase and the
 endomorphism bracket fail, every sweep point of the grid and every sweep
-golden case must still run.
+golden case must still run.  A check prints its report but no certificate,
+so it too reads one Bott pass: with the certificate's pieces, the chase and
+the endomorphism bracket made to fail, every ``check_*`` call of the grid and
+every ``check`` and ``pfaff uniqueness`` golden case must still run.
 
 Run as a script, ``PYTHONPATH=src python tests/test_sweep_verdicts.py``
 makes every check with the standard library only.
@@ -91,10 +94,14 @@ SWEEP_CASES = ("sweep-codim1-text", "sweep-codim1-json", "sweep-split-text", "sw
                "sweep-endo-text", "sweep-endo-json", "sweep-certificate-text",
                "sweep-certificate-json")
 
-# what a sweep point must not build, by module
-UNBUILT = ((cohomology, "CohomologyTable"), (complexes, "RequiredVanishing"),
-           (complexes, "ENCertificate"), (complexes, "_chain_trace"),
-           (checkers, "TheoremReport"), (checkers, "ConditionCheck"), (checkers, "GroupDim"))
+CHECK_CASES = tuple(c["id"] for c in CORPUS["cases"] if c["argv"][:1] == ["check"]
+                    or c["argv"][:2] == ["pfaff", "uniqueness"])
+
+# what a check must not build, by module; a sweep point builds no report either
+CERTIFICATE = ((cohomology, "CohomologyTable"), (complexes, "RequiredVanishing"),
+               (complexes, "ENCertificate"), (complexes, "_chain_trace"))
+UNBUILT = CERTIFICATE + ((checkers, "TheoremReport"), (checkers, "ConditionCheck"),
+                         (checkers, "GroupDim"))
 
 
 def grid() -> list[tuple[str, tuple]]:
@@ -115,25 +122,34 @@ def grid() -> list[tuple[str, tuple]]:
     return out
 
 
-def reference(kind: str, point: tuple) -> dict:
-    """What the full path prints for a sweep point."""
+def full_report(kind: str, point: tuple):
+    """The check report of a sweep point."""
     if kind == "codim1":
-        return {"verdict": check_codim1_generic(*point).verdict}
+        return check_codim1_generic(*point)
     if kind == "split":
         n, k, d = point
-        return {"verdict": check_split_distribution(n, k, (d,) * k).verdict}
+        return check_split_distribution(n, k, (d,) * k)
     if kind == "endo":
         n, k = point
-        report = check_endomorphism_space(k, n)
-        tree = cohomology_table(tensor(wedge(k, tangent(n)), omega(k, n))).h(0)
+        return check_endomorphism_space(k, n)
+    E, G, t = point
+    return check_map_recovery(E, tensor(G, o(t, E.ambient)))
+
+
+def reference(kind: str, point: tuple) -> dict:
+    """What the full path prints for a sweep point."""
+    report = full_report(kind, point)
+    if kind == "endo":
+        n, k = point
+        tree = cohomology_table(tensor(wedge(k, tangent(n)), omega(k, n))).dims[0]
         if report.groups[0].dim != tree:
             return {"dim": "the report disagrees with the tree"}
         return {"dim": tree, "verdict": report.verdict}
-    E, G, t = point
-    Gt = tensor(G, o(t, E.ambient))
-    report, cert = check_map_recovery(E, Gt), vanishing_certificate(E, Gt)
-    if (report.verdict == checkers.HOLD) != cert.verdict:
-        return {"verdict": "the report disagrees with the certificate"}
+    if kind == "certificate":
+        E, G, t = point
+        if (report.verdict == checkers.HOLD) != vanishing_certificate(
+                E, tensor(G, o(t, E.ambient))).verdict:
+            return {"verdict": "the report disagrees with the certificate"}
     return {"verdict": report.verdict}
 
 
@@ -186,34 +202,47 @@ def check_refusals() -> list[str]:
     return failures
 
 
-def check_nothing_built() -> list[str]:
-    """Every grid point and sweep golden case runs with the report's pieces
-    and the endomorphism bracket made to fail."""
+def check_nothing_built(run, unbuilt, case_ids: tuple[str, ...]) -> list[str]:
+    """Every run(kind, point) of the grid and every golden case of case_ids
+    runs with the names of unbuilt and the endomorphism bracket made to fail."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a sweep point built part of a report")
+        raise AssertionError("built part of a certificate or report")
 
     bracket = complexes._en_bracket
 
     def en_bracket(E, G0_dual, g, i):
         if not i:
-            raise AssertionError("a sweep point looked up its endomorphism space")
+            raise AssertionError("looked up its endomorphism space")
         return bracket(E, G0_dual, g, i)
 
     failures = []
     with contextlib.ExitStack() as stack:
-        for module, name in UNBUILT:
+        for module, name in unbuilt:
             stack.enter_context(mock.patch.object(module, name, refuse))
         stack.enter_context(mock.patch.object(complexes, "_en_bracket", en_bracket))
         for kind, point in grid():
             try:
-                observed(kind, point)
+                run(kind, point)
             except AssertionError as exc:
                 failures.append(f"{_name(kind, point)}: {exc}")
-        cases = [c for c in CORPUS["cases"] if c["id"] in SWEEP_CASES]
-        if len(cases) != len(SWEEP_CASES):
-            return failures + [f"golden cases missing from the corpus: {SWEEP_CASES}"]
-        failures += [f"{case_id}: differs from the golden corpus" for case_id in differing(cases)]
+        cases = [c for c in CORPUS["cases"] if c["id"] in case_ids]
+        if len(cases) != len(case_ids):
+            return failures + [f"golden cases missing from the corpus: {case_ids}"]
+        for case in cases:
+            try:
+                if differing([case]):
+                    failures.append(f"{case['id']}: differs from the golden corpus")
+            except AssertionError as exc:
+                failures.append(f"{case['id']}: {exc}")
     return failures
+
+
+def check_sweeps_built_nothing() -> list[str]:
+    return check_nothing_built(observed, UNBUILT, SWEEP_CASES)
+
+
+def check_checks_built_no_certificate() -> list[str]:
+    return check_nothing_built(full_report, CERTIFICATE, CHECK_CASES)
 
 
 def test_sweep_points_match_the_full_reports():
@@ -230,16 +259,22 @@ def test_sweep_points_refuse_as_the_full_reports_do():
 
 
 def test_a_sweep_point_builds_no_report():
-    assert not check_nothing_built()
+    assert not check_sweeps_built_nothing()
+
+
+def test_a_check_builds_no_certificate():
+    assert not check_checks_built_no_certificate()
 
 
 if __name__ == "__main__":
     failures, seen = check_grid()
-    failures += check_refusals() + check_nothing_built()
+    failures += check_refusals() + check_sweeps_built_nothing()
+    failures += check_checks_built_no_certificate()
     for line in failures:
         print(line)
     print(f"Python {sys.version.split()[0]}: {len(grid())} sweep points, verdicts"
           f" {({kind: sorted(v) for kind, v in seen.items()})}, {len(CLI_REFUSALS)} CLI and"
-          f" {len(POINT_REFUSALS)} point refusals, {len(SWEEP_CASES)} golden cases,"
+          f" {len(POINT_REFUSALS)} point refusals, {len(SWEEP_CASES)} sweep and"
+          f" {len(CHECK_CASES)} check golden cases,"
           f" {len(failures)} failures")
     sys.exit(1 if failures else 0)
