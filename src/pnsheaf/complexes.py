@@ -234,13 +234,13 @@ def vanishing_certificate(E: BundleExpr, G: BundleExpr) -> ENCertificate:
     """Check H^i(wedge^g(E*) (x) wedge^(g+i)(E) (x) Sym^i(G*)) = 0, i = 1..e-g.
 
     The verdict is the conjunction; purity of the degeneracy locus is an
-    explicit, unchecked assumption carried in the report.  Its h-vectors
-    come from the pass of required_dims.
+    explicit, unchecked assumption carried in the report.  The i = 0 bracket
+    is charged first; the h-vectors then come from the pass of required_dims.
     """
     e, g = _map_ranks(E, G)
+    endo = _count_map_dims(E.ambient, _en_bracket(E, (), g, 0))[0]
     hs = required_dims(E, G)
     failed = _failed(hs)
     required = tuple(RequiredVanishing(i, tuple(h), i not in failed) for i, h in enumerate(hs, 1))
-    endo = _count_map_dims(E.ambient, _en_bracket(E, (), g, 0))[0]
     trace = _chain_trace(e, g, not failed, failed)
     return ENCertificate(E, G, E.ambient, e, g, required, not failed, trace, endo)

@@ -106,22 +106,6 @@ def _kernel(rows, ncols: int) -> list[tuple[dict[int, int], int]]:
         if (g := gcd(*vec.values())) > 1:
             vec = {col: v // g for col, v in vec.items()}
             den //= g
-        basis.append((dict(sorted(vec.items())), den))
+        basis.append((vec, den))
     return basis
 
-
-def _last_pivot_basis(vectors, ncols: int) -> list[tuple[dict[int, int], int]]:
-    """The reduced basis of the span of sparse integer vectors over ncols
-    columns that pivots each vector on its last nonzero column, with 1 there
-    and 0 at the other pivots; in increasing pivot order, as ``_kernel``'s
-    (vector, denominator) pairs.  It depends only on the span, and for a
-    kernel it is the basis ``_kernel`` returns."""
-    last = ncols - 1
-    reduced = _reduced({last - c: v for c, v in vec.items()} for vec in vectors)
-    basis = []
-    for col, row in reversed(reduced):
-        # a reduced row is primitive, so over its pivot entry it is in lowest terms
-        sign = 1 if row[col] > 0 else -1
-        basis.append(({last - c: sign * v for c, v in sorted(row.items(), reverse=True)},
-                      sign * row[col]))
-    return basis

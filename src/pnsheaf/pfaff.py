@@ -16,10 +16,10 @@ from math import lcm
 
 from ._record import record
 from .checkers import TheoremReport, check_codim1_generic
-from .errors import EulerViolation, InputError, ScaleExceeded
+from .errors import ConsistencyError, EulerViolation, InputError, ScaleExceeded
 # kernel_basis is unused here but stays a pfaff attribute: perfbench's traced
 # test reads pnsheaf.pfaff.kernel_basis
-from .linalg import _kernel, _last_pivot_basis, kernel_basis  # noqa: F401
+from .linalg import _kernel, kernel_basis  # noqa: F401
 from .polyideal import (
     MAX_CHART_VARS,
     MAX_GENERATOR_DEGREE,
@@ -259,12 +259,12 @@ def vanishing_section_space(n: int, r: int, z) -> SectionSpace:
     every polynomial, and each chart keeps the combinations of its basis
     V_1, ..., V_k whose normal forms vanish.  Then the Euler relation
     sum x_i A_i = 0, over the (n+1)k coefficients c_(i,j) of
-    A_i = sum_j c_(i,j) V_j.  The kernel, mapped back, is returned in the
-    reduced basis that pivots each vector on its last nonzero column.  That
-    basis depends only on the kernel, and it is the one _kernel gives for the
-    single system of Euler rows and per-slot membership rows: there, vector f
-    is 1 at free column f and 0 at the other free columns, and f is the last
-    column where it is nonzero.
+    A_i = sum_j c_(i,j) V_j.  That kernel, mapped back, already is the basis
+    _kernel gives for the single system of Euler rows and per-slot membership
+    rows, up to one positive scale per vector: a _kernel vector ends at its
+    free column, is positive there and 0 at the other free ones, and mapping
+    such vectors through a basis of that shape whose ends increase keeps the
+    shape, in the chart stage and again through the Euler stage's slot blocks.
     """
     ideal = z.ideal if isinstance(z, SingularScheme) else z
     if not isinstance(ideal, IdealPresentation):
@@ -319,10 +319,14 @@ def vanishing_section_space(n: int, r: int, z) -> SectionSpace:
         {slot * width + m_idx: c for m_idx, c in vec.items()} for slot in range(nvars) for vec in space
     ]
     forms = [_combination(vec, blocks) for vec, _ in _kernel(euler.values(), nvars * k)]
-    kernel = _last_pivot_basis(forms, nvars * width)
-    basis_forms = tuple(
-        TwistedOneForm(n, r, _slot_polys(vec, den, nvars, keys)) for vec, den in kernel
-    )
+    # each form over its last entry is 1 there; the sort keeps every slot's term order
+    kernel = [(dict(sorted(vec.items())), vec[max(vec)]) for vec in forms]
+    try:
+        basis_forms = tuple(
+            TwistedOneForm(n, r, _slot_polys(vec, den, nvars, keys)) for vec, den in kernel
+        )
+    except InputError as exc:
+        raise ConsistencyError(f"a computed section failed its check: {exc}") from exc
     return SectionSpace(n, r, len(kernel), basis_forms)
 
 

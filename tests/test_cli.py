@@ -215,6 +215,17 @@ def test_bracket_lr_work_is_refused_at_once(capsys, argv, term, work):
     )
 
 
+def test_certificate_charges_its_endomorphism_bracket_before_the_required_terms(monkeypatch, capsys):
+    # the i = 0 bracket is refused before any required term is formed
+    def refuse(E, G):
+        raise AssertionError("required terms formed before the i = 0 bracket was charged")
+
+    monkeypatch.setattr("pnsheaf.complexes.required_dims", refuse)
+    assert _run(capsys, ["certificate", "4*Omega^1", "10*O(1)", "--n", "5"]) == (
+        3, "", "error: the certificate term M_10 needs 111600 units of LR work; the bound is 100000\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1032,6 +1043,28 @@ def test_form_file_failing_the_euler_relation_is_two(tmp_path, capsys):
     code, out, err = _run(capsys, ["pfaff", "uniqueness", "--file", str(path)])
     assert (code, out) == (2, "")
     assert err == "error: Euler relation violated, residual 3*x0*x1*x2\n"
+
+
+def test_a_computed_section_failing_the_euler_relation_is_a_failed_cross_check(
+    tmp_path, capsys, monkeypatch
+):
+    import pnsheaf.pfaff
+
+    slot_polys = pnsheaf.pfaff._slot_polys
+
+    def one_extra_term(*args):
+        first, *rest = slot_polys(*args)
+        return (first + parse_poly("x2^3", 3), *rest)
+
+    path = tmp_path / "golden.form"
+    path.write_text(_CORPUS["form_file"], encoding="utf-8")
+    monkeypatch.setattr(pnsheaf.pfaff, "_slot_polys", one_extra_term)
+    code, out, err = _run(capsys, ["pfaff", "sections", "--file", str(path)])
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: internal cross-check failed: a computed section failed its check:"
+        " Euler relation violated, residual x0*x2^3\n"
+    )
 
 
 # ---------------------------------------------------------------------------

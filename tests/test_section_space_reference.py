@@ -11,7 +11,9 @@ same ``SectionSpace``.
 The grid covers the golden forms, pencils and log forms shaped like the
 benchmark's, the coordinate log form and a degenerate pencil, at every twist
 from 1 to the form's twist + 1, and the unit and zero ideals on every chart;
-its spaces have dimension 0, 1 and more.
+its spaces have dimension 0, 1 and more.  Over the same grid the section
+space eliminates only inside ``_kernel``: it calls ``linalg._reduced`` once
+per ``_kernel`` call and never on its own.
 
 Run as a script, ``PYTHONPATH=src python tests/test_section_space_reference.py``
 checks the whole grid with the standard library only.
@@ -39,6 +41,8 @@ from pnsheaf import (
     singular_scheme,
     vanishing_section_space,
 )
+import pnsheaf.linalg
+import pnsheaf.pfaff
 from pnsheaf.linalg import _kernel
 from pnsheaf.pfaff import MAX_UNKNOWNS, _slot_polys
 from pnsheaf.polyideal import _divide, _pack, _reducers, monomials_of_degree
@@ -169,11 +173,41 @@ def check_grid() -> tuple[list[str], set[int], int]:
     return failures, dims, count
 
 
+def elimination_counts() -> tuple[int, int]:
+    """(calls to linalg._reduced, calls to pfaff._kernel) over the grid's
+    section spaces."""
+    calls = {"_reduced": 0, "_kernel": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return original, wrapper
+
+    reduced, counted_reduced = counted(pnsheaf.linalg, "_reduced")
+    kernel, counted_kernel = counted(pnsheaf.pfaff, "_kernel")
+    pnsheaf.linalg._reduced, pnsheaf.pfaff._kernel = counted_reduced, counted_kernel
+    try:
+        for _, n, r, ideal in cases():
+            vanishing_section_space(n, r, ideal)
+    finally:
+        pnsheaf.linalg._reduced, pnsheaf.pfaff._kernel = reduced, kernel
+    return calls["_reduced"], calls["_kernel"]
+
+
 def test_section_space_matches_the_full_system():
     failures, dims, count = check_grid()
     assert not failures, failures
     assert {0, 1} <= dims and max(dims) >= 2, dims
     assert count > 100
+
+
+def test_section_space_eliminates_only_inside_kernel():
+    reduced, kernel = elimination_counts()
+    assert reduced == kernel > 0, (reduced, kernel)
 
 
 if __name__ == "__main__":
@@ -182,4 +216,7 @@ if __name__ == "__main__":
         print(line)
     print(f"Python {sys.version.split()[0]}: {count} cases, {len(failures)} disagree,"
           f" dimensions {sorted(dims)}")
-    sys.exit(1 if failures or not ({0, 1} <= dims and max(dims) >= 2) else 0)
+    reduced, kernel = elimination_counts()
+    print(f"{reduced} eliminations in {kernel} _kernel calls")
+    ok = not failures and {0, 1} <= dims and max(dims) >= 2 and reduced == kernel > 0
+    sys.exit(0 if ok else 1)
