@@ -3,7 +3,7 @@
 `record` gives a class what pnsheaf uses of ``dataclass(frozen=True)``:
 fields from the annotations (base class first), positional or keyword
 construction with defaults, then ``__post_init__``; ``==`` only within one
-class and ``hash`` over the compared fields; the dataclass repr text;
+class and ``hash`` over all the fields; the dataclass repr text;
 ``__match_args__``; and an error on assignment or deletion.  Instances keep a
 ``__dict__`` holding exactly the fields, so ``vars``, ``cached_property``,
 pickle and ``copy`` work as before.
@@ -18,15 +18,6 @@ from operator import attrgetter
 
 class FrozenRecordError(AttributeError):
     """An assignment to, or deletion of, an attribute of a record."""
-
-
-class field:  # lower case: it stands in for dataclasses.field at the call sites
-    """A field with a default that repr leaves out or == and hash ignore."""
-
-    __slots__ = ("default", "repr", "compare")
-
-    def __init__(self, *, default, repr=True, compare=True):
-        self.default, self.repr, self.compare = default, repr, compare
 
 
 _MISSING = object()
@@ -46,7 +37,7 @@ def _init_post(self):
 
 
 def _repr(self):
-    body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__record_repr__)
+    body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
     return f"{self.__class__.__qualname__}({body})"
 
 
@@ -62,15 +53,10 @@ def record(cls):
     """Make cls a frozen record; see the module docstring."""
     specs = dict(getattr(cls, "__record_specs__", {}))
     for name in cls.__dict__.get("__annotations__", {}):
-        default = cls.__dict__.get(name, _MISSING)
-        if isinstance(default, field):
-            setattr(cls, name, default.default)
-            specs[name] = default
-        else:
-            specs[name] = field(default=default)
+        specs[name] = cls.__dict__.get(name, _MISSING)
     cls.__match_args__ = names = tuple(specs)
-    defaults = tuple(s.default for s in specs.values() if s.default is not _MISSING)
-    if any(specs[n].default is _MISSING for n in names[len(names) - len(defaults):]):
+    defaults = tuple(d for d in specs.values() if d is not _MISSING)
+    if any(specs[n] is _MISSING for n in names[len(names) - len(defaults):]):
         raise TypeError(f"{cls.__qualname__}: a field without a default follows one with")
     code = (_init_post if hasattr(cls, "__post_init__") else _init).__code__.replace(
         co_argcount=len(names) + 1, co_nlocals=len(names) + 1, co_varnames=("self", *names),
@@ -78,8 +64,7 @@ def record(cls):
     if hasattr(code, "co_qualname"):  # Python 3.11+
         code = code.replace(co_qualname=f"{cls.__qualname__}.__init__")
     __init__ = type(_init)(code, globals(), "__init__", defaults)
-    compared = [n for n, s in specs.items() if s.compare]
-    get, single = attrgetter(*compared), len(compared) == 1  # a tuple unless single
+    get, single = attrgetter(*names), len(names) == 1  # a tuple unless single
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -94,6 +79,5 @@ def record(cls):
         method.__module__ = cls.__module__
         setattr(cls, method.__name__, method)
     cls.__record_specs__ = specs
-    cls.__record_repr__ = tuple(n for n, s in specs.items() if s.repr)
     cls.__repr__, cls.__setattr__, cls.__delattr__ = _repr, _setattr, _delattr
     return cls

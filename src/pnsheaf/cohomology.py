@@ -6,9 +6,9 @@ some a_k, and otherwise one nonzero group, in degree #{k : a_k < x}, of
 dimension rank(S_lam(Q)) * prod_k |a_k - x| / n! (the Weyl dimension of
 the dotted-Weyl reduction of (lam, x), without sorting it).  An h-vector
 is read straight off the engine's count map of (lam, twist) pairs, with one
-cached Bott lookup (_bott) per summand.  A table keeps that count map; the
-public IrreducibleBundle and Contribution objects are built from its
-groups, looked up again, only when a table's contributions are read.
+cached Bott lookup (_bott) per summand.  A table reads its count map from the
+normal-form cache; the public IrreducibleBundle and Contribution objects are
+built from its groups, looked up again, only when its contributions are read.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from functools import cached_property, lru_cache
 from itertools import groupby
 
-from ._record import field, record
+from ._record import record
 from .bundles import BundleExpr, IrreducibleBundle, Terms, _normalize_cached
 from .errors import ConsistencyError
 from .weights import weyl_dim
@@ -33,19 +33,19 @@ class Contribution:
 
 @record
 class CohomologyTable:
-    """(h^0, ..., h^n) of expr; _terms is the count map the table was read
-    from, looked up again only for contributions."""
+    """(h^0, ..., h^n) of expr; reads its count map from the normal-form
+    cache, and looks it up again only for contributions."""
 
     ambient: int
     dims: tuple[int, ...]
-    expr: BundleExpr | None = None
-    _terms: tuple = field(default=(), repr=False, compare=False)
+    expr: BundleExpr
 
     @cached_property
     def contributions(self) -> tuple[Contribution, ...]:
         """Each summand with cohomology, by (degree, lam, twist); built on first read."""
         n = self.ambient
-        groups = sorted((group[0], lam, twist, mult, group[1]) for (lam, twist), mult in self._terms
+        groups = sorted((group[0], lam, twist, mult, group[1])
+                        for (lam, twist), mult in _normalize_cached(self.expr)
                         if (group := _bott(n, lam, twist)) is not None)
         return tuple(Contribution(degree, IrreducibleBundle(n, lam, twist), mult, dim)
                      for degree, lam, twist, mult, dim in groups)
@@ -103,5 +103,4 @@ def cohomology_table(e: BundleExpr) -> CohomologyTable:
     Reads the engine's normal form summand by summand, one Bott lookup
     each; no Contribution is built unless the contributions are read.
     """
-    terms = _normalize_cached(e)
-    return CohomologyTable(e.ambient, tuple(_count_map_dims(e.ambient, terms)), e, terms)
+    return CohomologyTable(e.ambient, tuple(cohomology_dims(e)), e)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -12,12 +14,15 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from types import SimpleNamespace
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pnsheaf import (
     CHECK_IDS,
@@ -38,6 +43,7 @@ from pnsheaf import (
     parse_form_file,
     parse_poly,
     pencil_form,
+    random_pencil_form,
     render_expression,
     render_form_file,
 )
@@ -1257,3 +1263,54 @@ def test_cli_import_leaves_the_worker_pool_unloaded():
         [sys.executable, "-I", "-c", probe], capture_output=True, text=True, timeout=60
     )
     assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
+
+
+# form-file text from pieces: a header on P^1 or P^2, A_i labels and
+# polynomial fragments, some well-formed and some not, arbitrary text, and
+# well-formed files with one line replaced
+_FRAGMENTS = ["x0", "x1", "x2", "-x0", "-x1", "x3", "0", "1", "2/3", "x0*x1", "-x0*x2",
+              "x1^2", "x2^", "x0 + x1", "x1 - x2", "*", "+", "(", "1/0", "y", "x0^99999"]
+_BODIES = st.builds(lambda parts, sep: sep.join(parts),
+                    st.lists(st.sampled_from(_FRAGMENTS), max_size=3),
+                    st.sampled_from([" + ", "*", " "]))
+_HEADERS = st.builds("P^{} twist {}".format, st.integers(1, 2), st.integers(-1, 3))
+_LINES = st.one_of(st.builds("A_{}: {}".format, st.integers(0, 3), _BODIES), st.text(max_size=12))
+_WELL_FORMED = [render_form_file(random_pencil_form(n, d, seed))
+                for n in (1, 2) for d in (1, 2) for seed in (1, 2)]
+_WELL_FORMED.append("P^2 twist 3\nA_0: x1*x2\nA_1: x0*x2\nA_2: -2*x0*x1\n")
+
+
+def _replace_line(text: str, k: int, line: str) -> str:
+    lines = text.splitlines()
+    lines[k % len(lines)] = line
+    return "\n".join(lines) + "\n"
+
+
+_FORM_TEXTS = st.one_of(
+    st.builds(lambda head, lines: "\n".join([head, *lines]) + "\n",
+              st.one_of(_HEADERS, st.text(max_size=12)), st.lists(_LINES, max_size=4)),
+    st.builds(lambda head, bodies: "\n".join([head, *map("A_{}: {}".format, range(3), bodies)]),
+              _HEADERS, st.lists(_BODIES, min_size=2, max_size=3)),
+    st.sampled_from(_WELL_FORMED),
+    st.builds(_replace_line, st.sampled_from(_WELL_FORMED), st.integers(0, 3),
+              st.one_of(_HEADERS, _LINES)),
+)
+_FORM_COMMANDS = (["singular"], ["uniqueness"], ["sections", "--twist", "2"], ["annihilator"])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_FORM_TEXTS)
+@example("P^1 twist 2\nA_0: x1\nA_1: -x0\n")
+@example("P^2 twist 2\nA_0: x1\nA_1: -x0\nA_2: 0\n")
+@example("P^2 twist 2\nA_0: x1\nA_1: -x0\n")
+def test_form_files_exit_with_a_code_and_error_lines_only(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "fuzz.form")
+        path.write_text(text, encoding="utf-8")
+        for command in _FORM_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["pfaff", *command, "--file", str(path)])
+            assert code in (0, 1, 2, 3), (command, text, err.getvalue())
+            lines = err.getvalue().splitlines()
+            assert all(line.startswith("error:") for line in lines), (command, text, lines)

@@ -9,7 +9,9 @@ sorted by (degree, lam, twist).  Both must give the same ``dims`` and the same
 contributions (degree, summand, multiplicity, dim) in the same order, for
 T, Omega^p, line bundles, sums, tensors and wedge/sym of sums on P^1..P^6
 with twists -12..12, for zero bundles, and for ``bott_closed_form`` tables,
-whose contributions are empty.
+whose contributions, read from the normal-form cache, equal the engine's.
+A table whose normal form was evicted from that cache reads the same
+contributions as one read before the eviction.
 
 Run as a script, ``PYTHONPATH=src python tests/test_cohomology_count_map.py``
 makes every comparison with the standard library only.
@@ -121,18 +123,30 @@ def check_zero_bundles() -> list[str]:
 
 
 def check_closed_form_tables() -> tuple[list[str], int]:
-    """bott_closed_form agrees with the reference and has no contributions."""
+    """bott_closed_form agrees with the reference and prints the engine's contributions."""
     failures, count = [], 0
     for n in AMBIENTS:
         for k in range(n + 1):
             for s in TWISTS:
                 table = bott_closed_form(k, s, n)
-                if table.contributions != ():
-                    failures.append(f"Omega^{k}({s}) on P^{n}: closed form has contributions")
+                if table.contributions != cohomology_table(table.expr).contributions:
+                    failures.append(f"Omega^{k}({s}) on P^{n}: closed form's contributions differ")
                 if table.dims != reference(table.expr)[0]:
                     failures.append(f"Omega^{k}({s}) on P^{n}: closed form differs")
                 count += 1
     return failures, count
+
+
+def check_evicted_normal_forms(exprs: list[BundleExpr]) -> list[str]:
+    """Contributions read after the normal-form cache is cleared, against before."""
+    failures = []
+    for e in exprs:
+        before, after = cohomology_table(e), cohomology_table(e)
+        want = before.contributions
+        _normalize_cached.cache_clear()
+        if after.contributions != want:
+            failures.append(f"{e}: contributions changed after the normal form was evicted")
+    return failures
 
 
 def test_tables_match_the_decomposition_path_on_the_grid():
@@ -152,10 +166,16 @@ def test_zero_bundles_have_empty_tables():
     assert not check_zero_bundles()
 
 
-def test_closed_form_tables_match_and_have_no_contributions():
+def test_closed_form_tables_match_and_print_the_engines_contributions():
     failures, count = check_closed_form_tables()
     assert not failures, failures[:10]
     assert count == 27 * 25
+
+
+def test_contributions_survive_an_evicted_normal_form():
+    exprs = grid()[::97]
+    assert sum(bool(cohomology_table(e).contributions) for e in exprs) > 5
+    assert not check_evicted_normal_forms(exprs)
 
 
 def test_contributions_are_built_once_per_table():
@@ -168,6 +188,7 @@ if __name__ == "__main__":
     failures += check_zero_bundles()
     closed_failures, closed_count = check_closed_form_tables()
     failures += closed_failures
+    failures += check_evicted_normal_forms(grid()[::97])
     for line in failures:
         print(line)
     print(f"Python {sys.version.split()[0]}: {count} tables, {contributions} contributions,"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -51,10 +52,27 @@ def _forms():
     ids=["pencil-1", "pencil-2", "pencil-3", "pencil-2-3", "pencil-2-4", "pencil-3-2", "log"],
 )
 def test_chart_bases_match_sympy(form):
-    ideal = singular_scheme(form).ideal
+    scheme = singular_scheme(form)
+    ideal = scheme.ideal
     gens = [c for c in form.coeffs if c]
     xs = sympy.symbols(f"x0:{ideal.nvars - 1}")
+    dims = []
     for i, chart in enumerate(ideal.charts):
         dehoms = [_to_sympy(g.dehomogenize(i), xs) for g in gens]
         oracle = sympy.groebner(dehoms, *xs, order="grevlex", domain="QQ")
         assert _sorted(chart) == _sorted(_from_sympy(g, xs) for g in oracle.exprs), i
+        leads = [sympy.Poly(g, *xs).monoms(order="grevlex")[0] for g in oracle.exprs]
+        dims.append(_staircase_dimension(leads, len(xs)))
+        assert oracle.is_zero_dimensional == (dims[-1] == 0), i
+    assert max(dims) == scheme.dimension
+
+
+def _staircase_dimension(leads, nvars: int) -> int:
+    """The size of the largest variable set containing the support of no
+    leading monomial; -1 for the unit ideal, whose lead 1 has empty support."""
+    supports = [{v for v in range(nvars) if lead[v]} for lead in leads]
+    for size in range(nvars, -1, -1):
+        for chosen in map(set, combinations(range(nvars), size)):
+            if not any(support <= chosen for support in supports):
+                return size
+    return -1

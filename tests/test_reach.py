@@ -41,7 +41,6 @@ ALLOWED = {
     "_record._delattr": RECORD,
     "_record._repr": RECORD,
     "_record._setattr": RECORD,
-    "_record.field.__init__": RECORD,
     "_record.record": RECORD,
     "chow.ChowClass.__str__":
         "library example: the README prints a Porteous class; the CLI has its own renderer",

@@ -4,9 +4,8 @@ Every result class of pnsheaf is a record made by ``pnsheaf._record.record``
 instead of a frozen dataclass, so that importing pnsheaf loads neither
 dataclasses nor inspect.  The reference kept here is the dataclass each
 record replaces: for each of the 27 record classes a frozen dataclass twin
-is built from the class's own annotations, defaults and methods (the two
-fields declared with ``field`` get the same flags), and on seeded instances
-both must agree on
+is built from the class's own annotations, defaults and methods, and on
+seeded instances both must agree on
 
 * the ``inspect.signature`` of the class (parameter names, order, kinds and
   defaults), the ``__qualname__`` and ``__module__`` of ``__init__``,
@@ -69,14 +68,10 @@ from helpers import random_expression
 
 SEED = 252525
 RECORD_COUNT = 27
-# the fields declared with field(): (class, field) -> dataclasses.field flags
-FLAGGED = {
-    ("CohomologyTable", "_terms"): {"repr": False, "compare": False},
-}
 # seeded bad values tried in each field, against __post_init__
 BAD_VALUES = (0, -1, 10**5 + 1, (), (1, 0, 2), ("x",), None)
 GENERATED = {"__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__",
-             "__match_args__", "__record_specs__", "__record_repr__", "__dict__",
+             "__match_args__", "__record_specs__", "__dict__",
              "__weakref__", "__annotations__", "__doc__", "__module__", "__qualname__"}
 
 
@@ -100,10 +95,6 @@ def make_twins(classes) -> dict[type, type]:
         namespace = {name: value for name, value in cls.__dict__.items()
                      if name not in GENERATED}
         annotations = cls.__dict__.get("__annotations__", {})
-        for name in annotations:
-            flags = FLAGGED.get((cls.__name__, name))
-            if flags is not None:
-                namespace[name] = dataclasses.field(default=cls.__dict__[name], **flags)
         namespace.update(__annotations__=dict(annotations), __module__=cls.__module__,
                          __qualname__=cls.__qualname__, __doc__=cls.__doc__)
         twin = type(cls.__name__, (twins.get(base, base),), namespace)
